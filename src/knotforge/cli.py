@@ -62,9 +62,17 @@ def _resolve(args, config: dict[str, str], key: str, fallback=None):
     return value
 
 
+def _curve(args, config: dict[str, str], key: str):
+    """The curve named by flag or config key `key`, which is required."""
+    text = _resolve(args, config, key)
+    if text is None:
+        raise ValueError(f"--{key} is required (as a flag or a config key)")
+    return parse_curve(text)
+
+
 def _cmd_twist(args, config) -> int:
-    kappa = parse_curve(_resolve(args, config, "kappa"))
-    alpha = parse_curve(_resolve(args, config, "alpha"))
+    kappa = _curve(args, config, "kappa")
+    alpha = _curve(args, config, "alpha")
     n = int(_resolve(args, config, "n", "1"))
     tau = dehn_twist(kappa, alpha, n)
     print(f"tau = {tau}")
@@ -129,8 +137,8 @@ def _cmd_family(args, config) -> int:
     cat = catalog.generate_family(
         g=int(_resolve(args, config, "genus", "2")),
         family=_resolve(args, config, "type", "H"),
-        kappa=parse_curve(_resolve(args, config, "kappa")),
-        alpha=parse_curve(_resolve(args, config, "alpha")),
+        kappa=_curve(args, config, "kappa"),
+        alpha=_curve(args, config, "alpha"),
         n_range=parse_range(_resolve(args, config, "n_range", "0:0")),
         i_range=parse_range(_resolve(args, config, "i_range", "0:0")),
         chi_Q_bridge=_maybe_int(_resolve(args, config, "chi_bridge")),
@@ -152,14 +160,13 @@ def _maybe_int(value):
 
 
 def _cmd_verify_graphs(args, config) -> int:
-    report = maps.verify_parallelP(
+    report, tri = maps.verify_graphs(
         V_max=int(_resolve(args, config, "v_max", "3")),
         E_budget=int(_resolve(args, config, "e_budget", "12")),
         chi_min=int(_resolve(args, config, "chi_min", "-2")),
         work_budget=int(_resolve(args, config, "work_budget", "150000")),
     )
     sys.stdout.write(report.render())
-    tri = maps.verify_parallel_class_bound()
     sys.stdout.write(tri.render())
     return 0 if not report.counterexamples and tri.ok else 1
 
@@ -234,7 +241,7 @@ def main(argv=None) -> int:
     config = load_config(args.config) if args.config else {}
     try:
         return args.func(args, config)
-    except (ValueError, maps.MapError) as exc:
+    except (ValueError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,18 +11,26 @@ parallel-edge claims:
 Maps are encoded by a vertex permutation sigma (cycles = vertices, giving
 the rotation) and a fixed-point-free edge involution alpha pairing darts.
 The face permutation is phi(d) = sigma(alpha(d)); chi = V - E + F.  Only
-orientable maps arise from this encoding.
+orientable maps arise from this encoding.  A monogon is a degree-1 face,
+that is a fixed point of phi, so enumeration rejects monogons with an O(E)
+scan and traces faces only on the representatives it yields.
 
 Exhaustive enumeration is feasible for small cells only, so the parallel-
 edge verifier is a hybrid: cells whose raw candidate count fits a work
 budget are enumerated outright; larger cells are discharged by the degree
 count argument, which is checked numerically in-line (see
 _degree_count_discharge).
+
+Both claims read the same monogon-free cells.  verify_graphs runs the two
+verifiers over one cell store, a dict that lives for that call only, so
+each cell is enumerated and face-traced once per call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from .bounds import parallel_edges_threshold, parallelism_class_bound
 
 
 class MapError(ValueError):
@@ -97,18 +105,29 @@ class CombinatorialMap:
         """Canonical edge id of a dart: the smaller dart of its pair."""
         return min(dart, self.alpha[dart])
 
+    def has_monogon(self) -> bool:
+        """Whether some face has degree 1, i.e. phi = sigma alpha has a
+        fixed point; O(E), without tracing faces."""
+        sigma, alpha = self.sigma, self.alpha
+        return any(sigma[alpha[d]] == d for d in range(len(sigma)))
+
     def is_connected(self) -> bool:
         """Connectivity of the dart graph (ignores isolated vertices)."""
-        n = len(self.sigma)
-        seen = {0}
-        stack = [0]
-        while stack:
-            d = stack.pop()
-            for nxt in (self.sigma[d], self.alpha[d]):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return len(seen) == n
+        sigma, alpha = self.sigma, self.alpha
+        seen = [False] * len(sigma)
+        seen[0] = True
+        order = [0]
+        # order grows while it is iterated: a breadth-first traversal
+        for d in order:
+            s = sigma[d]
+            if not seen[s]:
+                seen[s] = True
+                order.append(s)
+            a = alpha[d]
+            if not seen[a]:
+                seen[a] = True
+                order.append(a)
+        return len(order) == len(sigma)
 
 
 def standard_involution(num_edges: int) -> tuple[int, ...]:
@@ -269,31 +288,48 @@ def canonical_key(m: CombinatorialMap):
     Relabels darts by breadth-first traversal (successor order: rotation
     then pairing) from every start dart, in both orientations, and takes
     the lexicographically smallest relabeled (sigma, alpha) pair.
+
+    The sigma sequence is emitted during the traversal, and a start is
+    dropped as soon as its prefix exceeds the best one so far; alpha
+    sequences are compared only when the sigma sequences tie.
     """
     n = len(m.sigma)
+    alpha = m.alpha
     sigma_inv = [0] * n
     for d in range(n):
         sigma_inv[m.sigma[d]] = d
-    best = None
-    for orient in (m.sigma, tuple(sigma_inv)):
+    best_sigma = best_alpha = None
+    for orient in (m.sigma, sigma_inv):
         for start in range(n):
-            labels = {start: 0}
+            label = [-1] * n
+            label[start] = 0
             order = [start]
-            i = 0
-            while i < len(order):
-                d = order[i]
-                for nxt in (orient[d], m.alpha[d]):
-                    if nxt not in labels:
-                        labels[nxt] = len(order)
-                        order.append(nxt)
-                i += 1
-            key = (
-                tuple(labels[orient[d]] for d in order),
-                tuple(labels[m.alpha[d]] for d in order),
-            )
-            if best is None or key < best:
-                best = key
-    return best
+            seq = []
+            tied = best_sigma is not None
+            # order grows while it is iterated: a breadth-first traversal
+            for i, d in enumerate(order):
+                s = orient[d]
+                x = label[s]
+                if x < 0:
+                    label[s] = x = len(order)
+                    order.append(s)
+                a = alpha[d]
+                if label[a] < 0:
+                    label[a] = len(order)
+                    order.append(a)
+                if tied:
+                    b = best_sigma[i]
+                    if x > b:
+                        break
+                    tied = x == b
+                seq.append(x)
+            else:
+                if len(order) != n:
+                    raise MapError("canonical_key needs a connected map")
+                alpha_seq = [label[alpha[d]] for d in order]
+                if not tied or alpha_seq < best_alpha:
+                    best_sigma, best_alpha = seq, alpha_seq
+    return tuple(best_sigma), tuple(best_alpha)
 
 
 def enumerate_maps(
@@ -308,7 +344,8 @@ def enumerate_maps(
     Up to isomorphism the vertex permutation can be fixed per cycle type,
     so the search runs over cycle types (partitions of 2E into V parts)
     times fixed-point-free involutions; duplicates are removed by
-    canonical form.
+    canonical form.  With monogon_free, maps with a monogon are dropped
+    by the O(E) fixed-point test before their key is computed.
     """
     if V < 1 or E < 1:
         raise MapError("V >= 1 and E >= 1 required")
@@ -330,7 +367,7 @@ def enumerate_maps(
             m = CombinatorialMap(sigma, alpha)
             if not m.is_connected():
                 continue
-            if monogon_free and trace_faces(m).monogons:
+            if monogon_free and m.has_monogon():
                 continue
             key = canonical_key(m)
             if key in seen:
@@ -344,9 +381,23 @@ def enumerate_maps(
 # ---------------------------------------------------------------------------
 
 
-def edge_threshold(V: int, chi: int) -> int:
-    """3V max(1 - chi, 1): above this a monogon-free map has parallel edges."""
-    return 3 * V * max(1 - chi, 1)
+def _monogon_free_cell(V: int, E: int, limits: EnumerationLimits, cell_store):
+    """The monogon-free representatives of the (V, E) cell, each with its
+    face report, enumerated on first use and then read from `cell_store`.
+
+    `cell_store` is a dict owned by one verification run (None for no
+    sharing); keys are (V, E, limits).
+    """
+    key = (V, E, limits)
+    if cell_store is not None and key in cell_store:
+        return cell_store[key]
+    reps = tuple(
+        (m, trace_faces(m))
+        for m in enumerate_maps(V, E, monogon_free=True, limits=limits)
+    )
+    if cell_store is not None:
+        cell_store[key] = reps
+    return reps
 
 
 def _degree_count_discharge(V: int, E: int, chi_values) -> bool:
@@ -358,12 +409,12 @@ def _degree_count_discharge(V: int, E: int, chi_values) -> bool:
     forces both endpoints to be valence-1 vertices and the map to be the
     single-edge map (E = 1).  Then 2E = sum of face degrees >= 3F, so
     F <= 2E/3 and chi = V - E + F gives E <= 3(V - chi).  The cell is
-    discharged when 3(V - chi) <= edge_threshold(V, chi) for every
+    discharged when 3(V - chi) <= parallel_edges_threshold(V, chi) for every
     candidate chi, so no counterexample can have E above the threshold.
     """
     if E < 2:
         return True
-    return all(3 * (V - chi) <= edge_threshold(V, chi) for chi in chi_values)
+    return all(3 * (V - chi) <= parallel_edges_threshold(V, chi) for chi in chi_values)
 
 
 @dataclass(frozen=True)
@@ -419,6 +470,8 @@ def verify_parallelP(
     chi_min: int = -2,
     work_budget: int = 150_000,
     limits: EnumerationLimits = DEFAULT_LIMITS,
+    *,
+    cell_store: dict | None = None,
 ) -> ParallelEdgeReport:
     """Verify that monogon-free maps above the edge threshold have parallel
     edges, over every cell V <= V_max, E <= E_budget, chi >= chi_min.
@@ -427,7 +480,8 @@ def verify_parallelP(
     exhaustively; the rest are discharged by the degree count argument
     (see _degree_count_discharge), which rules out counterexamples without
     listing maps.  Every cell is covered by one of the two methods or the
-    run fails.
+    run fails.  `cell_store` shares enumerated cells with the other
+    verifier of the same run (see verify_graphs).
     """
     if V_max > limits.v_max or E_budget > limits.e_max:
         raise LimitExceeded("requested range exceeds configured limits")
@@ -438,13 +492,12 @@ def verify_parallelP(
             if candidate_count(V, E) <= work_budget:
                 checked = above = tight = 0
                 bad = []
-                for m in enumerate_maps(V, E, monogon_free=True, limits=limits):
-                    report = trace_faces(m)
+                for m, report in _monogon_free_cell(V, E, limits, cell_store):
                     chi = report.euler_characteristic
                     if chi < chi_min:
                         continue
                     checked += 1
-                    threshold = edge_threshold(V, chi)
+                    threshold = parallel_edges_threshold(V, chi)
                     if E > threshold:
                         above += 1
                         if not report.has_parallel_edges():
@@ -511,7 +564,10 @@ class TriangulationReport:
 
 
 def verify_parallel_class_bound(
-    E_budget: int = 6, limits: EnumerationLimits = DEFAULT_LIMITS
+    E_budget: int = 6,
+    limits: EnumerationLimits = DEFAULT_LIMITS,
+    *,
+    cell_store: dict | None = None,
 ) -> TriangulationReport:
     """Confirm the max(-3 chi, 1) arc-class bound on enumerated ideal
     triangulations with ideal chi in {-1, -2}.
@@ -519,7 +575,8 @@ def verify_parallel_class_bound(
     Vertices model punctures, so the ideal Euler characteristic is
     F - E = chi(map) - V; all-triangle maps have E = -3 (F - E) exactly,
     and no bigons, so every edge is its own parallelism class and the
-    bound holds with equality.
+    bound holds with equality.  `cell_store` shares enumerated cells with
+    the other verifier of the same run (see verify_graphs).
     """
     results = []
     for E in range(3, E_budget + 1, 3):
@@ -531,8 +588,7 @@ def verify_parallel_class_bound(
                 continue
             counts = []
             ideal_chi = None
-            for m in enumerate_maps(V, E, monogon_free=True, limits=limits):
-                report = trace_faces(m)
+            for _, report in _monogon_free_cell(V, E, limits, cell_store):
                 if any(d != 3 for d in report.degrees):
                     continue
                 chi = report.euler_characteristic - V
@@ -543,13 +599,34 @@ def verify_parallel_class_bound(
                 ideal_chi = chi
                 counts.append(report.num_parallel_classes)
             if counts:
-                bound = max(-3 * ideal_chi, 1)
+                bound = parallelism_class_bound(ideal_chi)
                 results.append(
                     TriangulationResult(
                         V, E, ideal_chi, len(counts), tuple(counts), bound
                     )
                 )
-    return TriangulationReport(tuple(results), annulus_bound=max(-3 * 0, 1))
+    return TriangulationReport(tuple(results), annulus_bound=parallelism_class_bound(0))
+
+
+def verify_graphs(
+    V_max: int,
+    E_budget: int,
+    chi_min: int = -2,
+    work_budget: int = 150_000,
+    limits: EnumerationLimits = DEFAULT_LIMITS,
+) -> tuple[ParallelEdgeReport, TriangulationReport]:
+    """Both graph claims in one run: verify_parallelP over the given cells,
+    then verify_parallel_class_bound with its default edge budget.
+
+    The two verifiers share one cell store that lives for this call only,
+    so a cell both of them read is enumerated and face-traced once.
+    """
+    store: dict = {}
+    report = verify_parallelP(
+        V_max, E_budget, chi_min, work_budget, limits, cell_store=store
+    )
+    tri = verify_parallel_class_bound(limits=limits, cell_store=store)
+    return report, tri
 
 
 # ---------------------------------------------------------------------------

@@ -208,8 +208,32 @@ def dump_seam_data(curve: SeamedCurve, pd: PantsDecomposition) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Seam data key -> number of fields after the key.
+_SEAM_FIELDS = {
+    "genus": 1,
+    "compatible": 1,
+    "cuff": 1,
+    "pants": 4,
+    "seams": 4,
+    "parallels": 4,
+    "closed": 2,
+}
+
+
+def _seam_int(token: str, line: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise PantsError(f"expected an integer, got {token!r} in {line!r}") from None
+
+
 def load_seam_data(text: str) -> tuple[SeamedCurve, PantsDecomposition]:
-    """Parse the version-1 seam data format; validates on load."""
+    """Parse the version-1 seam data format; validates on load.
+
+    Every malformed line (unknown key, wrong field count, a non-integer
+    count, a `compatible` value other than true or false) raises
+    PantsError.
+    """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].strip() != "seamcurve v1":
         raise PantsError("missing or unsupported seamcurve header")
@@ -222,25 +246,30 @@ def load_seam_data(text: str) -> tuple[SeamedCurve, PantsDecomposition]:
     parallels: dict[str, tuple[int, int, int]] = {}
     closed: dict[str, int] = {}
     for ln in lines[1:]:
-        parts = ln.split()
-        key = parts[0]
-        if key == "genus":
-            genus = int(parts[1])
-        elif key == "compatible":
-            compatible = parts[1] == "true"
-        elif key == "cuff":
-            cuffs.append(parts[1])
-        elif key == "pants":
-            pants_ids.append(parts[1])
-            pants_sides[parts[1]] = (parts[2], parts[3], parts[4])
-        elif key == "seams":
-            seams[parts[1]] = (int(parts[2]), int(parts[3]), int(parts[4]))
-        elif key == "parallels":
-            parallels[parts[1]] = (int(parts[2]), int(parts[3]), int(parts[4]))
-        elif key == "closed":
-            closed[parts[1]] = int(parts[2])
-        else:
+        key, *fields = ln.split()
+        if key not in _SEAM_FIELDS:
             raise PantsError(f"unknown key {key!r} in seam data")
+        if len(fields) != _SEAM_FIELDS[key]:
+            raise PantsError(
+                f"{key!r} line needs {_SEAM_FIELDS[key]} fields, got {ln.strip()!r}"
+            )
+        if key == "genus":
+            genus = _seam_int(fields[0], ln)
+        elif key == "compatible":
+            if fields[0] not in ("true", "false"):
+                raise PantsError(f"compatible must be true or false, got {fields[0]!r}")
+            compatible = fields[0] == "true"
+        elif key == "cuff":
+            cuffs.append(fields[0])
+        elif key == "pants":
+            pants_ids.append(fields[0])
+            pants_sides[fields[0]] = tuple(fields[1:])
+        elif key == "seams":
+            seams[fields[0]] = tuple(_seam_int(t, ln) for t in fields[1:])
+        elif key == "parallels":
+            parallels[fields[0]] = tuple(_seam_int(t, ln) for t in fields[1:])
+        else:
+            closed[fields[0]] = _seam_int(fields[1], ln)
     if genus is None or compatible is None:
         raise PantsError("seam data missing genus or compatible line")
     pd = PantsDecomposition(

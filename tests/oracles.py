@@ -1,9 +1,11 @@
 """Independent oracles used by the test suite.
 
 Everything here recomputes library results by a different method: lattice
-crossing enumeration for intersection numbers, and explicit threshold
-scans for the inverted hitting bounds and the strong threshold.  Pure
-integer arithmetic throughout.
+crossing enumeration for intersection numbers, explicit threshold scans
+for the inverted hitting bounds and the strong threshold, the plain
+exhaustive form of the canonical map key, and a Burnside count of chord
+diagrams for the one-vertex map enumerator.  Pure integer arithmetic
+throughout.
 """
 
 from __future__ import annotations
@@ -87,3 +89,63 @@ def n_strong_scan(chi_Q_nu: int, limit: int = 10**6) -> int:
         ):
             return i - 1
     raise AssertionError("scan limit reached")
+
+
+def reference_canonical_key(m):
+    """The canonical map key computed in full: breadth-first relabeling
+    (rotation, then pairing) from every start dart in both orientations,
+    minimum over all relabeled (sigma, alpha) pairs, with nothing cut
+    short."""
+    n = len(m.sigma)
+    sigma_inv = [0] * n
+    for d in range(n):
+        sigma_inv[m.sigma[d]] = d
+    best = None
+    for orient in (m.sigma, tuple(sigma_inv)):
+        for start in range(n):
+            labels = {start: 0}
+            order = [start]
+            i = 0
+            while i < len(order):
+                d = order[i]
+                for nxt in (orient[d], m.alpha[d]):
+                    if nxt not in labels:
+                        labels[nxt] = len(order)
+                        order.append(nxt)
+                i += 1
+            key = (
+                tuple(labels[orient[d]] for d in order),
+                tuple(labels[m.alpha[d]] for d in order),
+            )
+            if best is None or key < best:
+                best = key
+    return best
+
+
+def _matchings(points, partner):
+    """Fill `partner` with every perfect matching of `points` in turn."""
+    if not points:
+        yield partner
+        return
+    first = points[0]
+    for j in range(1, len(points)):
+        partner[first], partner[points[j]] = points[j], first
+        yield from _matchings(points[1:j] + points[j + 1 :], partner)
+
+
+def chord_diagrams_up_to_dihedral(E: int) -> int:
+    """Chord diagrams with E chords on 2E points of a circle, up to rotation
+    and reflection, counted by Burnside's lemma: the mean number of the
+    (2E - 1)!! perfect matchings fixed by each element of the dihedral
+    group of order 4E.  These are the one-vertex maps with E edges up to
+    orientation-reversing isomorphism (OEIS A054499)."""
+    n = 2 * E
+    group = [[(x + k) % n for x in range(n)] for k in range(n)]
+    group += [[(k - x) % n for x in range(n)] for k in range(n)]
+    fixed = sum(
+        all(partner[g[x]] == g[partner[x]] for x in range(n))
+        for partner in _matchings(list(range(n)), [0] * n)
+        for g in group
+    )
+    assert fixed % len(group) == 0
+    return fixed // len(group)

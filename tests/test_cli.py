@@ -33,6 +33,21 @@ class TestTwist:
         assert code == 0
         assert "tau = (1,2)" in out  # flag n=1 overrides config n=4
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["twist"],
+            ["twist", "--kappa", "0,1"],
+            ["twist", "--alpha", "1,1"],
+            ["twist", "--kappa", "abc", "--alpha", "1,1"],
+        ],
+    )
+    def test_missing_or_bad_curve_exit_code(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
 
 class TestBounds:
     def test_disk(self, capsys):

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from knotforge import maps
@@ -18,10 +18,12 @@ from knotforge.maps import (
     standard_involution,
     trace_faces,
     validate_parity,
+    verify_graphs,
     verify_parallelP,
     verify_parallel_class_bound,
 )
 from knotforge.torus import normalize
+from oracles import chord_diagrams_up_to_dihedral, reference_canonical_key
 
 LOOP_ON_SPHERE = CombinatorialMap(sigma=(1, 0), alpha=(1, 0))
 # theta graph: two trivalent vertices, three edges, all faces bigons
@@ -41,6 +43,36 @@ def random_map(rng, E):
     sigma = list(range(2 * E))
     rng.shuffle(sigma)
     return CombinatorialMap(tuple(sigma), tuple(alpha))
+
+
+def relabeled(m, perm):
+    """The same map with dart d renamed perm[d]."""
+    n = len(perm)
+    sigma = [0] * n
+    alpha = [0] * n
+    for d in range(n):
+        sigma[perm[d]] = perm[m.sigma[d]]
+        alpha[perm[d]] = perm[m.alpha[d]]
+    return CombinatorialMap(tuple(sigma), tuple(alpha))
+
+
+def mirrored(m):
+    """The map with every rotation reversed (sigma inverted)."""
+    sigma = [0] * len(m.sigma)
+    for d, s in enumerate(m.sigma):
+        sigma[s] = d
+    return CombinatorialMap(tuple(sigma), m.alpha)
+
+
+def labeled_candidates(V, E):
+    """Every connected map the enumerator builds for the (V, E) cell."""
+    darts = list(range(2 * E))
+    for cycle_lengths in maps._partitions_into(2 * E, V):
+        sigma = maps._standard_sigma(cycle_lengths)
+        for pairing in maps._involutions(darts):
+            m = CombinatorialMap(sigma, tuple(pairing[d] for d in darts))
+            if m.is_connected():
+                yield m
 
 
 class TestValidation:
@@ -150,13 +182,49 @@ class TestEnumeration:
                 continue
             perm = list(range(8))
             rng.shuffle(perm)
-            sigma = [0] * 8
-            alpha = [0] * 8
-            for d in range(8):
-                sigma[perm[d]] = perm[m.sigma[d]]
-                alpha[perm[d]] = perm[m.alpha[d]]
-            other = CombinatorialMap(tuple(sigma), tuple(alpha))
-            assert canonical_key(other) == canonical_key(m)
+            assert canonical_key(relabeled(m, perm)) == canonical_key(m)
+
+    @pytest.mark.parametrize("V", [1, 2, 3])
+    @pytest.mark.parametrize("E", [1, 2, 3, 4])
+    def test_canonical_key_matches_reference_on_small_cells(self, V, E):
+        for m in labeled_candidates(V, E):
+            assert canonical_key(m) == reference_canonical_key(m)
+
+    @settings(max_examples=150)
+    @given(st.integers(0, 10**6), st.integers(1, 7))
+    def test_canonical_key_matches_reference_on_random_maps(self, seed, E):
+        rng = random.Random(seed)
+        m = random_map(rng, E)
+        assume(m.is_connected())
+        key = canonical_key(m)
+        assert key == reference_canonical_key(m)
+        perm = list(range(2 * E))
+        rng.shuffle(perm)
+        for other in (relabeled(m, perm), mirrored(m), mirrored(relabeled(m, perm))):
+            assert canonical_key(other) == key == reference_canonical_key(other)
+
+    def test_canonical_key_needs_connected_map(self):
+        two_loops = CombinatorialMap(sigma=(1, 0, 3, 2), alpha=(1, 0, 3, 2))
+        with pytest.raises(maps.MapError):
+            canonical_key(two_loops)
+
+    @settings(max_examples=200)
+    @given(st.integers(0, 10**6), st.integers(1, 7))
+    def test_fixed_point_monogon_test_matches_face_tracing(self, seed, E):
+        m = random_map(random.Random(seed), E)
+        assert m.has_monogon() == (trace_faces(m).monogons > 0)
+
+    @pytest.mark.parametrize("V, E", [(1, 4), (2, 3), (3, 3)])
+    def test_monogon_free_is_the_filtered_enumeration(self, V, E):
+        clean = list(enumerate_maps(V, E, monogon_free=True))
+        filtered = [m for m in enumerate_maps(V, E) if trace_faces(m).monogons == 0]
+        assert clean == filtered
+
+    def test_one_vertex_counts_match_burnside(self):
+        # chord diagrams up to rotation and reflection, OEIS A054499
+        counts = [len(list(enumerate_maps(1, E))) for E in range(1, 7)]
+        assert counts == [1, 2, 5, 17, 79, 554]
+        assert counts == [chord_diagrams_up_to_dihedral(E) for E in range(1, 7)]
 
 
 class TestVerifyParallelP:
@@ -179,6 +247,27 @@ class TestVerifyParallelP:
     def test_limits(self):
         with pytest.raises(LimitExceeded):
             verify_parallelP(5, 4)
+
+
+class TestVerifyGraphs:
+    def test_same_reports_one_enumeration_per_cell(self, monkeypatch):
+        calls = []
+        original = maps.enumerate_maps
+
+        def counting(V, E, *args, **kwargs):
+            calls.append((V, E))
+            return original(V, E, *args, **kwargs)
+
+        monkeypatch.setattr(maps, "enumerate_maps", counting)
+        report, tri = verify_graphs(2, 6)
+        assert len(calls) == len(set(calls))
+        # both verifiers read (1, 3) and (2, 6)
+        assert {(1, 3), (2, 6)} <= set(calls)
+        assert report.render() == verify_parallelP(2, 6).render()
+        assert tri.render() == verify_parallel_class_bound().render()
+        calls.clear()
+        verify_graphs(1, 2)
+        assert (2, 6) in calls  # the cell store does not outlive a call
 
 
 class TestVerifyClassBound:

@@ -163,6 +163,41 @@ class TestSerialization:
         with pytest.raises(PantsError):
             load_seam_data(GAMMA2_DATA + "mystery 1\n")
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("genus 2", "genus"),
+            ("genus 2", "genus two"),
+            ("genus 2", "genus 2 3"),
+            ("compatible true", "compatible yes"),
+            ("compatible true", "compatible True"),
+            ("compatible true", "compatible"),
+            ("cuff c0", "cuff"),
+            ("pants p0 c0 c1 c2", "pants p0 c0 c1"),
+            ("seams p0 4 4 3", "seams p0 4 4"),
+            ("seams p0 4 4 3", "seams p0 4 4 x"),
+            ("parallels p0 0 0 0", "parallels p0 0 0.5 0"),
+            ("closed c0 0", "closed c0"),
+            ("closed c0 0", "closed c0 none"),
+        ],
+    )
+    def test_malformed_line_rejected(self, old, new):
+        assert old in GAMMA2_DATA
+        with pytest.raises(PantsError):
+            load_seam_data(GAMMA2_DATA.replace(old, new, 1))
+
+    def test_compatible_false_read(self):
+        _, pd = load_seam_data(GAMMA2_DATA.replace("compatible true", "compatible false"))
+        assert pd.compatible is False
+
+    @given(st.lists(st.text(max_size=30), max_size=6))
+    def test_arbitrary_lines_raise_only_pants_errors(self, extra):
+        text = GAMMA2_DATA + "\n".join(extra)
+        try:
+            load_seam_data(text)
+        except PantsError:
+            pass
+
     def test_failing_cuff_match_rejected(self):
         bad = GAMMA2_DATA.replace("seams p1 4 4 3", "seams p1 4 4 5")
         with pytest.raises(PantsError):
