@@ -238,10 +238,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = load_config(args.config) if args.config else {}
     try:
+        config = load_config(args.config) if args.config else {}
         return args.func(args, config)
-    except (ValueError, argparse.ArgumentTypeError) as exc:
+    except (OSError, ValueError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,11 +15,11 @@ orientable maps arise from this encoding.  A monogon is a degree-1 face,
 that is a fixed point of phi, so enumeration rejects monogons with an O(E)
 scan and traces faces only on the representatives it yields.
 
-Exhaustive enumeration is feasible for small cells only, so the parallel-
-edge verifier is a hybrid: cells whose raw candidate count fits a work
-budget are enumerated outright; larger cells are discharged by the degree
-count argument, which is checked numerically in-line (see
-_degree_count_discharge).
+The parallel-edge claim holds in every cell by a degree-count lemma,
+stated once in verify_parallelP.  Exhaustive enumeration is feasible for
+small cells only (at most V_MAX vertices and E_MAX edges), so it serves as
+an independent check of the cells whose raw candidate count fits a work
+budget.
 
 Both claims read the same monogon-free cells.  verify_graphs runs the two
 verifiers over one cell store, a dict that lives for that call only, so
@@ -46,7 +46,7 @@ class MalformedSample(MapError):
 
 
 class LimitExceeded(MapError):
-    """Requested enumeration exceeds the configured limits."""
+    """Requested enumeration exceeds V_MAX vertices or E_MAX edges."""
 
 
 def _cycles(perm: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -219,16 +219,9 @@ def trace_faces(m: CombinatorialMap) -> FaceReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EnumerationLimits:
-    """Hard caps keeping exhaustive runs tractable."""
-
-    v_max: int = 3
-    e_max: int = 12
-    work_budget: int | None = None
-
-
-DEFAULT_LIMITS = EnumerationLimits()
+# Hard caps keeping exhaustive runs tractable.
+V_MAX = 3
+E_MAX = 12
 
 
 def _partitions_into(n: int, k: int, largest: int | None = None):
@@ -332,12 +325,7 @@ def canonical_key(m: CombinatorialMap):
     return tuple(best_sigma), tuple(best_alpha)
 
 
-def enumerate_maps(
-    V: int,
-    E: int,
-    monogon_free: bool = False,
-    limits: EnumerationLimits = DEFAULT_LIMITS,
-):
+def enumerate_maps(V: int, E: int, monogon_free: bool = False):
     """Yield one representative per isomorphism class of connected maps
     with V vertices and E edges, in a deterministic order.
 
@@ -349,15 +337,8 @@ def enumerate_maps(
     """
     if V < 1 or E < 1:
         raise MapError("V >= 1 and E >= 1 required")
-    if V > limits.v_max or E > limits.e_max:
-        raise LimitExceeded(
-            f"cell V={V}, E={E} exceeds limits {limits.v_max}, {limits.e_max}"
-        )
-    if limits.work_budget is not None and candidate_count(V, E) > limits.work_budget:
-        raise LimitExceeded(
-            f"cell V={V}, E={E} needs {candidate_count(V, E)} candidates,"
-            f" budget is {limits.work_budget}"
-        )
+    if V > V_MAX or E > E_MAX:
+        raise LimitExceeded(f"cell V={V}, E={E} exceeds limits {V_MAX}, {E_MAX}")
     darts = list(range(2 * E))
     seen = set()
     for cycle_lengths in _partitions_into(2 * E, V):
@@ -381,40 +362,16 @@ def enumerate_maps(
 # ---------------------------------------------------------------------------
 
 
-def _monogon_free_cell(V: int, E: int, limits: EnumerationLimits, cell_store):
+def _monogon_free_cell(V: int, E: int, cell_store: dict):
     """The monogon-free representatives of the (V, E) cell, each with its
-    face report, enumerated on first use and then read from `cell_store`.
-
-    `cell_store` is a dict owned by one verification run (None for no
-    sharing); keys are (V, E, limits).
+    face report, enumerated on first use and then read from `cell_store`,
+    a dict owned by one verification run and keyed by (V, E).
     """
-    key = (V, E, limits)
-    if cell_store is not None and key in cell_store:
-        return cell_store[key]
-    reps = tuple(
-        (m, trace_faces(m))
-        for m in enumerate_maps(V, E, monogon_free=True, limits=limits)
-    )
-    if cell_store is not None:
-        cell_store[key] = reps
-    return reps
-
-
-def _degree_count_discharge(V: int, E: int, chi_values) -> bool:
-    """Check that the degree count argument covers the (V, E) cell.
-
-    A connected monogon-free map with E >= 2 and no parallel edges has all
-    faces of degree >= 3: monogons are excluded, and a bigon either joins
-    two distinct edges (parallel) or uses both darts of one edge, which
-    forces both endpoints to be valence-1 vertices and the map to be the
-    single-edge map (E = 1).  Then 2E = sum of face degrees >= 3F, so
-    F <= 2E/3 and chi = V - E + F gives E <= 3(V - chi).  The cell is
-    discharged when 3(V - chi) <= parallel_edges_threshold(V, chi) for every
-    candidate chi, so no counterexample can have E above the threshold.
-    """
-    if E < 2:
-        return True
-    return all(3 * (V - chi) <= parallel_edges_threshold(V, chi) for chi in chi_values)
+    if (V, E) not in cell_store:
+        cell_store[V, E] = tuple(
+            (m, trace_faces(m)) for m in enumerate_maps(V, E, monogon_free=True)
+        )
+    return cell_store[V, E]
 
 
 @dataclass(frozen=True)
@@ -469,30 +426,40 @@ def verify_parallelP(
     E_budget: int,
     chi_min: int = -2,
     work_budget: int = 150_000,
-    limits: EnumerationLimits = DEFAULT_LIMITS,
     *,
     cell_store: dict | None = None,
 ) -> ParallelEdgeReport:
     """Verify that monogon-free maps above the edge threshold have parallel
     edges, over every cell V <= V_max, E <= E_budget, chi >= chi_min.
 
-    Cells whose candidate count fits the work budget are enumerated
-    exhaustively; the rest are discharged by the degree count argument
-    (see _degree_count_discharge), which rules out counterexamples without
-    listing maps.  Every cell is covered by one of the two methods or the
-    run fails.  `cell_store` shares enumerated cells with the other
-    verifier of the same run (see verify_graphs).
+    Lemma (degree count): a connected monogon-free map with V vertices in
+    a closed orientable surface of Euler characteristic chi and with
+    E > parallel_edges_threshold(V, chi) = 3V max(1 - chi, 1) edges has
+    parallel edges.  The threshold is at least 3, so E >= 2.  Without
+    parallel edges every face then has degree >= 3: monogons are excluded,
+    and a bigon either joins two distinct edges (parallel) or uses both
+    darts of one edge, which forces the single-edge map (E = 1).  So
+    2E >= 3F, and chi = V - E + F gives E <= 3(V - chi), which is at most
+    the threshold: the difference is 3(V - 1)(-chi) >= 0 for chi <= 0 and
+    3 chi > 0 for chi in {1, 2}.
+
+    The lemma covers every cell.  Cells whose candidate count fits
+    `work_budget` are also enumerated exhaustively as an independent check;
+    the others are reported as covered by "degree-count".  `cell_store`
+    shares enumerated cells with the other verifier of the same run (see
+    verify_graphs).
     """
-    if V_max > limits.v_max or E_budget > limits.e_max:
-        raise LimitExceeded("requested range exceeds configured limits")
-    chi_values = tuple(range(2, chi_min - 1, -2))
+    if V_max > V_MAX or E_budget > E_MAX:
+        raise LimitExceeded(f"requested range exceeds limits {V_MAX}, {E_MAX}")
+    if cell_store is None:
+        cell_store = {}
     cells = []
     for V in range(1, V_max + 1):
         for E in range(1, E_budget + 1):
             if candidate_count(V, E) <= work_budget:
                 checked = above = tight = 0
                 bad = []
-                for m, report in _monogon_free_cell(V, E, limits, cell_store):
+                for m, report in _monogon_free_cell(V, E, cell_store):
                     chi = report.euler_characteristic
                     if chi < chi_min:
                         continue
@@ -510,10 +477,6 @@ def verify_parallelP(
                     CellResult(V, E, "enumerated", checked, above, tuple(bad), tight)
                 )
             else:
-                if not _degree_count_discharge(V, E, chi_values):
-                    raise MapError(
-                        f"cell V={V}, E={E} is neither enumerable nor discharged"
-                    )
                 cells.append(CellResult(V, E, "degree-count", 0, 0, (), 0))
     note = (
         "isolated vertices only increase V, hence the threshold;"
@@ -563,32 +526,28 @@ class TriangulationReport:
         return "\n".join(lines) + "\n"
 
 
-def verify_parallel_class_bound(
-    E_budget: int = 6,
-    limits: EnumerationLimits = DEFAULT_LIMITS,
-    *,
-    cell_store: dict | None = None,
-) -> TriangulationReport:
+def verify_parallel_class_bound(*, cell_store: dict | None = None) -> TriangulationReport:
     """Confirm the max(-3 chi, 1) arc-class bound on enumerated ideal
     triangulations with ideal chi in {-1, -2}.
 
     Vertices model punctures, so the ideal Euler characteristic is
     F - E = chi(map) - V; all-triangle maps have E = -3 (F - E) exactly,
     and no bigons, so every edge is its own parallelism class and the
-    bound holds with equality.  `cell_store` shares enumerated cells with
+    bound holds with equality.  Hence only the cells with E in {3, 6} can
+    hold such triangulations.  `cell_store` shares enumerated cells with
     the other verifier of the same run (see verify_graphs).
     """
+    if cell_store is None:
+        cell_store = {}
     results = []
-    for E in range(3, E_budget + 1, 3):
-        for V in range(1, limits.v_max + 1):
+    for E in (3, 6):
+        for V in range(1, V_MAX + 1):
             # all-triangle maps have F = 2E/3 and even Euler characteristic
             if (V - E + 2 * E // 3) % 2:
                 continue
-            if candidate_count(V, E) > 500_000:
-                continue
             counts = []
             ideal_chi = None
-            for _, report in _monogon_free_cell(V, E, limits, cell_store):
+            for _, report in _monogon_free_cell(V, E, cell_store):
                 if any(d != 3 for d in report.degrees):
                     continue
                 chi = report.euler_characteristic - V
@@ -613,19 +572,16 @@ def verify_graphs(
     E_budget: int,
     chi_min: int = -2,
     work_budget: int = 150_000,
-    limits: EnumerationLimits = DEFAULT_LIMITS,
 ) -> tuple[ParallelEdgeReport, TriangulationReport]:
     """Both graph claims in one run: verify_parallelP over the given cells,
-    then verify_parallel_class_bound with its default edge budget.
+    then verify_parallel_class_bound.
 
     The two verifiers share one cell store that lives for this call only,
     so a cell both of them read is enumerated and face-traced once.
     """
     store: dict = {}
-    report = verify_parallelP(
-        V_max, E_budget, chi_min, work_budget, limits, cell_store=store
-    )
-    tri = verify_parallel_class_bound(limits=limits, cell_store=store)
+    report = verify_parallelP(V_max, E_budget, chi_min, work_budget, cell_store=store)
+    tri = verify_parallel_class_bound(cell_store=store)
     return report, tri
 
 

@@ -200,30 +200,53 @@ def gamma(g: int) -> MarkedPair:
     )
 
 
+_PLUMB_KEYS = ("spans_a", "spans_b", "nonsep")
+
+
+def _plumb_fields(tokens: list[str]) -> dict[str, bool]:
+    """The 0/1 fields of a plumb step, each of _PLUMB_KEYS exactly once."""
+    fields: dict[str, bool] = {}
+    for token in tokens:
+        key, sep, value = token.partition("=")
+        if not sep or key not in _PLUMB_KEYS:
+            raise PlumbingError(f"bad plumb field {token!r}")
+        if key in fields:
+            raise PlumbingError(f"duplicate plumb field {key!r}")
+        if value not in ("0", "1"):
+            raise PlumbingError(f"plumb field {key!r} must be 0 or 1, got {value!r}")
+        fields[key] = value == "1"
+    missing = [key for key in _PLUMB_KEYS if key not in fields]
+    if missing:
+        raise PlumbingError(f"plumb step lacks {', '.join(missing)}")
+    return fields
+
+
 def replay(trace: str) -> MarkedPair:
-    """Re-run a serialized lineage trace; returns the reconstructed pair."""
+    """Re-run a serialized lineage trace; returns the reconstructed pair.
+
+    Raises PlumbingError on any malformed trace.
+    """
     stack: list[MarkedPair] = []
     for line in trace.splitlines():
-        line = line.strip()
-        if not line:
-            continue
         parts = line.split()
+        if not parts:
+            continue
         if parts[0] == "base":
+            if len(parts) != 2:
+                raise PlumbingError(f"base step needs one pair name: {line.strip()!r}")
             name = parts[1]
             if name not in _BASES:
                 raise PlumbingError(f"unknown base pair {name!r}")
             stack.append(_BASES[name]())
         elif parts[0] == "plumb":
-            kv = dict(p.split("=") for p in parts[1:])
+            fields = _plumb_fields(parts[1:])
             if len(stack) < 2:
                 raise PlumbingError("plumb step without two pairs on the stack")
             b = stack.pop()
             a = stack.pop()
-            band_a = PlumbingBand("a", True, bool(int(kv["spans_a"])))
-            band_b = PlumbingBand("b", True, bool(int(kv["spans_b"])))
-            stack.append(
-                plumb(a, b, band_a, band_b, nonseparating_witness=bool(int(kv["nonsep"])))
-            )
+            band_a = PlumbingBand("a", True, fields["spans_a"])
+            band_b = PlumbingBand("b", True, fields["spans_b"])
+            stack.append(plumb(a, b, band_a, band_b, nonseparating_witness=fields["nonsep"]))
         else:
             raise PlumbingError(f"unknown lineage step {parts[0]!r}")
     if len(stack) != 1:

@@ -1,6 +1,8 @@
 import pytest
 
+from knotforge.catalog import generate_family, render_csv
 from knotforge.cli import load_config, main, parse_curve, parse_range
+from knotforge.torus import normalize
 
 
 class TestParsers:
@@ -32,6 +34,16 @@ class TestTwist:
         out = capsys.readouterr().out
         assert code == 0
         assert "tau = (1,2)" in out  # flag n=1 overrides config n=4
+
+    @pytest.mark.parametrize("text", [None, "kappa 0,1\nalpha = 1,1\n"])
+    def test_missing_or_malformed_config_exit_code(self, text, tmp_path, capsys):
+        conf = tmp_path / "c"
+        if text is not None:
+            conf.write_text(text)
+        assert main(["--config", str(conf), "twist", "--kappa", "0,1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize(
         "argv",
@@ -135,6 +147,36 @@ class TestFamily:
         )
         capsys.readouterr()
         assert code == 1
+
+    def test_desk_demo_catalog(self, capsys):
+        # the default hitting chi is bounds.GAMMA_DISK = -6, as in the demo
+        code = main(
+            [
+                "family",
+                "--genus", "2",
+                "--type", "H",
+                "--kappa", "2,1",
+                "--alpha", "1,1",
+                "--n-range", "4752,5000,10000",
+                "--i-range", "2592,5184,10368",
+                "--chi-bridge", "-6",
+                "--chi-nu", "-6",
+                "--format", "csv",
+            ]
+        )
+        demo = generate_family(
+            g=2,
+            family="H",
+            kappa=normalize(2, 1),
+            alpha=normalize(1, 1),
+            n_range=[4752, 5000, 10000],
+            i_range=[2592, 5184, 10368],
+            chi_Q_bridge=-6,
+            chi_Q_nu=-6,
+            chi_Q_hit=-6,
+        )
+        assert code == 0
+        assert capsys.readouterr().out == render_csv(demo)
 
 
 class TestVerifyGraphs:

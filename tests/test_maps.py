@@ -4,10 +4,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from knotforge import maps
+from knotforge import bounds, maps
 from knotforge.maps import (
     CombinatorialMap,
-    EnumerationLimits,
     LabeledPairSample,
     LimitExceeded,
     MalformedMap,
@@ -170,8 +169,6 @@ class TestEnumeration:
             list(enumerate_maps(4, 1))
         with pytest.raises(LimitExceeded):
             list(enumerate_maps(1, 13))
-        with pytest.raises(LimitExceeded):
-            list(enumerate_maps(1, 5, limits=EnumerationLimits(work_budget=10)))
 
     def test_canonical_key_invariant_under_relabeling(self):
         # conjugating both permutations by a dart bijection preserves the key
@@ -239,6 +236,13 @@ class TestVerifyParallelP:
         methods = {(c.V, c.E): c.method for c in report.cells}
         assert methods[(1, 2)] == "enumerated"
         assert methods[(1, 9)] == "degree-count"
+
+    def test_degree_count_lemma_covers_every_cell(self):
+        # the lemma in verify_parallelP: no map without parallel edges
+        # exceeds 3 (V - chi) edges, which is at most the threshold
+        for V in range(1, 201):
+            for chi in range(-399, 3):
+                assert 3 * (V - chi) <= bounds.parallel_edges_threshold(V, chi)
 
     def test_render_mentions_counts(self):
         text = verify_parallelP(1, 4).render()

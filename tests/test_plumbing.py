@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from knotforge.plumbing import (
     InvalidGenus,
@@ -14,6 +16,19 @@ from knotforge.plumbing import (
     gamma2_pair,
     plumb,
     replay,
+)
+
+
+# two pairs that a well-formed plumb step joins
+PAIRS = "base eta1\nbase eta1x2\n"
+# traces built from lineage vocabulary, so that fuzzing reaches every step kind
+TOKENS = st.sampled_from(
+    "base plumb eta1 eta1x2 gamma2 mystery spans_a=0 spans_a=1 spans_b=0"
+    " spans_b=1 nonsep=0 nonsep=1 spans_a=2 nonsep= = x".split()
+)
+TRACES = st.one_of(
+    st.text(),
+    st.lists(st.lists(TOKENS, max_size=5).map(" ".join), max_size=8).map("\n".join),
 )
 
 
@@ -131,6 +146,34 @@ class TestReplay:
     def test_leftover_stack_rejected(self):
         with pytest.raises(PlumbingError):
             replay("base eta1\nbase eta1\n")
+
+    @pytest.mark.parametrize(
+        "trace",
+        [
+            PAIRS + "plumb x",
+            PAIRS + "plumb spans_b=0 nonsep=1",
+            PAIRS + "plumb spans_a=0 spans_b=0",
+            PAIRS + "plumb spans_a=0 spans_b=0 nonsep=1 extra=1",
+            PAIRS + "plumb spans_a=0 spans_a=1 spans_b=0 nonsep=1",
+            PAIRS + "plumb spans_a=2 spans_b=0 nonsep=1",
+            PAIRS + "plumb spans_a=x spans_b=0 nonsep=1",
+            PAIRS + "plumb spans_a= spans_b=0 nonsep=1",
+            PAIRS + "plumb spans_a=0=1 spans_b=0 nonsep=1",
+            "base",
+            "base eta1 eta1",
+        ],
+    )
+    def test_malformed_step_rejected(self, trace):
+        with pytest.raises(PlumbingError):
+            replay(trace)
+
+    @given(TRACES)
+    def test_any_text_replays_or_raises_plumbing_error(self, text):
+        try:
+            pair = replay(text)
+        except PlumbingError:
+            return
+        assert replay(pair.trace()) == pair
 
 
 class TestMarkedPair:
