@@ -4,12 +4,14 @@ Subcommands: twist (curve arithmetic), bounds (bound formulas), plumb
 (construction traces), family (catalog generation), verify-graphs
 (combinatorial map checks).  A plain key-value configuration file
 (lines of "key = value", # comments allowed) may preload defaults via
---config; explicit flags override it.
+--config; explicit flags override it.  Each key must name an option of
+the subcommand, and its value passes the option's choices.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import bounds, catalog, maps, plumbing
@@ -53,6 +55,23 @@ def load_config(path: str) -> dict[str, str]:
             key, value = line.split("=", 1)
             config[key.strip().replace("-", "_")] = value.strip()
     return config
+
+
+def _check_config(subparser: argparse.ArgumentParser, config: dict[str, str]) -> None:
+    """Reject a config key that names no option of the subcommand, and a
+    value outside its option's choices, as the same flag would be."""
+    options = {
+        action.dest: action
+        for action in subparser._actions
+        if action.option_strings and action.dest != "help"
+    }
+    for key, value in config.items():
+        action = options.get(key)
+        if action is None:
+            raise ValueError(f"config key {key!r} is not an option of {subparser.prog!r}")
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            raise ValueError(f"config key {key!r}: invalid choice {value!r} (choose from {choices})")
 
 
 def _resolve(args, config: dict[str, str], key: str, fallback=None):
@@ -180,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kappa", help="base curve 'r,s'")
     p.add_argument("--alpha", help="twisting curve 't,v'")
     p.add_argument("--n", help="twist count")
-    p.set_defaults(func=_cmd_twist)
+    p.set_defaults(func=_cmd_twist, subparser=p)
 
     p = sub.add_parser("bounds", help="bound formulas")
     p.add_argument(
@@ -205,12 +224,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f-m", dest="f_m")
     p.add_argument("--chi-f-hat", dest="chi_f_hat")
     p.add_argument("--delta-k", dest="delta_k")
-    p.set_defaults(func=_cmd_bounds)
+    p.set_defaults(func=_cmd_bounds, subparser=p)
 
     p = sub.add_parser("plumb", help="construction traces")
     p.add_argument("--construction", choices=("eta", "gamma"))
     p.add_argument("--genus")
-    p.set_defaults(func=_cmd_plumb)
+    p.set_defaults(func=_cmd_plumb, subparser=p)
 
     p = sub.add_parser("family", help="generate a certified catalog")
     p.add_argument("--genus")
@@ -223,23 +242,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chi-nu", dest="chi_nu")
     p.add_argument("--format", choices=("csv", "txt"))
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_family)
+    p.set_defaults(func=_cmd_family, subparser=p)
 
     p = sub.add_parser("verify-graphs", help="combinatorial map verification")
     p.add_argument("--v-max", dest="v_max")
     p.add_argument("--e-budget", dest="e_budget")
     p.add_argument("--chi-min", dest="chi_min")
     p.add_argument("--work-budget", dest="work_budget")
-    p.set_defaults(func=_cmd_verify_graphs)
+    p.set_defaults(func=_cmd_verify_graphs, subparser=p)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser shared by every main() call of the process, built on first
+    use; parsing leaves it unchanged, and config values never touch it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         config = load_config(args.config) if args.config else {}
+        _check_config(args.subparser, config)
         return args.func(args, config)
     except (OSError, ValueError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,8 +8,11 @@ have it.  Component bookkeeping: the glued bands merge the curve
 components they touch into one, so the count drops by one per band that
 spans two components of its host system, plus one for the join itself.
 
-Every construction records a lineage: a flat postfix trace (base pairs
-pushed, plumb steps popping two) that can be serialized and replayed.
+Every construction records a lineage: a postfix trace (base pairs pushed,
+plumb steps popping two) that can be serialized and replayed.  Lineages
+are immutable shared postfix trees: a plumb step makes one node that
+refers to both input lineages, so `plumb` is O(1), while `trace` and
+`replay` are O(g) for a genus-g construction.
 """
 
 from __future__ import annotations
@@ -61,20 +64,88 @@ class Flags:
         )
 
 
+class Lineage:
+    """The steps of a construction in postfix order, as an immutable tree.
+
+    `Lineage(*parts)` is the concatenation of its parts, each a step string
+    or another Lineage, which is shared rather than copied.  A Lineage acts
+    as the flat tuple of its steps: len() is O(1), iteration yields the
+    steps in order without recursion, and equality and hashing go by
+    content, also against plain tuples.
+    """
+
+    __slots__ = ("_parts", "_len", "_hash")
+
+    def __init__(self, *parts: str | Lineage):
+        length = 0
+        for part in parts:
+            if isinstance(part, Lineage):
+                length += part._len
+            elif isinstance(part, str):
+                length += 1
+            else:
+                raise TypeError(f"lineage parts are steps or lineages, got {part!r}")
+        self._parts = parts
+        self._len = length
+        self._hash = None
+
+    def _steps(self) -> list[str]:
+        # walks the tree last step first, then puts the steps in order
+        steps: list[str] = []
+        stack: list[str | Lineage] = [self]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, Lineage):
+                stack.extend(node._parts)
+            else:
+                steps.append(node)
+        steps.reverse()
+        return steps
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self):
+        return iter(self._steps())
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if isinstance(other, Lineage):
+            return self._len == other._len and self._steps() == other._steps()
+        if isinstance(other, tuple):
+            return self._len == len(other) and tuple(self._steps()) == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(tuple(self._steps()))
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"Lineage{tuple(self._steps())!r}"
+
+    def __reduce__(self):
+        # pickle and copy the flat steps: the tree is as deep as the genus
+        return Lineage, tuple(self._steps())
+
+
 @dataclass(frozen=True)
 class MarkedPair:
     genus: int
     components: int
     flags: Flags
-    lineage: tuple[str, ...]
+    lineage: Lineage  # a plain tuple of steps is converted
 
     def __post_init__(self):
         if self.genus < 1:
             raise InvalidGenus("marked pairs need genus >= 1")
+        if not isinstance(self.lineage, Lineage):
+            object.__setattr__(self, "lineage", Lineage(*self.lineage))
 
     def trace(self) -> str:
         """Serialize the lineage as a replayable text trace."""
-        return "\n".join(self.lineage) + "\n"
+        return "\n".join(self.lineage._steps()) + "\n"
 
 
 _ALL_FLAGS = Flags(True, True, True, True)
@@ -85,7 +156,7 @@ def _base(name: str, genus: int, components: int) -> MarkedPair:
         genus=genus,
         components=components,
         flags=_ALL_FLAGS,
-        lineage=(f"base {name}",),
+        lineage=Lineage(f"base {name}"),
     )
 
 
@@ -108,6 +179,23 @@ def gamma2_pair() -> MarkedPair:
 
 
 _BASES = {"eta1": eta1, "eta1x2": eta1_doubled, "gamma2": gamma2_pair}
+
+# the flags of a plumbed pair, by (annulus_busting, nonseparating)
+_PLUMBED_FLAGS = {
+    (annulus, nonsep): Flags(True, annulus, nonsep, True)
+    for annulus in (False, True)
+    for nonsep in (False, True)
+}
+
+# the trace line of every plumb step, shared by the lineages that record it
+_PLUMB_STEPS = {
+    (spans_a, spans_b, nonsep): (
+        f"plumb spans_a={int(spans_a)} spans_b={int(spans_b)} nonsep={int(nonsep)}"
+    )
+    for spans_a in (False, True)
+    for spans_b in (False, True)
+    for nonsep in (False, True)
+}
 
 
 def plumb(
@@ -138,21 +226,16 @@ def plumb(
         components -= 1
     if components < 1:
         raise PlumbingError("band data merges more components than exist")
-    step = (
-        f"plumb spans_a={int(band_a.spans_two_components)}"
-        f" spans_b={int(band_b.spans_two_components)}"
-        f" nonsep={int(nonseparating_witness)}"
-    )
+    nonsep = bool(nonseparating_witness)
+    annulus = bool(a.flags.annulus_busting and b.flags.annulus_busting)
+    step = _PLUMB_STEPS[
+        bool(band_a.spans_two_components), bool(band_b.spans_two_components), nonsep
+    ]
     return MarkedPair(
         genus=a.genus + b.genus,
         components=components,
-        flags=Flags(
-            three_disk_busting=True,
-            annulus_busting=a.flags.annulus_busting and b.flags.annulus_busting,
-            nonseparating=nonseparating_witness,
-            essential_components=True,
-        ),
-        lineage=a.lineage + b.lineage + (step,),
+        flags=_PLUMBED_FLAGS[annulus, nonsep],
+        lineage=Lineage(a.lineage, b.lineage, step),
     )
 
 
@@ -173,15 +256,11 @@ def eta(g: int) -> MarkedPair:
     """
     if g < 1:
         raise InvalidGenus("eta needs g >= 1")
+    # the pair and bands of every step are frozen values, built once
+    doubled, band_a, band_b = eta1_doubled(), _self_band("a"), _joining_band("b")
     pair = eta1()
     for _ in range(g - 1):
-        pair = plumb(
-            pair,
-            eta1_doubled(),
-            _self_band("a"),
-            _joining_band("b"),
-            nonseparating_witness=True,
-        )
+        pair = plumb(pair, doubled, band_a, band_b, nonseparating_witness=True)
     return pair
 
 
@@ -221,34 +300,51 @@ def _plumb_fields(tokens: list[str]) -> dict[str, bool]:
     return fields
 
 
+def _parse_step(line: str) -> MarkedPair | tuple[PlumbingBand, PlumbingBand, bool] | None:
+    """One trace line: its base pair, the bands and witness of its plumb
+    step, or None for a blank line."""
+    parts = line.split()
+    if not parts:
+        return None
+    if parts[0] == "base":
+        if len(parts) != 2:
+            raise PlumbingError(f"base step needs one pair name: {line.strip()!r}")
+        name = parts[1]
+        if name not in _BASES:
+            raise PlumbingError(f"unknown base pair {name!r}")
+        return _BASES[name]()
+    if parts[0] == "plumb":
+        fields = _plumb_fields(parts[1:])
+        band_a = PlumbingBand("a", True, fields["spans_a"])
+        band_b = PlumbingBand("b", True, fields["spans_b"])
+        return band_a, band_b, fields["nonsep"]
+    raise PlumbingError(f"unknown lineage step {parts[0]!r}")
+
+
 def replay(trace: str) -> MarkedPair:
     """Re-run a serialized lineage trace; returns the reconstructed pair.
 
-    Raises PlumbingError on any malformed trace.
+    Each distinct line is parsed and checked once per call; its result
+    depends only on its text.  Raises PlumbingError on any malformed trace.
     """
     stack: list[MarkedPair] = []
+    parsed = {}  # line -> _parse_step(line)
     for line in trace.splitlines():
-        parts = line.split()
-        if not parts:
-            continue
-        if parts[0] == "base":
-            if len(parts) != 2:
-                raise PlumbingError(f"base step needs one pair name: {line.strip()!r}")
-            name = parts[1]
-            if name not in _BASES:
-                raise PlumbingError(f"unknown base pair {name!r}")
-            stack.append(_BASES[name]())
-        elif parts[0] == "plumb":
-            fields = _plumb_fields(parts[1:])
-            if len(stack) < 2:
-                raise PlumbingError("plumb step without two pairs on the stack")
-            b = stack.pop()
-            a = stack.pop()
-            band_a = PlumbingBand("a", True, fields["spans_a"])
-            band_b = PlumbingBand("b", True, fields["spans_b"])
-            stack.append(plumb(a, b, band_a, band_b, nonseparating_witness=fields["nonsep"]))
+        if line in parsed:
+            step = parsed[line]
         else:
-            raise PlumbingError(f"unknown lineage step {parts[0]!r}")
+            step = parsed[line] = _parse_step(line)
+        if step is None:
+            continue
+        if isinstance(step, MarkedPair):
+            stack.append(step)
+            continue
+        if len(stack) < 2:
+            raise PlumbingError("plumb step without two pairs on the stack")
+        b = stack.pop()
+        a = stack.pop()
+        band_a, band_b, nonsep = step
+        stack.append(plumb(a, b, band_a, band_b, nonseparating_witness=nonsep))
     if len(stack) != 1:
         raise PlumbingError("trace did not reduce to a single pair")
     return stack[0]

@@ -1,6 +1,6 @@
 import pytest
 
-from knotforge.catalog import generate_family, render_csv
+from knotforge.catalog import generate_family, render_csv, render_txt
 from knotforge.cli import load_config, main, parse_curve, parse_range
 from knotforge.torus import normalize
 
@@ -59,6 +59,53 @@ class TestTwist:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "Traceback" not in err
+
+
+class TestConfigValidation:
+    FAMILY = ["family", "--kappa", "2,1", "--alpha", "1,1"]
+
+    @pytest.mark.parametrize(
+        "text, argv",
+        [
+            ("type = X\n", FAMILY),
+            ("format = json\n", FAMILY),
+            ("kapa = 2,1\n", FAMILY),
+            ("construction = zeta\n", ["plumb"]),
+            ("format = csv\n", ["twist", "--kappa", "0,1", "--alpha", "1,1"]),
+            ("op = disk\n", ["bounds", "n-strong"]),
+            ("config = other.conf\n", ["bounds", "n-strong"]),
+        ],
+    )
+    def test_bad_key_or_value_exit_code(self, text, argv, tmp_path, capsys):
+        conf = tmp_path / "c"
+        conf.write_text(text)
+        assert main(["--config", str(conf), *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
+
+    def test_valid_choice_accepted(self, tmp_path, capsys):
+        conf = tmp_path / "c"
+        conf.write_text("type = S\nformat = csv\nn-range = 1:2\n")
+        assert main(["--config", str(conf), *self.FAMILY]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "knotforge-catalog v1"
+        assert out[1].startswith("g=2,family=S,")
+
+    def test_calls_do_not_share_state(self, tmp_path, capsys):
+        # the parser is built once per process; no call may change it
+        conf = tmp_path / "c"
+        conf.write_text("format = csv\n")
+        assert main([*self.FAMILY, "--format", "csv"]) == 0
+        csv_out = capsys.readouterr().out
+        assert main(["--config", str(conf), *self.FAMILY]) == 0
+        assert capsys.readouterr().out == csv_out
+        assert main(self.FAMILY) == 0
+        txt_out = capsys.readouterr().out
+        assert txt_out != csv_out
+        assert txt_out == render_txt(
+            generate_family(2, "H", normalize(2, 1), normalize(1, 1), [0], [0])
+        )
 
 
 class TestBounds:
@@ -188,3 +235,9 @@ class TestVerifyGraphs:
         assert code == 0
         assert "counterexamples: 0" in out
         assert "arc-class bound" in out
+
+    def test_empty_range_exit_code(self, capsys):
+        assert main(["verify-graphs", "--v-max", "0", "--e-budget", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert captured.out == ""

@@ -10,6 +10,7 @@ from knotforge.maps import (
     LabeledPairSample,
     LimitExceeded,
     MalformedMap,
+    MapError,
     MalformedSample,
     canonical_key,
     enumerate_maps,
@@ -252,6 +253,13 @@ class TestVerifyParallelP:
         with pytest.raises(LimitExceeded):
             verify_parallelP(5, 4)
 
+    @pytest.mark.parametrize("V_max, E_budget", [(0, 0), (0, 4), (2, 0), (-1, 3)])
+    def test_empty_range_rejected(self, V_max, E_budget):
+        with pytest.raises(MapError):
+            verify_parallelP(V_max, E_budget)
+        with pytest.raises(MapError):
+            verify_graphs(V_max, E_budget)
+
 
 class TestVerifyGraphs:
     def test_same_reports_one_enumeration_per_cell(self, monkeypatch):
@@ -285,6 +293,19 @@ class TestVerifyClassBound:
             # ideal triangulations realize the bound exactly
             assert set(r.class_counts) == {-3 * r.ideal_chi}
             assert r.E == -3 * r.ideal_chi
+
+    @pytest.mark.parametrize("V, E", [(1, 3), (3, 3), (2, 6)])
+    def test_all_triangle_maps_have_E_equal_minus_three_chi(self, V, E):
+        # the identity in verify_parallel_class_bound: 2E = 3F and ideal
+        # chi = F - E give E = -3 chi on every all-triangle map
+        triangulations = 0
+        for m in enumerate_maps(V, E, monogon_free=True):
+            report = trace_faces(m)
+            if any(d != 3 for d in report.degrees):
+                continue
+            triangulations += 1
+            assert report.num_edges == -3 * (report.euler_characteristic - V)
+        assert triangulations > 0
 
 
 class TestParity:

@@ -1,9 +1,13 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from knotforge.plumbing import (
     InvalidGenus,
+    Lineage,
     MarkedPair,
     MissingPrecondition,
     PlumbingBand,
@@ -34,6 +38,23 @@ TRACES = st.one_of(
 
 def band(nontrivial=True, spans=False):
     return PlumbingBand(host="x", nontrivial=nontrivial, spans_two_components=spans)
+
+
+BASES = {"eta1": eta1, "eta1x2": eta1_doubled, "gamma2": gamma2_pair}
+# a plumb tree in postfix: push a base pair, plumb the top two, or push the
+# top again, so that one lineage is shared by several nodes
+TREE_OPS = st.lists(
+    st.one_of(
+        st.sampled_from(sorted(BASES)).map(lambda name: ("base", name)),
+        st.tuples(st.just("plumb"), st.booleans(), st.booleans(), st.booleans()),
+        st.just(("dup",)),
+    ),
+    max_size=40,
+)
+
+
+def reference_step(spans_a, spans_b, nonsep):
+    return f"plumb spans_a={int(spans_a)} spans_b={int(spans_b)} nonsep={int(nonsep)}"
 
 
 class TestPlumb:
@@ -182,3 +203,72 @@ class TestMarkedPair:
 
         with pytest.raises(InvalidGenus):
             MarkedPair(0, 1, Flags(True, True, True, True), ("base x",))
+
+    def test_plain_tuple_lineage(self):
+        pair = MarkedPair(1, 1, eta1().flags, ("base eta1",))
+        assert isinstance(pair.lineage, Lineage)
+        assert pair == eta1() and hash(pair) == hash(eta1())
+        assert pair.lineage == ("base eta1",)
+        assert replay(pair.trace()) == pair
+
+
+class TestLineage:
+    def test_parts_are_steps_or_lineages(self):
+        with pytest.raises(TypeError):
+            Lineage("base eta1", 3)
+
+    def test_flat_and_nested_agree(self):
+        step = "plumb spans_a=0 spans_b=1 nonsep=1"
+        flat = Lineage("base eta1", "base eta1x2", step)
+        nested = Lineage(Lineage("base eta1"), Lineage(Lineage(), "base eta1x2"), step)
+        assert len(nested) == 3 and list(nested) == list(flat)
+        assert nested == flat and hash(nested) == hash(flat)
+        doubled = Lineage(nested, flat)
+        assert len(doubled) == 6 and tuple(doubled) == tuple(flat) * 2
+        assert doubled != flat and flat != list(flat)
+
+    @given(TREE_OPS)
+    def test_matches_flat_tuple_reference(self, ops):
+        # each stack entry pairs a built pair with a reference lineage, a
+        # flat tuple built by concatenation
+        stack = []
+        for op in ops:
+            if op[0] == "base":
+                pair = BASES[op[1]]()
+                stack.append((pair, (f"base {op[1]}",)))
+            elif op[0] == "dup":
+                if stack:
+                    stack.append(stack[-1])
+            elif len(stack) >= 2:
+                (b, ref_b), (a, ref_a) = stack.pop(), stack.pop()
+                _, spans_a, spans_b, nonsep = op
+                args = (a, b, band(spans=spans_a), band(spans=spans_b), nonsep)
+                if a.components + b.components - 1 - spans_a - spans_b < 1:
+                    with pytest.raises(PlumbingError):
+                        plumb(*args)
+                    continue
+                step = reference_step(spans_a, spans_b, nonsep)
+                stack.append((plumb(*args), ref_a + ref_b + (step,)))
+        for pair, ref in stack:
+            lineage = pair.lineage
+            assert len(lineage) == len(ref)
+            assert list(lineage) == list(ref)
+            assert pair.trace() == "\n".join(ref) + "\n"
+            assert lineage == ref and lineage == Lineage(*ref)
+            assert hash(lineage) == hash(ref)
+            flat = MarkedPair(pair.genus, pair.components, pair.flags, ref)
+            assert pair == flat and hash(pair) == hash(flat)
+            again = replay(pair.trace())
+            assert again == pair and hash(again) == hash(pair)
+
+    @pytest.mark.parametrize("build, steps", [(eta, 2 * 20_000 - 1), (gamma, 2 * 20_000 - 3)])
+    def test_large_genus_round_trip(self, build, steps):
+        # plumb is O(1) and trace/replay O(g): a quadratic lineage takes tens
+        # of seconds here.  Iteration, hashing and freeing must not recurse.
+        pair = build(20_000)
+        assert len(pair.lineage) == steps
+        again = replay(pair.trace())
+        assert again == pair and hash(again) == hash(pair)
+        assert again.genus == 20_000 and again.components == 1
+        assert copy.deepcopy(pair) == pickle.loads(pickle.dumps(pair)) == pair
+        del pair, again
