@@ -28,7 +28,8 @@ def parse_curve(text: str):
 
 
 def parse_range(text: str) -> list[int]:
-    """Parse 'a:b' (inclusive), 'a:b:step', or a comma list of integers."""
+    """Parse 'a:b' (inclusive), 'a:b:step', or a comma list of integers;
+    a range with no values is an error."""
     if ":" in text:
         parts = [int(x) for x in text.split(":")]
         if len(parts) == 2:
@@ -39,8 +40,12 @@ def parse_range(text: str) -> list[int]:
             raise argparse.ArgumentTypeError(f"bad range {text!r}")
         if step <= 0:
             raise argparse.ArgumentTypeError("range step must be positive")
-        return list(range(a, b + 1, step))
-    return [int(x) for x in text.split(",")]
+        values = list(range(a, b + 1, step))
+    else:
+        values = [int(x) for x in text.split(",")]
+    if not values:
+        raise argparse.ArgumentTypeError(f"empty range {text!r}")
+    return values
 
 
 def load_config(path: str) -> dict[str, str]:

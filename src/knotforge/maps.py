@@ -448,11 +448,18 @@ def verify_parallelP(
     the others are reported as covered by "degree-count".  `cell_store`
     shares enumerated cells with the other verifier of the same run (see
     verify_graphs).
+
+    A range with no cell or no surface raises MapError: V_max or E_budget
+    below 1, or chi_min above 2, the Euler characteristic of the sphere.
     """
     if V_max > V_MAX or E_budget > E_MAX:
         raise LimitExceeded(f"requested range exceeds limits {V_MAX}, {E_MAX}")
     if V_max < 1 or E_budget < 1:
         raise MapError(f"empty range: V_max = {V_max} and E_budget = {E_budget} must be >= 1")
+    if chi_min > 2:
+        raise MapError(
+            f"empty range: chi_min = {chi_min}, but no closed orientable surface has chi > 2"
+        )
     if cell_store is None:
         cell_store = {}
     cells = []

@@ -24,6 +24,7 @@ Lines may appear in any order after the header; unknown keys are rejected.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 
@@ -291,8 +292,12 @@ def load_seam_data(text: str) -> tuple[SeamedCurve, PantsDecomposition]:
     return curve, pd
 
 
+@functools.cache
 def gamma2() -> tuple[SeamedCurve, PantsDecomposition, BustingCertificate]:
-    """The built-in 3-seamed, annulus-busting curve on the genus-2 handlebody."""
+    """The built-in 3-seamed, annulus-busting curve on the genus-2 handlebody.
+
+    The shipped data is parsed and checked on the first call only; every
+    call returns the same frozen values."""
     curve, pd = load_seam_data(GAMMA2_DATA)
     level = seamed_level(curve, pd)
     if level < 3:

@@ -3,14 +3,29 @@
 Everything here recomputes library results by a different method: lattice
 crossing enumeration for intersection numbers, explicit threshold scans
 for the inverted hitting bounds and the strong threshold, the plain
-exhaustive form of the canonical map key, and a Burnside count of chord
-diagrams for the one-vertex map enumerator.  Pure integer arithmetic
+exhaustive form of the canonical map key, a Burnside count of chord
+diagrams for the one-vertex map enumerator, and the row-by-row catalog
+(one certificate built and rendered per (n, i)).  Pure integer arithmetic
 throughout.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+from dataclasses import dataclass
+
 from knotforge import bounds
+from knotforge.catalog import (
+    _COLUMNS,
+    SCHEMA,
+    CatalogRow,
+    Certificate,
+    ExteriorFlags,
+    KnotSpec,
+    bridge_upper_heuristic,
+)
+from knotforge.torus import LAMBDA, MU, NU, TorusCurve, dehn_twist, is_exceptional
 
 
 def lattice_crossing_count(a, b) -> int:
@@ -149,3 +164,175 @@ def chord_diagrams_up_to_dihedral(E: int) -> int:
     )
     assert fixed % len(group) == 0
     return fixed // len(group)
+
+
+def reference_build_certificate(
+    spec: KnotSpec,
+    chi_Q_bridge: int | None = None,
+    chi_Q_nu: int | None = None,
+    chi_Q_hit: int | None = None,
+) -> Certificate:
+    """The certificate of one knot spec, every field computed for it alone."""
+    tau = dehn_twist(spec.kappa, spec.alpha, spec.n)
+    exceptional = is_exceptional(tau)
+    if chi_Q_hit is None:
+        chi_Q_hit = bounds.GAMMA_DISK
+    if chi_Q_nu is None:
+        chi_Q_nu = bounds.catching_chi(bounds.nu_recipe(spec.kappa))
+    strong = abs(spec.i) > bounds.n_strong(chi_Q_nu)
+    hbar_D = bounds.disk_hitting_lower_bound(spec.i, chi_Q_hit)
+    hbar_A = bounds.annulus_hitting_lower_bound(spec.i, chi_Q_hit)
+
+    bridge_lower = None
+    reason = ""
+    if not strong:
+        reason = "needs |i| above the strong threshold"
+    elif spec.alpha in (MU, LAMBDA):
+        reason = "alpha must miss the product-disk classes"
+    else:
+        if chi_Q_bridge is None and spec.alpha == NU:
+            chi_Q_bridge = bounds.catching_chi(bounds.nu_recipe(spec.kappa))
+        if chi_Q_bridge is None:
+            reason = "not i-uniform; supply a catching chi"
+        else:
+            bridge_lower = bounds.bridge_lower_bound(spec.n, chi_Q_bridge, spec.g)
+
+    if spec.family == "S":
+        seifert = (tau.p, tau.q)
+        surgery = f"D({tau.p},{tau.q})-Seifert + {spec.g - 1} 1-handles"
+    else:
+        seifert = None
+        surgery = "handlebody"
+
+    flags_all = strong and not exceptional
+    flags = ExteriorFlags(flags_all, flags_all, flags_all, flags_all)
+    return Certificate(
+        tau=tau,
+        exceptional=exceptional,
+        seifert=seifert,
+        surgery=surgery,
+        bridge_lower=bridge_lower,
+        bridge_lower_reason=reason,
+        bridge_upper_heuristic=bridge_upper_heuristic(tau),
+        hbar_D_lower=hbar_D,
+        hbar_A_lower=hbar_A,
+        strong=strong,
+        exterior_flags=flags,
+        unique_surgery=flags.all_true(),
+    )
+
+
+@dataclass(frozen=True)
+class ReferenceCatalog:
+    g: int
+    family: str
+    kappa: TorusCurve
+    alpha: TorusCurve
+    statements: tuple[str, ...]
+    rows: tuple[CatalogRow, ...]
+
+    @property
+    def errored(self) -> bool:
+        return any(row.error for row in self.rows)
+
+
+def reference_generate_family(
+    g,
+    family,
+    kappa,
+    alpha,
+    n_range,
+    i_range,
+    chi_Q_bridge=None,
+    chi_Q_nu=None,
+    chi_Q_hit=None,
+) -> ReferenceCatalog:
+    """One KnotSpec and one certificate per (n, i), in sorted order; a row
+    whose spec or certificate raises carries the message."""
+    rows = []
+    for n in sorted(set(n_range)):
+        for i in sorted(set(i_range)):
+            try:
+                spec = KnotSpec(g=g, family=family, kappa=kappa, alpha=alpha, n=n, i=i)
+                cert = reference_build_certificate(spec, chi_Q_bridge, chi_Q_nu, chi_Q_hit)
+                rows.append(CatalogRow(n, i, cert))
+            except (ValueError, ArithmeticError) as exc:
+                rows.append(CatalogRow(n, i, None, error=str(exc)))
+    statements = ()
+    if alpha not in (MU, LAMBDA):
+        statements = ("distinctness: hbar_D lower bound unbounded in |i|",)
+    return ReferenceCatalog(g, family, kappa, alpha, statements, tuple(rows))
+
+
+def _na(reason: str) -> str:
+    return f"n/a({reason})"
+
+
+def reference_row_values(row: CatalogRow) -> list[str]:
+    """Every column value of one row, formatted on its own."""
+    if row.certificate is None:
+        out = [str(row.n), str(row.i)]
+        out += [_na("row error")] * (len(_COLUMNS) - 3)
+        out.append(row.error)
+        return out
+    c = row.certificate
+    seifert = f"({c.seifert[0]},{c.seifert[1]})" if c.seifert else _na("handlebody family")
+    bridge = (
+        str(c.bridge_lower) if c.bridge_lower is not None else _na(c.bridge_lower_reason)
+    )
+    f = c.exterior_flags
+    return [
+        str(row.n),
+        str(row.i),
+        str(c.tau),
+        str(c.exceptional).lower(),
+        seifert,
+        c.surgery,
+        bridge,
+        f"{c.bridge_upper_heuristic} (heuristic)",
+        str(c.hbar_D_lower),
+        str(c.hbar_A_lower),
+        str(c.strong).lower(),
+        str(f.irreducible).lower(),
+        str(f.boundary_irreducible).lower(),
+        str(f.atoroidal).lower(),
+        str(f.anannular).lower(),
+        str(c.unique_surgery).lower(),
+        "",
+    ]
+
+
+def reference_render_csv(catalog) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow([SCHEMA])
+    writer.writerow(
+        [
+            f"g={catalog.g}",
+            f"family={catalog.family}",
+            f"kappa={catalog.kappa}",
+            f"alpha={catalog.alpha}",
+        ]
+    )
+    for s in catalog.statements:
+        writer.writerow(["statement", s])
+    writer.writerow(_COLUMNS)
+    for row in catalog.rows:
+        writer.writerow(reference_row_values(row))
+    return buf.getvalue()
+
+
+def reference_render_txt(catalog) -> str:
+    lines = [
+        SCHEMA,
+        f"g={catalog.g} family={catalog.family}"
+        f" kappa={catalog.kappa} alpha={catalog.alpha}",
+    ]
+    lines.extend(f"statement: {s}" for s in catalog.statements)
+    for row in catalog.rows:
+        values = reference_row_values(row)
+        fields = " ".join(
+            f"{name}={value}" for name, value in zip(_COLUMNS, values) if value != ""
+        )
+        lines.append(fields)
+    return "\n".join(lines) + "\n"

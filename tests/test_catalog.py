@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from knotforge import catalog
@@ -19,7 +19,13 @@ from knotforge.catalog import (
     render_txt,
     seifert_invariants,
 )
-from knotforge.torus import LAMBDA, MU, NU, normalize
+from knotforge.torus import LAMBDA, MU, NU, TorusCurve, normalize
+from oracles import (
+    reference_build_certificate,
+    reference_generate_family,
+    reference_render_csv,
+    reference_render_txt,
+)
 
 
 class TestSeifertInvariants:
@@ -245,3 +251,113 @@ class TestRendering:
         cat = generate_family(2, "H", NU, NU, [0], [1])
         text = render_csv(cat)
         assert "n/a(row error)" in text
+
+
+def _primitive(coordinate):
+    return (
+        st.tuples(coordinate, coordinate)
+        .filter(lambda pq: gcd(abs(pq[0]), abs(pq[1])) == 1)
+        .map(lambda pq: normalize(*pq))
+    )
+
+
+CURVES = st.one_of(
+    st.sampled_from([MU, LAMBDA, NU, normalize(-1, 1), normalize(1, 2), normalize(2, 1)]),
+    _primitive(st.integers(-9, 9)),
+    _primitive(st.integers(-1200, 1200)),
+)
+# also curves that bypass normalize, such as (0,0) and (2,4), whose twists raise
+RAW_CURVES = st.one_of(CURVES, st.builds(TorusCurve, st.integers(-4, 4), st.integers(-4, 4)))
+CHIS = st.one_of(st.none(), st.integers(-8, 2))
+N_VALUES = st.lists(st.one_of(st.integers(-30, 30), st.integers(-1300, 1300)), max_size=7)
+# around the strong thresholds 216 |chi| and the informative hitting ranges
+I_VALUES = st.lists(
+    st.one_of(
+        st.integers(-3000, 3000),
+        st.sampled_from([0, 216, 217, 432, 433, 648, 649, 1296, 1297, 2592, 5184]),
+    ),
+    max_size=7,
+)
+
+
+@st.composite
+def family_requests(draw):
+    kappa = draw(RAW_CURVES)
+    return (
+        draw(st.integers(0, 5)),
+        draw(st.sampled_from(["H", "S", "X"])),
+        kappa,
+        draw(st.one_of(RAW_CURVES, st.just(kappa))),
+        draw(N_VALUES),
+        draw(I_VALUES),
+        draw(CHIS),
+        draw(CHIS),
+        draw(CHIS),
+    )
+
+
+# tau = (1000,999) + n (1,1) reaches (0,1) and (1,0) at n = -1000, -999, so with
+# chi_Q_bridge = -1 the bridge bound exceeds the heuristic upper bound there
+GUARD_GRID = (2, "S", normalize(1000, 999), NU, [5, -999, -1000, 5], [300, 0], -1, -1, None)
+
+
+class TestColumnarCatalogMatchesRowOracle:
+    @given(family_requests())
+    @example(GUARD_GRID)
+    @example((2, "H", normalize(2, 1), NU, [3, 1], [], None, None, None))
+    @example((2, "H", normalize(2, 1), NU, [], [5], None, None, None))
+    @settings(max_examples=400, deadline=None)
+    def test_rows_errored_and_renderings(self, grid):
+        cat = generate_family(*grid)
+        ref = reference_generate_family(*grid)
+        assert cat.rows == ref.rows
+        assert cat.errored == ref.errored
+        assert cat.statements == ref.statements
+        assert render_csv(cat) == reference_render_csv(ref)
+        assert render_txt(cat) == reference_render_txt(ref)
+
+    def test_guard_grid_fires(self):
+        cat = generate_family(*GUARD_GRID)
+        errors = [row.error for row in cat.rows if row.error]
+        assert len(errors) == 2
+        assert all("exceeds the heuristic upper bound" in e for e in errors)
+        assert cat.errored
+
+    @given(
+        st.integers(2, 5),
+        st.sampled_from(["H", "S"]),
+        RAW_CURVES,
+        RAW_CURVES,
+        st.integers(-1300, 1300),
+        st.integers(-3000, 3000),
+        CHIS,
+        CHIS,
+        CHIS,
+    )
+    @example(2, "S", normalize(1000, 999), NU, -1000, 300, -1, -1, None)
+    @settings(max_examples=300, deadline=None)
+    def test_build_certificate_is_the_one_cell_catalog(
+        self, g, family, kappa, alpha, n, i, chi_bridge, chi_nu, chi_hit
+    ):
+        if kappa == alpha:
+            return
+        spec = KnotSpec(g, family, kappa, alpha, n, i)
+        chis = (chi_bridge, chi_nu, chi_hit)
+        (row,) = generate_family(g, family, kappa, alpha, [n], [i], *chis).rows
+        try:
+            expected = reference_build_certificate(spec, *chis)
+        except (ValueError, ArithmeticError) as exc:
+            with pytest.raises(type(exc)) as info:
+                build_certificate(spec, *chis)
+            assert type(info.value) is type(exc)
+            assert str(info.value) == str(exc) == row.error
+            assert row.certificate is None
+        else:
+            assert build_certificate(spec, *chis) == expected == row.certificate
+            assert row.error == ""
+
+    def test_errored_does_not_build_rows(self, monkeypatch):
+        cat = generate_family(2, "H", normalize(2, 1), NU, range(50), range(50))
+        monkeypatch.setattr(catalog, "CatalogRow", None)
+        monkeypatch.setattr(catalog, "Certificate", None)
+        assert not cat.errored

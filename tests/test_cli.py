@@ -1,3 +1,5 @@
+import argparse
+
 import pytest
 
 from knotforge.catalog import generate_family, render_csv, render_txt
@@ -13,6 +15,12 @@ class TestParsers:
         assert parse_range("1:4") == [1, 2, 3, 4]
         assert parse_range("0:10:5") == [0, 5, 10]
         assert parse_range("7,3,5") == [7, 3, 5]
+        assert parse_range("5:5") == [5]
+
+    @pytest.mark.parametrize("text", ["5:1", "0:-1", "3:2:4"])
+    def test_empty_range_rejected(self, text):
+        with pytest.raises(argparse.ArgumentTypeError, match="empty range"):
+            parse_range(text)
 
     def test_load_config(self, tmp_path):
         path = tmp_path / "knotforge.conf"
@@ -195,6 +203,15 @@ class TestFamily:
         capsys.readouterr()
         assert code == 1
 
+    @pytest.mark.parametrize("flag, text", [("--n-range", "5:1"), ("--i-range", "3:0:2")])
+    def test_empty_grid_exit_code(self, capsys, flag, text):
+        argv = ["family", "--kappa", "2,1", "--alpha", "1,1", "--n-range", "1:2", "--i-range", "0:0"]
+        argv[argv.index(flag) + 1] = text
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: empty range")
+        assert captured.out == ""
+
     def test_desk_demo_catalog(self, capsys):
         # the default hitting chi is bounds.GAMMA_DISK = -6, as in the demo
         code = main(
@@ -238,6 +255,13 @@ class TestVerifyGraphs:
 
     def test_empty_range_exit_code(self, capsys):
         assert main(["verify-graphs", "--v-max", "0", "--e-budget", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
+
+    def test_chi_above_the_sphere_exit_code(self, capsys):
+        argv = ["verify-graphs", "--v-max", "1", "--e-budget", "2", "--chi-min", "5"]
+        assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error:")
         assert captured.out == ""

@@ -260,6 +260,18 @@ class TestVerifyParallelP:
         with pytest.raises(MapError):
             verify_graphs(V_max, E_budget)
 
+    @pytest.mark.parametrize("chi_min", [3, 5])
+    def test_chi_above_the_sphere_rejected(self, chi_min):
+        # chi <= 2 on every closed orientable surface, so no map is checked
+        with pytest.raises(MapError, match="chi > 2"):
+            verify_parallelP(1, 2, chi_min)
+        with pytest.raises(MapError):
+            verify_graphs(1, 2, chi_min)
+
+    def test_sphere_chi_still_checked(self):
+        report = verify_parallelP(2, 2, 2)
+        assert sum(cell.maps_checked for cell in report.cells) == 2
+
 
 class TestVerifyGraphs:
     def test_same_reports_one_enumeration_per_cell(self, monkeypatch):

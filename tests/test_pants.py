@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from knotforge import pants
 from knotforge.pants import (
     GAMMA2_DATA,
     BustingCertificate,
@@ -215,3 +216,21 @@ class TestGamma2:
     def test_seam_minimum(self):
         curve, _, _ = gamma2()
         assert min(min(t) for t in curve.seams) == 3
+
+    def test_seam_data_parsed_once(self, monkeypatch):
+        parsed = []
+
+        def counting_load(text):
+            parsed.append(text)
+            return load_seam_data(text)
+
+        monkeypatch.setattr(pants, "load_seam_data", counting_load)
+        gamma2.cache_clear()
+        try:
+            first = gamma2()
+            second = gamma2()
+        finally:
+            gamma2.cache_clear()
+        assert parsed == [GAMMA2_DATA]
+        assert first == second
+        assert first is second
