@@ -15,6 +15,11 @@ orientable maps arise from this encoding.  A monogon is a degree-1 face,
 that is a fixed point of phi, so enumeration rejects monogons with an O(E)
 scan and traces faces only on the representatives it yields.
 
+Enumeration is orderly: it keeps no set of seen maps and computes no
+canonical form, but yields a candidate only when its pairing is least
+among its conjugates under the symmetries of sigma (the lemma is stated
+once, in enumerate_maps).
+
 The parallel-edge claim holds in every cell by a degree-count lemma,
 stated once in verify_parallelP.  Exhaustive enumeration is feasible for
 small cells only (at most V_MAX vertices and E_MAX edges), so it serves as
@@ -24,11 +29,19 @@ budget.
 Both claims read the same monogon-free cells.  verify_graphs runs the two
 verifiers over one cell store, a dict that lives for that call only, so
 each cell is enumerated and face-traced once per call.
+
+No crossing-sign check is needed for torus curves.  Lemma: two oriented
+essential simple closed curves (p, q) and (r, s) on the torus, straightened
+to lines, cross |ps - qr| times, and every crossing has the sign of
+ps - qr.  So all crossings of coherently oriented curves have one sign,
+and a rule that asks each crossing to join parallel endpoint classes on
+one side and antiparallel ones on the other holds by construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations, product
 
 from .bounds import parallel_edges_threshold, parallelism_class_bound
 
@@ -39,10 +52,6 @@ class MapError(ValueError):
 
 class MalformedMap(MapError):
     """Permutation data does not define a combinatorial map."""
-
-
-class MalformedSample(MapError):
-    """Labeled pair data is inconsistent."""
 
 
 class LimitExceeded(MapError):
@@ -246,19 +255,101 @@ def _standard_sigma(cycle_lengths: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sigma)
 
 
-def _involutions(darts: list[int]):
-    """All fixed-point-free involutions on the given darts, as dicts."""
-    if not darts:
-        yield {}
+def _involutions(n: int):
+    """Every fixed-point-free involution of the darts 0..n-1, as a tuple,
+    in lexicographic order.
+
+    Iterative backtracking: level k pairs the smallest dart still unpaired
+    with each unpaired larger dart in increasing order.  The darts before
+    it are already fixed, so the tuples come out in increasing order.
+    """
+    if n == 0:
+        yield ()
         return
-    first = darts[0]
-    for j in range(1, len(darts)):
-        partner = darts[j]
-        rest = darts[1:j] + darts[j + 1 :]
-        for sub in _involutions(rest):
-            sub[first] = partner
-            sub[partner] = first
-            yield sub
+    alpha = [-1] * n
+    last = n // 2 - 1
+    first = [0] * (last + 1)
+    partner = [0] * (last + 1)  # partner[k] == first[k]: none tried yet
+    k = 0
+    while k >= 0:
+        f, p = first[k], partner[k]
+        if p != f:
+            alpha[p] = -1
+        p += 1
+        while p < n and alpha[p] >= 0:
+            p += 1
+        if p == n:
+            alpha[f] = -1
+            k -= 1
+            continue
+        alpha[f], alpha[p] = p, f
+        partner[k] = p
+        if k == last:
+            yield tuple(alpha)
+            continue
+        f += 1
+        while alpha[f] >= 0:
+            f += 1
+        k += 1
+        first[k] = partner[k] = f
+
+
+def _sigma_symmetries(cycle_lengths: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """H_lambda: every permutation tau of the darts with
+    tau sigma tau^-1 in {sigma, sigma^-1}, for sigma = _standard_sigma.
+
+    These are the permutations of equal-length cycles, each cycle rotated,
+    all cycles reflected or none; the identity comes first.  There are
+    2 z_lambda of them, or z_lambda when sigma^2 = 1 (every cycle of length
+    at most 2, where reflecting is a rotation), with
+    z_lambda = prod k^m_k m_k! over the m_k cycles of length k.
+    """
+    starts = []
+    n = 0
+    for length in cycle_lengths:
+        starts.append(n)
+        n += length
+    by_length: dict[int, list[int]] = {}
+    for c, length in enumerate(cycle_lengths):
+        by_length.setdefault(length, []).append(c)
+    # per length: each (target cycle, rotation) assignment of its cycles
+    choices = [
+        [
+            tuple(zip(cycles, targets, shifts))
+            for targets in permutations(cycles)
+            for shifts in product(range(length), repeat=len(cycles))
+        ]
+        for length, cycles in by_length.items()
+    ]
+    out = {}  # keyed by tau: drops the repeats when sigma^2 = 1, keeps order
+    for sign in (1, -1):
+        for choice in product(*choices):
+            tau = [0] * n
+            for moves in choice:
+                for c, target, shift in moves:
+                    length = cycle_lengths[c]
+                    src, dst = starts[c], starts[target]
+                    for j in range(length):
+                        tau[src + j] = dst + (sign * j + shift) % length
+            out[tuple(tau)] = None
+    return list(out)
+
+
+def _least_in_orbit(alpha: tuple[int, ...], conjugators) -> bool:
+    """Whether alpha is lexicographically at most tau alpha tau^-1 for
+    every (tau, tau^-1) in conjugators.  The conjugate maps tau(d) to
+    tau(alpha(d)), so its value at d is tau(alpha(tau^-1(d))); the first
+    position where it differs from alpha decides."""
+    n = len(alpha)
+    for tau, tau_inv in conjugators:
+        for d in range(n):
+            b = tau[alpha[tau_inv[d]]]
+            a = alpha[d]
+            if b != a:
+                if b < a:
+                    return False
+                break
+    return True
 
 
 def _double_factorial_odd(k: int) -> int:
@@ -275,86 +366,42 @@ def candidate_count(V: int, E: int) -> int:
     return types * _double_factorial_odd(E)
 
 
-def canonical_key(m: CombinatorialMap):
-    """Isomorphism-invariant key for connected maps.
-
-    Relabels darts by breadth-first traversal (successor order: rotation
-    then pairing) from every start dart, in both orientations, and takes
-    the lexicographically smallest relabeled (sigma, alpha) pair.
-
-    The sigma sequence is emitted during the traversal, and a start is
-    dropped as soon as its prefix exceeds the best one so far; alpha
-    sequences are compared only when the sigma sequences tie.
-    """
-    n = len(m.sigma)
-    alpha = m.alpha
-    sigma_inv = [0] * n
-    for d in range(n):
-        sigma_inv[m.sigma[d]] = d
-    best_sigma = best_alpha = None
-    for orient in (m.sigma, sigma_inv):
-        for start in range(n):
-            label = [-1] * n
-            label[start] = 0
-            order = [start]
-            seq = []
-            tied = best_sigma is not None
-            # order grows while it is iterated: a breadth-first traversal
-            for i, d in enumerate(order):
-                s = orient[d]
-                x = label[s]
-                if x < 0:
-                    label[s] = x = len(order)
-                    order.append(s)
-                a = alpha[d]
-                if label[a] < 0:
-                    label[a] = len(order)
-                    order.append(a)
-                if tied:
-                    b = best_sigma[i]
-                    if x > b:
-                        break
-                    tied = x == b
-                seq.append(x)
-            else:
-                if len(order) != n:
-                    raise MapError("canonical_key needs a connected map")
-                alpha_seq = [label[alpha[d]] for d in order]
-                if not tied or alpha_seq < best_alpha:
-                    best_sigma, best_alpha = seq, alpha_seq
-    return tuple(best_sigma), tuple(best_alpha)
-
-
 def enumerate_maps(V: int, E: int, monogon_free: bool = False):
     """Yield one representative per isomorphism class of connected maps
     with V vertices and E edges, in a deterministic order.
 
-    Up to isomorphism the vertex permutation can be fixed per cycle type,
-    so the search runs over cycle types (partitions of 2E into V parts)
-    times fixed-point-free involutions; duplicates are removed by
-    canonical form.  With monogon_free, maps with a monogon are dropped
-    by the O(E) fixed-point test before their key is computed.
+    Up to isomorphism the vertex permutation can be fixed per cycle type
+    lambda (a partition of 2E into V parts), so the search runs over cycle
+    types times fixed-point-free involutions alpha, in lexicographic order.
+    Lemma: two candidates (sigma_lambda, alpha) and (sigma_lambda, alpha')
+    are isomorphic, preserving or reversing orientation, exactly when
+    alpha' = tau alpha tau^-1 for some tau in H_lambda, the permutations
+    with tau sigma_lambda tau^-1 = sigma_lambda^(+-1); distinct cycle types
+    are never isomorphic.  Connectivity and monogons are class invariants,
+    so the candidate kept for each class is the one whose alpha is least
+    in its H_lambda-orbit (orderly generation).  Each candidate is built,
+    tested for connectivity and, with monogon_free, for monogons (an O(E)
+    fixed-point test), and only then for orbit-leastness; memory per cell
+    is O(E) plus H_lambda.
     """
     if V < 1 or E < 1:
         raise MapError("V >= 1 and E >= 1 required")
     if V > V_MAX or E > E_MAX:
         raise LimitExceeded(f"cell V={V}, E={E} exceeds limits {V_MAX}, {E_MAX}")
-    darts = list(range(2 * E))
-    seen = set()
     for cycle_lengths in _partitions_into(2 * E, V):
         sigma = _standard_sigma(cycle_lengths)
-        for pairing in _involutions(darts):
-            alpha = tuple(pairing[d] for d in darts)
+        conjugators = [
+            (tau, tuple(sorted(range(2 * E), key=tau.__getitem__)))
+            for tau in _sigma_symmetries(cycle_lengths)[1:]
+        ]
+        for alpha in _involutions(2 * E):
             m = CombinatorialMap(sigma, alpha)
             if not m.is_connected():
                 continue
             if monogon_free and m.has_monogon():
                 continue
-            key = canonical_key(m)
-            if key in seen:
-                continue
-            seen.add(key)
-            yield m
+            if _least_in_orbit(alpha, conjugators):
+                yield m
 
 
 # ---------------------------------------------------------------------------
@@ -591,53 +638,3 @@ def verify_graphs(
     report = verify_parallelP(V_max, E_budget, chi_min, work_budget, cell_store=store)
     tri = verify_parallel_class_bound(cell_store=store)
     return report, tri
-
-
-# ---------------------------------------------------------------------------
-# Parity rule on labeled pair samples
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LabeledPairSample:
-    """Corresponded edges of two labeled graphs, recorded as per-endpoint
-    orientation signs.  Edge k of the first graph has endpoint signs
-    edges_a[k]; the corresponded edge of the second graph has edges_b[k].
-    An edge joins parallel vertex classes when its two signs agree.
-    """
-
-    edges_a: tuple[tuple[int, int], ...]
-    edges_b: tuple[tuple[int, int], ...]
-
-
-def validate_parity(sample: LabeledPairSample) -> bool:
-    """True iff every corresponded edge joins parallel vertex classes in
-    exactly one of the two graphs."""
-    if len(sample.edges_a) != len(sample.edges_b):
-        raise MalformedSample("edge sets are not in bijection")
-    for pair in sample.edges_a + sample.edges_b:
-        if len(pair) != 2 or any(s not in (-1, 1) for s in pair):
-            raise MalformedSample("endpoint signs must be +1 or -1")
-    for (a1, a2), (b1, b2) in zip(sample.edges_a, sample.edges_b):
-        if (a1 == a2) == (b1 == b2):
-            return False
-    return True
-
-
-def make_torus_parity_sample(a, b) -> LabeledPairSample:
-    """Labeled pair sample from the crossings of two oriented torus curves.
-
-    All crossings of two coherently oriented curves have the same sign, so
-    the boundary-side graph sees parallel endpoint classes at every
-    crossing while the companion graph sees antiparallel ones.
-    """
-    from .torus import intersection
-
-    d = intersection(a, b)
-    if d == 0:
-        raise MalformedSample("disjoint classes give no crossings")
-    sign = 1 if a.p * b.q - a.q * b.p > 0 else -1
-    return LabeledPairSample(
-        edges_a=tuple((sign, sign) for _ in range(d)),
-        edges_b=tuple((1, -1) for _ in range(d)),
-    )

@@ -2,9 +2,10 @@
 
 Everything here recomputes library results by a different method: lattice
 crossing enumeration for intersection numbers, explicit threshold scans
-for the inverted hitting bounds and the strong threshold, the plain
-exhaustive form of the canonical map key, a Burnside count of chord
-diagrams for the one-vertex map enumerator, and the row-by-row catalog
+for the inverted hitting bounds and the strong threshold, the canonical
+map key (pruned and plain exhaustive forms) and the map enumerator that
+drops duplicates by it, a Burnside count of chord diagrams and the
+Harer-Zagier recurrence for one-vertex maps, and the row-by-row catalog
 (one certificate built and rendered per (n, i)).  Pure integer arithmetic
 throughout.
 """
@@ -25,6 +26,7 @@ from knotforge.catalog import (
     KnotSpec,
     bridge_upper_heuristic,
 )
+from knotforge.maps import CombinatorialMap, MapError, _partitions_into, _standard_sigma
 from knotforge.torus import LAMBDA, MU, NU, TorusCurve, dehn_twist, is_exceptional
 
 
@@ -106,6 +108,56 @@ def n_strong_scan(chi_Q_nu: int, limit: int = 10**6) -> int:
     raise AssertionError("scan limit reached")
 
 
+def canonical_key(m):
+    """Isomorphism-invariant key for connected maps.
+
+    Relabels darts by breadth-first traversal (successor order: rotation
+    then pairing) from every start dart, in both orientations, and takes
+    the lexicographically smallest relabeled (sigma, alpha) pair.
+
+    The sigma sequence is emitted during the traversal, and a start is
+    dropped as soon as its prefix exceeds the best one so far; alpha
+    sequences are compared only when the sigma sequences tie.
+    """
+    n = len(m.sigma)
+    alpha = m.alpha
+    sigma_inv = [0] * n
+    for d in range(n):
+        sigma_inv[m.sigma[d]] = d
+    best_sigma = best_alpha = None
+    for orient in (m.sigma, sigma_inv):
+        for start in range(n):
+            label = [-1] * n
+            label[start] = 0
+            order = [start]
+            seq = []
+            tied = best_sigma is not None
+            # order grows while it is iterated: a breadth-first traversal
+            for i, d in enumerate(order):
+                s = orient[d]
+                x = label[s]
+                if x < 0:
+                    label[s] = x = len(order)
+                    order.append(s)
+                a = alpha[d]
+                if label[a] < 0:
+                    label[a] = len(order)
+                    order.append(a)
+                if tied:
+                    b = best_sigma[i]
+                    if x > b:
+                        break
+                    tied = x == b
+                seq.append(x)
+            else:
+                if len(order) != n:
+                    raise MapError("canonical_key needs a connected map")
+                alpha_seq = [label[alpha[d]] for d in order]
+                if not tied or alpha_seq < best_alpha:
+                    best_sigma, best_alpha = seq, alpha_seq
+    return tuple(best_sigma), tuple(best_alpha)
+
+
 def reference_canonical_key(m):
     """The canonical map key computed in full: breadth-first relabeling
     (rotation, then pairing) from every start dart in both orientations,
@@ -164,6 +216,45 @@ def chord_diagrams_up_to_dihedral(E: int) -> int:
     )
     assert fixed % len(group) == 0
     return fixed // len(group)
+
+
+def reference_enumerate_maps(V: int, E: int, monogon_free: bool = False):
+    """The connected maps of the (V, E) cell, one per isomorphism class,
+    found by keeping the first candidate with each canonical key: cycle
+    types in _partitions_into order, pairings in _matchings order."""
+    seen = set()
+    out = []
+    for cycle_lengths in _partitions_into(2 * E, V):
+        sigma = _standard_sigma(cycle_lengths)
+        for partner in _matchings(list(range(2 * E)), [0] * (2 * E)):
+            m = CombinatorialMap(sigma, tuple(partner))
+            if not m.is_connected() or (monogon_free and m.has_monogon()):
+                continue
+            key = canonical_key(m)
+            if key not in seen:
+                seen.add(key)
+                out.append(m)
+    return out
+
+
+def harer_zagier(n: int) -> list[dict[int, int]]:
+    """eps_g(m) for m = 0..n: the gluings of the sides of a 2m-gon in pairs
+    that give a surface of genus g, which are the one-vertex maps with m
+    labelled edges (rooted at dart 0), by the Harer-Zagier recurrence
+    (m + 1) eps_g(m) = 2 (2m - 1) eps_g(m - 1)
+                       + (m - 1)(2m - 1)(2m - 3) eps_{g-1}(m - 2)
+    from eps_0(0) = 1 (Harer & Zagier, Invent. Math. 85 (1986))."""
+    eps = [{0: 1}]
+    for m in range(1, n + 1):
+        row = {}
+        for g in range(m // 2 + 1):
+            total = 2 * (2 * m - 1) * eps[m - 1].get(g, 0)
+            if m >= 2 and g >= 1:
+                total += (m - 1) * (2 * m - 1) * (2 * m - 3) * eps[m - 2].get(g - 1, 0)
+            assert total % (m + 1) == 0
+            row[g] = total // (m + 1)
+        eps.append(row)
+    return eps
 
 
 def reference_build_certificate(

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 
 import pytest
 
@@ -252,6 +253,21 @@ class TestVerifyGraphs:
         assert code == 0
         assert "counterexamples: 0" in out
         assert "arc-class bound" in out
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            ([], "c69ebaee0a43f76c846cb088aa62f2ba06fa0368d58ab811e1dbb962a730f53d"),
+            (
+                ["--v-max", "2", "--e-budget", "6"],
+                "1e8084d5e9a135de48dc56db7cb0825e246fe1015d33d18110611dcb65e5dfb6",
+            ),
+        ],
+    )
+    def test_report_bytes_pinned(self, argv, digest, capsys):
+        assert main(["verify-graphs", *argv]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_empty_range_exit_code(self, capsys):
         assert main(["verify-graphs", "--v-max", "0", "--e-budget", "0"]) == 2

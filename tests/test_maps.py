@@ -1,4 +1,7 @@
+import math
 import random
+from collections import Counter
+from itertools import permutations
 
 import pytest
 from hypothesis import assume, given, settings
@@ -7,23 +10,23 @@ from hypothesis import strategies as st
 from knotforge import bounds, maps
 from knotforge.maps import (
     CombinatorialMap,
-    LabeledPairSample,
     LimitExceeded,
     MalformedMap,
     MapError,
-    MalformedSample,
-    canonical_key,
     enumerate_maps,
-    make_torus_parity_sample,
     standard_involution,
     trace_faces,
-    validate_parity,
     verify_graphs,
     verify_parallelP,
     verify_parallel_class_bound,
 )
-from knotforge.torus import normalize
-from oracles import chord_diagrams_up_to_dihedral, reference_canonical_key
+from oracles import (
+    canonical_key,
+    chord_diagrams_up_to_dihedral,
+    harer_zagier,
+    reference_canonical_key,
+    reference_enumerate_maps,
+)
 
 LOOP_ON_SPHERE = CombinatorialMap(sigma=(1, 0), alpha=(1, 0))
 # theta graph: two trivalent vertices, three edges, all faces bigons
@@ -66,13 +69,25 @@ def mirrored(m):
 
 def labeled_candidates(V, E):
     """Every connected map the enumerator builds for the (V, E) cell."""
-    darts = list(range(2 * E))
     for cycle_lengths in maps._partitions_into(2 * E, V):
         sigma = maps._standard_sigma(cycle_lengths)
-        for pairing in maps._involutions(darts):
-            m = CombinatorialMap(sigma, tuple(pairing[d] for d in darts))
+        for alpha in maps._involutions(2 * E):
+            m = CombinatorialMap(sigma, alpha)
             if m.is_connected():
                 yield m
+
+
+def conjugate(perm, tau):
+    """tau perm tau^-1: the permutation perm with dart d renamed tau[d]."""
+    out = [0] * len(perm)
+    for d, p in enumerate(perm):
+        out[tau[d]] = tau[p]
+    return tuple(out)
+
+
+def z_lambda(cycle_lengths):
+    """Order of the centralizer of a permutation of this cycle type."""
+    return math.prod(k**m * math.factorial(m) for k, m in Counter(cycle_lengths).items())
 
 
 class TestValidation:
@@ -225,6 +240,87 @@ class TestEnumeration:
         assert counts == [chord_diagrams_up_to_dihedral(E) for E in range(1, 7)]
 
 
+class TestOrderlyGeneration:
+    @pytest.mark.parametrize("E", range(0, 7))
+    def test_involutions_in_strictly_increasing_order(self, E):
+        n = 2 * E
+        out = list(maps._involutions(n))
+        assert len(out) == math.prod(range(1, n, 2))  # (n - 1)!!
+        assert all(a < b for a, b in zip(out, out[1:]))
+        for alpha in out:
+            assert all(alpha[d] != d and alpha[alpha[d]] == d for d in range(n))
+
+    @pytest.mark.parametrize("E", range(1, 7))
+    def test_symmetries_fix_sigma_up_to_inversion(self, E):
+        for V in (1, 2, 3):
+            for cycle_lengths in maps._partitions_into(2 * E, V):
+                sigma = maps._standard_sigma(cycle_lengths)
+                sigma_inv = tuple(sorted(range(2 * E), key=sigma.__getitem__))
+                group = maps._sigma_symmetries(cycle_lengths)
+                assert group[0] == tuple(range(2 * E))
+                assert len(set(group)) == len(group)
+                for tau in group:
+                    assert sorted(tau) == list(range(2 * E))
+                    assert conjugate(sigma, tau) in (sigma, sigma_inv)
+                involutive = all(sigma[s] == d for d, s in enumerate(sigma))
+                z = z_lambda(cycle_lengths)
+                assert len(group) == (z if involutive else 2 * z)
+
+    @pytest.mark.parametrize("E", [1, 2, 3])
+    def test_symmetries_are_all_such_permutations(self, E):
+        # brute force over every permutation of the 2E darts
+        for V in (1, 2, 3):
+            for cycle_lengths in maps._partitions_into(2 * E, V):
+                sigma = maps._standard_sigma(cycle_lengths)
+                sigma_inv = tuple(sorted(range(2 * E), key=sigma.__getitem__))
+                expected = {
+                    tau
+                    for tau in permutations(range(2 * E))
+                    if conjugate(sigma, tau) in (sigma, sigma_inv)
+                }
+                assert set(maps._sigma_symmetries(cycle_lengths)) == expected
+
+    @pytest.mark.parametrize("monogon_free", [False, True])
+    @pytest.mark.parametrize(
+        "V, E", [(V, E) for V in (1, 2, 3) for E in range(1, 5)] + [(1, 5), (2, 5)]
+    )
+    def test_orbit_stabilizer_counts_the_yield(self, V, E, monogon_free):
+        # each H-orbit of kept candidates contributes sum |Stab(alpha)| = |H|
+        yielded = Counter(m.sigma for m in enumerate_maps(V, E, monogon_free))
+        for cycle_lengths in maps._partitions_into(2 * E, V):
+            sigma = maps._standard_sigma(cycle_lengths)
+            group = maps._sigma_symmetries(cycle_lengths)
+            fixed = 0
+            for m in labeled_candidates(V, E):
+                if m.sigma != sigma or (monogon_free and m.has_monogon()):
+                    continue
+                fixed += sum(conjugate(m.alpha, tau) == m.alpha for tau in group)
+            assert fixed == len(group) * yielded[sigma]
+
+    @pytest.mark.parametrize("monogon_free", [False, True])
+    @pytest.mark.parametrize(
+        "V, E", [(V, E) for V in (1, 2, 3) for E in range(1, 6)] + [(1, 6), (2, 6)]
+    )
+    def test_matches_canonical_key_dedup(self, V, E, monogon_free):
+        assert list(enumerate_maps(V, E, monogon_free)) == reference_enumerate_maps(
+            V, E, monogon_free
+        )
+
+    @pytest.mark.parametrize("E", range(1, 7))
+    def test_one_vertex_genus_counts_match_harer_zagier(self, E):
+        sigma = maps._standard_sigma((2 * E,))
+        genera = Counter(
+            (2 - trace_faces(CombinatorialMap(sigma, alpha)).euler_characteristic) // 2
+            for alpha in maps._involutions(2 * E)
+        )
+        assert dict(genera) == harer_zagier(E)[E]
+
+    def test_harer_zagier_values(self):
+        eps = harer_zagier(5)
+        assert eps[5] == {0: 42, 1: 420, 2: 483}
+        assert [sum(row.values()) for row in eps] == [1, 1, 3, 15, 105, 945]
+
+
 class TestVerifyParallelP:
     def test_small_run_no_counterexamples(self):
         report = verify_parallelP(2, 5)
@@ -318,28 +414,3 @@ class TestVerifyClassBound:
             triangulations += 1
             assert report.num_edges == -3 * (report.euler_characteristic - V)
         assert triangulations > 0
-
-
-class TestParity:
-    def test_mixed_sample_valid(self):
-        sample = LabeledPairSample(edges_a=((1, 1), (-1, -1)), edges_b=((1, -1), (-1, 1)))
-        assert validate_parity(sample)
-
-    def test_double_parallel_invalid(self):
-        sample = LabeledPairSample(edges_a=((1, 1),), edges_b=((1, 1),))
-        assert not validate_parity(sample)
-
-    def test_malformed_rejected(self):
-        with pytest.raises(MalformedSample):
-            validate_parity(LabeledPairSample(edges_a=((1, 1),), edges_b=()))
-        with pytest.raises(MalformedSample):
-            validate_parity(LabeledPairSample(edges_a=((2, 1),), edges_b=((1, 1),)))
-
-    def test_torus_sample(self):
-        sample = make_torus_parity_sample(normalize(2, 3), normalize(1, 1))
-        assert len(sample.edges_a) == 1
-        assert validate_parity(sample)
-
-    def test_disjoint_classes_rejected(self):
-        with pytest.raises(MalformedSample):
-            make_torus_parity_sample(normalize(1, 1), normalize(1, 1))
