@@ -144,13 +144,6 @@ def nu_recipe(kappa: TorusCurve) -> CatchingRecipe:
     )
 
 
-# Copies of the separating product disk appearing in the central-disk
-# intersection pattern; used only for algebraic-intersection sanity checks,
-# never for Euler characteristics (they cancel algebraically).
-SEPARATING_DISK_COPIES_BANDED = {"H": 4, "S": 8}
-SEPARATING_DISK_COPIES_PER_TWIST = {"H": 32, "S": 64}
-
-
 def central_disk_algebraic(alpha: TorusCurve) -> int:
     """|algebraic| intersection of the annulus boundary curves (copies of
     alpha) with the banded central disk: |p - q|, zero exactly for the

@@ -79,8 +79,16 @@ def _check_config(subparser: argparse.ArgumentParser, config: dict[str, str]) ->
             raise ValueError(f"config key {key!r}: invalid choice {value!r} (choose from {choices})")
 
 
-def _resolve(args, config: dict[str, str], key: str, fallback=None):
+def _flag(args, key: str) -> str | None:
+    """The value given to flag `key`, or None when it is absent."""
     value = getattr(args, key, None)
+    if value is not None and not isinstance(value, str):  # "--key=--" parses as []
+        raise ValueError(f"--{key.replace('_', '-')} needs a value")
+    return value
+
+
+def _resolve(args, config: dict[str, str], key: str, fallback=None):
+    value = _flag(args, key)
     if value is None:
         value = config.get(key, fallback)
     return value
@@ -269,7 +277,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        config = load_config(args.config) if args.config else {}
+        path = _flag(args, "config")
+        config = load_config(path) if path is not None else {}
         _check_config(args.subparser, config)
         return args.func(args, config)
     except (OSError, ValueError, argparse.ArgumentTypeError) as exc:

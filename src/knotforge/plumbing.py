@@ -10,9 +10,14 @@ spans two components of its host system, plus one for the join itself.
 
 Every construction records a lineage: a postfix trace (base pairs pushed,
 plumb steps popping two) that can be serialized and replayed.  Lineages
-are immutable shared postfix trees: a plumb step makes one node that
-refers to both input lineages, so `plumb` is O(1), while `trace` and
-`replay` are O(g) for a genus-g construction.
+are immutable shared postfix trees, and `trace` and `replay` are O(g) for
+a genus-g construction.
+
+Per-step invariant: every MarkedPair has genus >= 1 and holds a Lineage
+(its constructor converts a tuple of steps).  So a plumb step converts
+nothing and scans no parts: its lineage is one node (a, b, step) that
+shares both input lineages and has length len(a) + len(b) + 1, and its
+result is filled in field by field.  Each step is O(1).
 """
 
 from __future__ import annotations
@@ -20,6 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .pants import gamma2
+
+_new = object.__new__
 
 
 class PlumbingError(ValueError):
@@ -68,10 +75,11 @@ class Lineage:
     """The steps of a construction in postfix order, as an immutable tree.
 
     `Lineage(*parts)` is the concatenation of its parts, each a step string
-    or another Lineage, which is shared rather than copied.  A Lineage acts
-    as the flat tuple of its steps: len() is O(1), iteration yields the
-    steps in order without recursion, and equality and hashing go by
-    content, also against plain tuples.
+    or another Lineage, which is shared rather than copied; a plumb step
+    makes its node with `_join`.  A Lineage acts as the flat tuple of its
+    steps: len() is O(1), iteration yields the steps in order without
+    recursion, and equality and hashing go by content, also against plain
+    tuples.
     """
 
     __slots__ = ("_parts", "_len", "_hash")
@@ -85,7 +93,8 @@ class Lineage:
                 length += 1
             else:
                 raise TypeError(f"lineage parts are steps or lineages, got {part!r}")
-        self._parts = parts
+        # a step is kept as a plain str, which is what _steps tests for
+        self._parts = tuple(str(p) if isinstance(p, str) else p for p in parts)
         self._len = length
         self._hash = None
 
@@ -93,12 +102,13 @@ class Lineage:
         # walks the tree last step first, then puts the steps in order
         steps: list[str] = []
         stack: list[str | Lineage] = [self]
+        pop, extend, append = stack.pop, stack.extend, steps.append
         while stack:
-            node = stack.pop()
-            if isinstance(node, Lineage):
-                stack.extend(node._parts)
+            node = pop()
+            if type(node) is str:
+                append(node)
             else:
-                steps.append(node)
+                extend(node._parts)
         steps.reverse()
         return steps
 
@@ -128,6 +138,16 @@ class Lineage:
     def __reduce__(self):
         # pickle and copy the flat steps: the tree is as deep as the genus
         return Lineage, tuple(self._steps())
+
+    @staticmethod
+    def _join(a: Lineage, b: Lineage, step: str) -> Lineage:
+        """Lineage(a, b, step) for two lineages and a plain str step, without
+        the per-part scan: the node of one plumb step."""
+        node = _new(Lineage)
+        node._parts = (a, b, step)
+        node._len = a._len + b._len + 1
+        node._hash = None
+        return node
 
 
 @dataclass(frozen=True)
@@ -210,33 +230,42 @@ def plumb(
     The result is 3-disk-busting with essential components; it is
     annulus-busting iff both inputs are.  The nonseparating flag is only
     set when the caller certifies a witness (the built-in recursions do).
+    The checks run in this order: band a, band b, the first pair's flags,
+    the second pair's flags, the component count.  The step is O(1) by the
+    per-step invariant in the module docstring.
     """
-    for band in (band_a, band_b):
-        if not band.nontrivial:
-            raise TrivialBand(f"band on {band.host!r} is trivial")
-    for name, pair in (("first", a), ("second", b)):
-        if not pair.flags.three_disk_busting:
-            raise MissingPrecondition(f"{name} pair is not certified 3-disk-busting")
-        if not pair.flags.essential_components:
-            raise MissingPrecondition(f"{name} pair lacks essential components")
-    components = a.components + b.components - 1
-    if band_a.spans_two_components:
-        components -= 1
-    if band_b.spans_two_components:
-        components -= 1
+    if not band_a.nontrivial:
+        raise TrivialBand(f"band on {band_a.host!r} is trivial")
+    if not band_b.nontrivial:
+        raise TrivialBand(f"band on {band_b.host!r} is trivial")
+    flags_a, flags_b = a.flags, b.flags
+    if not flags_a.three_disk_busting:
+        raise MissingPrecondition("first pair is not certified 3-disk-busting")
+    if not flags_a.essential_components:
+        raise MissingPrecondition("first pair lacks essential components")
+    if not flags_b.three_disk_busting:
+        raise MissingPrecondition("second pair is not certified 3-disk-busting")
+    if not flags_b.essential_components:
+        raise MissingPrecondition("second pair lacks essential components")
+    spans_a = bool(band_a.spans_two_components)
+    spans_b = bool(band_b.spans_two_components)
+    components = a.components + b.components - 1 - spans_a - spans_b
     if components < 1:
         raise PlumbingError("band data merges more components than exist")
+    genus = a.genus + b.genus
+    if genus < 1:
+        raise InvalidGenus("marked pairs need genus >= 1")
     nonsep = bool(nonseparating_witness)
-    annulus = bool(a.flags.annulus_busting and b.flags.annulus_busting)
-    step = _PLUMB_STEPS[
-        bool(band_a.spans_two_components), bool(band_b.spans_two_components), nonsep
-    ]
-    return MarkedPair(
-        genus=a.genus + b.genus,
-        components=components,
-        flags=_PLUMBED_FLAGS[annulus, nonsep],
-        lineage=Lineage(a.lineage, b.lineage, step),
+    annulus = bool(flags_a.annulus_busting and flags_b.annulus_busting)
+    pair = _new(MarkedPair)
+    fields = pair.__dict__  # in field order, as __init__ fills it
+    fields["genus"] = genus
+    fields["components"] = components
+    fields["flags"] = _PLUMBED_FLAGS[annulus, nonsep]
+    fields["lineage"] = Lineage._join(
+        a.lineage, b.lineage, _PLUMB_STEPS[spans_a, spans_b, nonsep]
     )
+    return pair
 
 
 def _self_band(host: str) -> PlumbingBand:
@@ -260,7 +289,7 @@ def eta(g: int) -> MarkedPair:
     doubled, band_a, band_b = eta1_doubled(), _self_band("a"), _joining_band("b")
     pair = eta1()
     for _ in range(g - 1):
-        pair = plumb(pair, doubled, band_a, band_b, nonseparating_witness=True)
+        pair = plumb(pair, doubled, band_a, band_b, True)
     return pair
 
 
@@ -300,6 +329,9 @@ def _plumb_fields(tokens: list[str]) -> dict[str, bool]:
     return fields
 
 
+_UNPARSED = object()  # a line replay has not parsed yet
+
+
 def _parse_step(line: str) -> MarkedPair | tuple[PlumbingBand, PlumbingBand, bool] | None:
     """One trace line: its base pair, the bands and witness of its plumb
     step, or None for a blank line."""
@@ -328,23 +360,22 @@ def replay(trace: str) -> MarkedPair:
     depends only on its text.  Raises PlumbingError on any malformed trace.
     """
     stack: list[MarkedPair] = []
+    push, pop = stack.append, stack.pop
     parsed = {}  # line -> _parse_step(line)
+    lookup = parsed.get
     for line in trace.splitlines():
-        if line in parsed:
-            step = parsed[line]
-        else:
+        step = lookup(line, _UNPARSED)
+        if step is _UNPARSED:
             step = parsed[line] = _parse_step(line)
         if step is None:
             continue
-        if isinstance(step, MarkedPair):
-            stack.append(step)
+        if type(step) is MarkedPair:
+            push(step)
             continue
         if len(stack) < 2:
             raise PlumbingError("plumb step without two pairs on the stack")
-        b = stack.pop()
-        a = stack.pop()
-        band_a, band_b, nonsep = step
-        stack.append(plumb(a, b, band_a, band_b, nonseparating_witness=nonsep))
+        b = pop()
+        push(plumb(pop(), b, *step))
     if len(stack) != 1:
         raise PlumbingError("trace did not reduce to a single pair")
     return stack[0]

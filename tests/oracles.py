@@ -4,16 +4,17 @@ Everything here recomputes library results by a different method: lattice
 crossing enumeration for intersection numbers, explicit threshold scans
 for the inverted hitting bounds and the strong threshold, the canonical
 map key (pruned and plain exhaustive forms) and the map enumerator that
-drops duplicates by it, a Burnside count of chord diagrams and the
-Harer-Zagier recurrence for one-vertex maps, and the row-by-row catalog
-(one certificate built and rendered per (n, i)).  Pure integer arithmetic
-throughout.
+drops duplicates by it, a Burnside count of chord diagrams, the
+Harer-Zagier recurrence for one-vertex maps, the rooted-map census of a
+(V, E) cell, and the row-by-row catalog (one certificate built and
+rendered per (n, i)).  Pure integer arithmetic throughout.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 
 from knotforge import bounds
@@ -26,7 +27,14 @@ from knotforge.catalog import (
     KnotSpec,
     bridge_upper_heuristic,
 )
-from knotforge.maps import CombinatorialMap, MapError, _partitions_into, _standard_sigma
+from knotforge.maps import (
+    CombinatorialMap,
+    MapError,
+    _involutions,
+    _partitions_into,
+    _standard_sigma,
+    trace_faces,
+)
 from knotforge.torus import LAMBDA, MU, NU, TorusCurve, dehn_twist, is_exceptional
 
 
@@ -255,6 +263,45 @@ def harer_zagier(n: int) -> list[dict[int, int]]:
             row[g] = total // (m + 1)
         eps.append(row)
     return eps
+
+
+def centralizer_order(cycle_lengths: tuple[int, ...]) -> int:
+    """z_lambda = prod_k k^m_k m_k!, for m_k cycles of length k: the number
+    of permutations that commute with one of cycle type lambda."""
+    z = 1
+    for k in set(cycle_lengths):
+        m = cycle_lengths.count(k)
+        z *= k**m * math.factorial(m)
+    return z
+
+
+def rooted_map_census(V: int, E: int) -> dict[int, int]:
+    """Rooted maps with V vertices and E edges, by genus, counted from the
+    raw connected candidates (sigma_lambda, alpha) the enumerator builds:
+
+        count(V, E, g) = sum over lambda of 2E N_lambda,g / z_lambda,
+
+    where N_lambda,g counts the connected alpha of genus g with the standard
+    sigma of cycle type lambda.  The (2E)! / z_lambda vertex permutations of
+    type lambda give (2E)! N_lambda,g / z_lambda labelled maps, and a rooted
+    map has (2E - 1)! labellings that keep its root dart at 0.  Each term is
+    the number of rooted maps with vertex degrees lambda, so it is an
+    integer.  Published totals over V: A000168 (g = 0, Tutte 1963), A006300
+    (g = 1) and A006301 (g = 2) (Walsh & Lehman, JCT B 13 (1972))."""
+    census: dict[int, int] = {}
+    for cycle_lengths in _partitions_into(2 * E, V):
+        sigma = _standard_sigma(cycle_lengths)
+        by_genus: dict[int, int] = {}
+        for alpha in _involutions(2 * E):
+            m = CombinatorialMap(sigma, alpha)
+            if m.is_connected():
+                g = (2 - trace_faces(m).euler_characteristic) // 2
+                by_genus[g] = by_genus.get(g, 0) + 1
+        z = centralizer_order(cycle_lengths)
+        for g, n in by_genus.items():
+            assert 2 * E * n % z == 0
+            census[g] = census.get(g, 0) + 2 * E * n // z
+    return dict(sorted(census.items()))
 
 
 def reference_build_certificate(

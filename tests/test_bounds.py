@@ -103,10 +103,6 @@ class TestRecipes:
         # base -3, (3-1)/2 + (5-1)/2 = 3 tube pairs, 2*1 + 4 punctures
         assert bounds.catching_chi(recipe) == -3 - 6 - 6
 
-    def test_band_constants(self):
-        assert bounds.SEPARATING_DISK_COPIES_BANDED == {"H": 4, "S": 8}
-        assert bounds.SEPARATING_DISK_COPIES_PER_TWIST == {"H": 32, "S": 64}
-
 
 class TestHittingBounds:
     def test_disk_examples(self):

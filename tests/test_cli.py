@@ -1,7 +1,11 @@
 import argparse
+import contextlib
 import hashlib
+import io
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knotforge.catalog import generate_family, render_csv, render_txt
 from knotforge.cli import load_config, main, parse_curve, parse_range
@@ -281,3 +285,134 @@ class TestVerifyGraphs:
         captured = capsys.readouterr()
         assert captured.err.startswith("error:")
         assert captured.out == ""
+
+
+# --- fuzzing: random argv and --config files ---------------------------------
+
+# well-formed option values are small, so that every run is cheap; one value
+# in eight is replaced by text that no option accepts
+JUNK = st.sampled_from(["", "x", "1.5", "0x10", " 3", "1,2,3", "-", "--", "=", "é"])
+INTS = st.integers(-40, 40).map(str) | st.sampled_from(["9" * 30, "-" + "9" * 30])
+CURVES = st.tuples(st.integers(-9, 9), st.integers(-9, 9)).map("{0[0]},{0[1]}".format)
+SMALL = st.integers(-10, 10)
+RANGES = (
+    st.tuples(SMALL, SMALL).map("{0[0]}:{0[1]}".format)
+    | st.tuples(SMALL, SMALL, st.integers(-2, 4)).map("{0[0]}:{0[1]}:{0[2]}".format)
+    | st.lists(SMALL, min_size=1, max_size=4).map(lambda xs: ",".join(map(str, xs)))
+)
+BOUNDS_OPS = ["disk", "annulus", "bridge", "n-strong", "parallel-classes", "edges-threshold",
+              "threshold", "mystery"]
+BOUNDS_KEYS = ("i", "chi", "n", "genus", "vertices", "f-k", "f-l", "f-m", "chi-f-hat", "delta-k")
+# subcommand -> (positional strategies, {option: value strategy}, options set
+# in seven runs of eight, options set in every run); verify-graphs always
+# sets --v-max 1 and --e-budget <= 3, so that no run is long
+COMMANDS = {
+    "twist": (
+        [],
+        {"kappa": CURVES, "alpha": CURVES, "n": st.integers(-10**6, 10**6).map(str)},
+        ("kappa", "alpha"),
+        (),
+    ),
+    "bounds": ([st.sampled_from(BOUNDS_OPS)], {key: INTS for key in BOUNDS_KEYS}, (), ()),
+    "plumb": (
+        [],
+        {"construction": st.sampled_from(["eta", "gamma", "delta"]),
+         "genus": st.integers(-2, 64).map(str)},
+        ("genus",),
+        (),
+    ),
+    "family": (
+        [],
+        {"genus": st.integers(-1, 5).map(str), "type": st.sampled_from(["H", "S", "Q"]),
+         "kappa": CURVES, "alpha": CURVES, "n-range": RANGES, "i-range": RANGES,
+         "chi-bridge": INTS, "chi-nu": INTS, "format": st.sampled_from(["csv", "txt", "pdf"])},
+        ("kappa", "alpha"),
+        (),
+    ),
+    "verify-graphs": (
+        [],
+        {"v-max": st.just("1"), "e-budget": st.integers(1, 3).map(str),
+         "chi-min": INTS, "work-budget": st.integers(-5, 10**5).map(str)},
+        (),
+        ("v-max", "e-budget"),
+    ),
+}
+BAD_LINES = st.sampled_from(["no equals sign", "mystery = 1", "= 3", "type = Q"]) | st.text(max_size=12)
+
+
+def _one_in_eight(draw) -> bool:
+    return draw(st.integers(0, 7)) == 0
+
+
+@st.composite
+def invocations(draw, commands):
+    """(argv, config text or None) for one of `commands`: each chosen option
+    goes to argv as a flag, to the config file as a key, or to both, and one
+    file in eight carries a line that is malformed or names no option."""
+    command = draw(st.sampled_from(commands))
+    positionals, options, usual, always = COMMANDS[command]
+    keys = list(always) + [key for key in usual if not _one_in_eight(draw)]
+    keys += [k for k in draw(st.lists(st.sampled_from(sorted(options)), unique=True)) if k not in keys]
+    flags, lines = [], []
+    for key in keys:
+        value = draw(options[key])
+        if key not in always and _one_in_eight(draw):
+            value = draw(JUNK)
+        where = draw(st.sampled_from(["argv", "config", "both"]))
+        if where != "config":
+            flags += [f"--{key}", value] if draw(st.booleans()) else [f"--{key}={value}"]
+        if where != "argv":
+            lines.append(f"{key} = {value}")
+    lines += draw(st.lists(st.sampled_from(["# comment", "", "  # x = y"]), max_size=2))
+    if _one_in_eight(draw):
+        lines.append(draw(BAD_LINES))
+    argv = [command] + [draw(s) for s in positionals] + flags
+    if _one_in_eight(draw):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["--bogus", "-h"])))
+    config = "\n".join(draw(st.permutations(lines))) if lines or draw(st.booleans()) else None
+    return argv, config
+
+
+@pytest.fixture(scope="module")
+def config_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "knotforge.conf"
+
+
+def _run_exits_0_1_or_2(config_path, argv, config):
+    """Run the CLI; it must exit 0, 1 or 2, and on 2 print `error: ...` or
+    an argparse usage line, never a traceback."""
+    if config is not None:
+        config_path.write_text(config, encoding="utf-8")
+        argv = ["--config", str(config_path)] + argv
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: usage errors and -h
+            code = exc.code
+    assert code in (0, 1, 2), (argv, config, err.getvalue())
+    if code == 2:
+        first = err.getvalue().splitlines()[0]
+        assert first.startswith(("error: ", "usage: ")), (argv, config, err.getvalue())
+
+
+class TestFuzz:
+    @settings(max_examples=250, deadline=None)
+    @given(invocations(["bounds", "family", "plumb", "twist"]))
+    def test_every_run_exits_0_1_or_2(self, config_path, invocation):
+        _run_exits_0_1_or_2(config_path, *invocation)
+
+    # every run past the argument checks also enumerates the class-bound
+    # cells, which takes about half a second
+    @settings(max_examples=8, deadline=None)
+    @given(invocations(["verify-graphs"]))
+    def test_verify_graphs_runs_exit_0_1_or_2(self, config_path, invocation):
+        _run_exits_0_1_or_2(config_path, *invocation)
+
+    @pytest.mark.parametrize(
+        "argv", [["plumb", "--genus=--"], ["twist", "--kappa=--"], ["--config=--", "plumb"]]
+    )
+    def test_option_given_only_a_double_dash_exit_code(self, argv, capsys):
+        # argparse parses "--genus=--" as an empty list, not a string
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: --")

@@ -26,6 +26,7 @@ from oracles import (
     harer_zagier,
     reference_canonical_key,
     reference_enumerate_maps,
+    rooted_map_census,
 )
 
 LOOP_ON_SPHERE = CombinatorialMap(sigma=(1, 0), alpha=(1, 0))
@@ -319,6 +320,46 @@ class TestOrderlyGeneration:
         eps = harer_zagier(5)
         assert eps[5] == {0: 42, 1: 420, 2: 483}
         assert [sum(row.values()) for row in eps] == [1, 1, 3, 15, 105, 945]
+
+
+# rooted maps with E edges summed over V, by genus, for E = 1..5: OEIS
+# A000168 (planar), A006300 (genus 1) and A006301 (genus 2)
+ROOTED_MAP_TOTALS = {
+    0: [2, 9, 54, 378, 2916],
+    1: [0, 1, 20, 307, 4280],
+    2: [0, 0, 0, 21, 966],
+}
+CENSUS_CELLS = [(V, E) for V in (1, 2, 3) for E in range(1, 6)]
+
+
+@pytest.fixture(scope="module")
+def census():
+    return {cell: rooted_map_census(*cell) for cell in CENSUS_CELLS}
+
+
+class TestRootedMapCensus:
+    def test_cells(self, census):
+        assert census[1, 5] == harer_zagier(5)[5]
+        assert census[2, 3] == {0: 22, 1: 10}
+        assert census[3, 5] == {0: 1030, 1: 1720}
+        assert census[2, 5] == {0: 386, 1: 1720, 2: 483}
+        assert census[3, 1] == {}
+
+    @pytest.mark.parametrize("V, E", CENSUS_CELLS)
+    def test_vertex_face_duality(self, census, V, E):
+        # count(V, E, g) = count(F, E, g) for F = E + 2 - 2g - V faces
+        for g, count in census[V, E].items():
+            F = E + 2 - 2 * g - V
+            assert F >= 1
+            if F <= 3:
+                assert census[F, E][g] == count
+
+    @pytest.mark.parametrize("E", range(1, 6))
+    def test_totals_over_vertices(self, census, E):
+        # V runs over 1..E+1-2g; for E <= 5, min(V, F) <= 3 is a census cell
+        for g, totals in ROOTED_MAP_TOTALS.items():
+            cells = [(min(V, E + 2 - 2 * g - V), E) for V in range(1, E + 2 - 2 * g)]
+            assert sum(census[cell].get(g, 0) for cell in cells) == totals[E - 1]
 
 
 class TestVerifyParallelP:

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import pickle
 
 import pytest
@@ -102,6 +103,111 @@ class TestPlumb:
     def test_over_merging_rejected(self):
         with pytest.raises(PlumbingError):
             plumb(eta1(), eta1(), band(spans=True), band(spans=True))
+
+
+def _weaken(pair, **flags):
+    return dataclasses.replace(pair, flags=dataclasses.replace(pair.flags, **flags))
+
+
+# the faults plumb detects, in the order it checks them: each takes the
+# arguments (a, b, band_a, band_b) and returns them with the fault added
+PLUMB_FAULTS = [
+    (
+        lambda a, b, x, y: (a, b, dataclasses.replace(x, nontrivial=False), y),
+        TrivialBand,
+        "band on 'a' is trivial",
+    ),
+    (
+        lambda a, b, x, y: (a, b, x, dataclasses.replace(y, nontrivial=False)),
+        TrivialBand,
+        "band on 'b' is trivial",
+    ),
+    (
+        lambda a, b, x, y: (_weaken(a, three_disk_busting=False), b, x, y),
+        MissingPrecondition,
+        "first pair is not certified 3-disk-busting",
+    ),
+    (
+        lambda a, b, x, y: (_weaken(a, essential_components=False), b, x, y),
+        MissingPrecondition,
+        "first pair lacks essential components",
+    ),
+    (
+        lambda a, b, x, y: (a, _weaken(b, three_disk_busting=False), x, y),
+        MissingPrecondition,
+        "second pair is not certified 3-disk-busting",
+    ),
+    (
+        lambda a, b, x, y: (a, _weaken(b, essential_components=False), x, y),
+        MissingPrecondition,
+        "second pair lacks essential components",
+    ),
+    (
+        lambda a, b, x, y: (
+            a,
+            b,
+            dataclasses.replace(x, spans_two_components=True),
+            dataclasses.replace(y, spans_two_components=True),
+        ),
+        PlumbingError,
+        "band data merges more components than exist",
+    ),
+]
+
+
+class TestPlumbErrors:
+    @pytest.mark.parametrize("first", range(len(PLUMB_FAULTS)))
+    def test_first_fault_in_check_order_wins(self, first):
+        # fault `first` and every fault checked after it: plumb must report
+        # `first`, with its exact type and message
+        args = (eta1(), eta1(), PlumbingBand("a", True), PlumbingBand("b", True))
+        for add_fault, _, _ in PLUMB_FAULTS[first:]:
+            args = add_fault(*args)
+        _, error, message = PLUMB_FAULTS[first]
+        with pytest.raises(PlumbingError) as caught:
+            plumb(*args, nonseparating_witness=True)
+        assert type(caught.value) is error
+        assert str(caught.value) == message
+
+    def test_fault_free_arguments_plumb(self):
+        args = (eta1(), eta1(), PlumbingBand("a", True), PlumbingBand("b", True))
+        assert plumb(*args).components == 1
+
+
+def _public(pair):
+    """The pair rebuilt through MarkedPair's public constructor, from a flat
+    tuple of its steps."""
+    return MarkedPair(
+        genus=pair.genus, components=pair.components, flags=pair.flags, lineage=tuple(pair.lineage)
+    )
+
+
+BUILT_PAIRS = {
+    "plumb-doubled": lambda: plumb(eta1(), eta1_doubled(), band(), band(spans=True), True),
+    "plumb-gamma2": lambda: plumb(eta1(), gamma2_pair(), band(), band()),
+    **{f"eta{g}": lambda g=g: eta(g) for g in (1, 2, 5)},
+    **{f"gamma{g}": lambda g=g: gamma(g) for g in (2, 3, 6)},
+    "replay-eta4": lambda: replay(eta(4).trace()),
+    "replay-gamma5": lambda: replay(gamma(5).trace()),
+}
+
+
+class TestBuiltPairsMatchPublicConstructor:
+    @pytest.mark.parametrize("name", sorted(BUILT_PAIRS))
+    def test_indistinguishable(self, name):
+        pair = BUILT_PAIRS[name]()
+        ref = _public(pair)
+        assert type(pair) is MarkedPair and type(pair.lineage) is Lineage
+        assert pair == ref and ref == pair and hash(pair) == hash(ref)
+        assert repr(pair) == repr(ref)
+        assert list(vars(pair).items()) == list(vars(ref).items())
+        assert dataclasses.replace(pair) == ref
+        assert dataclasses.replace(pair, components=2) == dataclasses.replace(ref, components=2)
+        for copied in (pickle.loads(pickle.dumps(pair)), copy.deepcopy(pair), copy.copy(pair)):
+            assert copied == ref and hash(copied) == hash(ref) and repr(copied) == repr(ref)
+        assert pickle.dumps(pair) == pickle.dumps(ref)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            pair.genus = 7
 
 
 class TestEta:
@@ -216,6 +322,14 @@ class TestLineage:
     def test_parts_are_steps_or_lineages(self):
         with pytest.raises(TypeError):
             Lineage("base eta1", 3)
+
+    def test_str_subclass_steps_are_plain_steps(self):
+        class Step(str):
+            pass
+
+        lineage = Lineage(Step("base eta1"), Lineage(Step("base eta1x2")))
+        assert [type(step) for step in lineage] == [str, str]
+        assert lineage == ("base eta1", "base eta1x2")
 
     def test_flat_and_nested_agree(self):
         step = "plumb spans_a=0 spans_b=1 nonsep=1"
