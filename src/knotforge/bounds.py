@@ -144,44 +144,6 @@ def nu_recipe(kappa: TorusCurve) -> CatchingRecipe:
     )
 
 
-def central_disk_algebraic(alpha: TorusCurve) -> int:
-    """|algebraic| intersection of the annulus boundary curves (copies of
-    alpha) with the banded central disk: |p - q|, zero exactly for the
-    (1,1) and (1,-1) classes."""
-    return abs(alpha.p - alpha.q)
-
-
-def genus2_recipe(
-    alpha: TorusCurve,
-    l_plus_geometric: int,
-    l_minus_geometric: int,
-    kappa_crossings: int,
-) -> CatchingRecipe:
-    """i-independent genus-2 catching surface: central disk with four bands
-    (base chi = -3), tubed to make the annulus-boundary intersections
-    coherent.  Geometric counts must be supplied; the recipe refuses to
-    guess them."""
-    a = central_disk_algebraic(alpha)
-    if a == 0:
-        raise BadRecipe(
-            "tubing cannot orient the boundary coherently for this class"
-        )
-    if kappa_crossings < 0:
-        raise BadRecipe("crossing counts are nonnegative")
-    excess = 0
-    for geo in (l_plus_geometric, l_minus_geometric):
-        if geo < a or (geo - a) % 2:
-            raise BadRecipe(
-                f"geometric count {geo} inconsistent with algebraic count {a}"
-            )
-        excess += geo - a
-    return CatchingRecipe(
-        base_chi=-3,
-        tube_pairs=excess // 2,
-        punctures=2 * a + kappa_crossings,
-    )
-
-
 def _check_chi(chi_Q: int) -> int:
     if chi_Q >= 0:
         raise BadChi("a catching surface with chi(Q) < 0 is required")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 
 from . import bounds, catalog, maps, plumbing
@@ -264,6 +265,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--work-budget", dest="work_budget")
     p.set_defaults(func=_cmd_verify_graphs, subparser=p)
 
+    # no option starts with -<digit>, so such a token (--kappa -3,2) is a value
+    for p in sub.choices.values():
+        p._negative_number_matcher = re.compile(r"-\d")
     return parser
 
 

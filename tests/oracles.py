@@ -5,6 +5,7 @@ crossing enumeration for intersection numbers, explicit threshold scans
 for the inverted hitting bounds and the strong threshold, the canonical
 map key (pruned and plain exhaustive forms) and the map enumerator that
 drops duplicates by it, a Burnside count of chord diagrams, the
+parallel-class count of a map by breadth-first search over its bigons, the
 Harer-Zagier recurrence for one-vertex maps, the rooted-map census of a
 (V, E) cell, and the row-by-row catalog (one certificate built and
 rendered per (n, i)).  Pure integer arithmetic throughout.
@@ -243,6 +244,33 @@ def reference_enumerate_maps(V: int, E: int, monogon_free: bool = False):
                 seen.add(key)
                 out.append(m)
     return out
+
+
+def parallel_class_count(m: CombinatorialMap) -> int:
+    """The parallelism classes of the edges of a map, counted as the
+    connected components of the graph on edges that joins the two edges
+    holding the two darts of each bigon face.  An edge is the pair
+    {d, alpha(d)}; a dart d lies on a bigon when phi(d) != d and
+    phi(phi(d)) = d, for phi(d) = sigma(alpha(d)); the components are found
+    by breadth-first search."""
+    sigma, alpha = m.sigma, m.alpha
+    phi = [sigma[alpha[d]] for d in range(len(sigma))]
+    neighbours = {frozenset((d, alpha[d])): set() for d in range(len(sigma))}
+    for d in range(len(sigma)):
+        if phi[d] != d and phi[phi[d]] == d:
+            e, f = frozenset((d, alpha[d])), frozenset((phi[d], alpha[phi[d]]))
+            neighbours[e].add(f)
+            neighbours[f].add(e)
+    components = 0
+    unvisited = set(neighbours)
+    while unvisited:
+        components += 1
+        queue = [unvisited.pop()]
+        for e in queue:
+            for f in neighbours[e] & unvisited:
+                unvisited.remove(f)
+                queue.append(f)
+    return components
 
 
 def harer_zagier(n: int) -> list[dict[int, int]]:

@@ -88,21 +88,6 @@ class TestRecipes:
         with pytest.raises(bounds.BadRecipe):
             bounds.CatchingRecipe(1, -1, 0)
 
-    def test_genus2_recipe_needs_coherent_orientation(self):
-        with pytest.raises(bounds.BadRecipe):
-            bounds.genus2_recipe(normalize(1, 1), 2, 2, 0)
-
-    def test_genus2_recipe_parity_check(self):
-        alpha = normalize(2, 1)  # algebraic count 1
-        with pytest.raises(bounds.BadRecipe):
-            bounds.genus2_recipe(alpha, 2, 1, 0)  # geometric 2 vs algebraic 1: bad parity
-
-    def test_genus2_recipe_chi(self):
-        alpha = normalize(2, 1)
-        recipe = bounds.genus2_recipe(alpha, 3, 5, 4)
-        # base -3, (3-1)/2 + (5-1)/2 = 3 tube pairs, 2*1 + 4 punctures
-        assert bounds.catching_chi(recipe) == -3 - 6 - 6
-
 
 class TestHittingBounds:
     def test_disk_examples(self):

@@ -74,6 +74,36 @@ class TestTwist:
         assert "Traceback" not in err
 
 
+class TestNegativeValues:
+    # a value whose first coordinate is negative, given as its own argument,
+    # parses as the same value given with "="
+    FAMILY = ["family", "--kappa", "2,1", "--alpha", "1,1", "--format", "csv"]
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["twist", "--kappa", "-3,2", "--alpha", "1,1"], "--kappa"),
+            (["twist", "--kappa", "2,1", "--alpha", "-1,2"], "--alpha"),
+            ([*FAMILY, "--n-range", "-2:2", "--i-range", "0:0"], "--n-range"),
+            ([*FAMILY, "--n-range", "1:1", "--i-range", "-10,10"], "--i-range"),
+        ],
+    )
+    def test_separate_value_parses_like_equals_form(self, argv, flag, capsys):
+        at = argv.index(flag)
+        joined = argv[:at] + [f"{flag}={argv[at + 1]}"] + argv[at + 2 :]
+        assert main(joined) == 0
+        expected = capsys.readouterr().out
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out == expected
+        assert captured.err == ""
+
+    def test_other_dash_tokens_stay_options(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["twist", "--kappa", "-x", "--alpha", "1,1"])
+        assert "expected one argument" in capsys.readouterr().err
+
+
 class TestConfigValidation:
     FAMILY = ["family", "--kappa", "2,1", "--alpha", "1,1"]
 
