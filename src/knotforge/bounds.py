@@ -47,13 +47,11 @@ class CatchingStats:
     f_M: int
     chi_F_hat: int
     Delta_K: int
-    Delta_L: int = 0
-    Delta_M: int = 0
 
     def __post_init__(self):
         if self.f_L < 1:
             raise ValueError("f_L >= 1 is a standing assumption")
-        if min(self.f_K, self.f_M, self.Delta_K, self.Delta_L, self.Delta_M) < 0:
+        if min(self.f_K, self.f_M, self.Delta_K) < 0:
             raise ValueError("boundary counts and distances are nonnegative")
 
     @property

@@ -16,6 +16,12 @@ strong flag and the hitting bounds), or by n and the strong flag (the
 bridge bound and the exterior flags).  Rows are the outer product of the
 columns, and the renderers format each fragment of a row once per column
 entry, not once per row.
+
+Guard lemma: the only Certificate guard that can fail on a catalog row is
+the bridge bound against the heuristic upper bound.  tau comes from
+`normalize`, so its Seifert data are coprime, and the hyperbolicity-
+precondition flags and unique_surgery are all `strong and not exceptional`
+(they hold exactly for strong twisting of a non-exceptional tau).
 """
 
 from __future__ import annotations
@@ -99,35 +105,19 @@ class Certificate:
     unique_surgery: bool
 
     def __post_init__(self):
-        _check_certificate(
-            self.seifert,
-            self.exceptional,
-            self.strong,
-            self.exterior_flags.all_true(),
-            self.unique_surgery,
-            self.bridge_lower,
-            self.bridge_upper_heuristic,
-        )
+        if self.seifert is not None:
+            p, q = self.seifert
+            if gcd(abs(p), abs(q)) != 1:
+                raise CertificateError(f"seifert data {self.seifert} not coprime")
+        flags_all = self.exterior_flags.all_true()
+        if flags_all and not (self.strong and not self.exceptional):
+            raise CertificateError("exterior flags require strong and non-exceptional")
+        if self.unique_surgery != flags_all:
+            raise CertificateError("unique surgery must track the exterior flags")
+        _check_bridge(self.bridge_lower, self.bridge_upper_heuristic)
 
 
-def _check_certificate(
-    seifert: tuple[int, int] | None,
-    exceptional: bool,
-    strong: bool,
-    flags_all: bool,
-    unique_surgery: bool,
-    bridge_lower: Fraction | None,
-    bridge_upper_heuristic: int,
-) -> None:
-    """The Certificate guards; none reads a hitting bound or i itself."""
-    if seifert is not None:
-        p, q = seifert
-        if gcd(abs(p), abs(q)) != 1:
-            raise CertificateError(f"seifert data {seifert} not coprime")
-    if flags_all and not (strong and not exceptional):
-        raise CertificateError("exterior flags require strong and non-exceptional")
-    if unique_surgery != flags_all:
-        raise CertificateError("unique surgery must track the exterior flags")
+def _check_bridge(bridge_lower: Fraction | None, bridge_upper_heuristic: int) -> None:
     if bridge_lower is not None and bridge_lower > bridge_upper_heuristic:
         raise CertificateError(
             f"bridge lower bound {bridge_lower} exceeds the"
@@ -148,10 +138,6 @@ def bridge_upper_heuristic(tau: TorusCurve) -> int:
     collar of the splitting surface.  A presentation heuristic, not a
     certified bound; rendered with a heuristic marker."""
     return abs(tau.p) + abs(tau.q)
-
-
-
-
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +178,7 @@ class _Twisted(NamedTuple):
 
     def flags_all(self, strong: bool) -> bool:
         """Each exterior flag, and unique_surgery, of a row with this strong
-        flag: the flags hold exactly for strong twisting of a
-        non-exceptional curve."""
+        flag (see the guard lemma)."""
         return strong and not self.exceptional
 
 
@@ -213,8 +198,9 @@ def _cell(
     fields: _Twisted, g: int, alpha: TorusCurve, n: int, strong: bool, chi_Q_bridge: int | None
 ) -> tuple[Fraction | None, str]:
     """(bridge_lower, bridge_lower_reason) of n's rows whose i has this
-    strong flag, after the Certificate guards on those rows.  Raises the
-    bridge bound's or a guard's error."""
+    strong flag, after the bridge guard, the one Certificate guard that can
+    fail on those rows (the guard lemma in the module docstring).  Raises
+    the bridge bound's or the guard's error."""
     bridge_lower = None
     reason = ""
     if not strong:
@@ -225,16 +211,7 @@ def _cell(
         reason = "not i-uniform; supply a catching chi"
     else:
         bridge_lower = bounds.bridge_lower_bound(n, chi_Q_bridge, g)
-    flags_all = fields.flags_all(strong)
-    _check_certificate(
-        fields.seifert,
-        fields.exceptional,
-        strong,
-        flags_all,
-        flags_all,
-        bridge_lower,
-        fields.bridge_upper_heuristic,
-    )
+    _check_bridge(bridge_lower, fields.bridge_upper_heuristic)
     return bridge_lower, reason
 
 
@@ -273,7 +250,7 @@ def _i_entry(i: int, threshold: int, chi_Q_hit: int) -> _IEntry:
 
 def _row_cell(n_entry: _NEntry, i_entry: _IEntry) -> tuple[Fraction | None, str] | str:
     """The row's cell, or its error message: the first error in the order
-    KnotSpec, twist, n_strong, hitting bounds, bridge bound, guards."""
+    KnotSpec, twist, n_strong, hitting bounds, bridge bound, bridge guard."""
     if n_entry.error is not None:
         return n_entry.error
     if i_entry.error is not None:
@@ -423,8 +400,8 @@ def generate_family(
     rows carry their error message and are never dropped.
 
     The request (KnotSpec checks, chi defaults, n_strong) is checked once,
-    each n and each i once, and the Certificate guards run once per
-    (n, strong) pair that has rows.
+    each n and each i once, and the bridge guard once per (n, strong) pair
+    that has rows.
     """
     n_values = sorted(set(n_range))
     i_values = sorted(set(i_range))

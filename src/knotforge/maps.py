@@ -541,38 +541,26 @@ def verify_parallel_class_bound(*, cell_store: dict | None = None) -> Triangulat
     triangulations with ideal chi in {-1, -2}.
 
     Vertices model punctures, so the ideal Euler characteristic is
-    chi = F - E = chi(map) - V.  Every edge of an all-triangle map borders
-    two triangle sides, so 2E = 3F, and then E = -3 (F - E) = -3 chi
-    identically; such maps have no bigons, so every edge is its own
-    parallelism class and the bound holds with equality.  Hence only the
-    cells with E in {3, 6} can hold such triangulations.  `cell_store` shares enumerated cells with
-    the other verifier of the same run (see verify_graphs).
+    chi = F - E = chi(map) - V.  An all-triangle map has 2E = 3F, so
+    chi = -E/3 identically, and no bigons, so every edge is its own
+    parallelism class and the bound holds with equality.  Cell lemma: chi
+    in {-1, -2} means E in {3, 6}, and the map Euler characteristic V - E/3
+    is even only in the cells (1, 3), (3, 3) and (2, 6) of V <= V_MAX.
+    `cell_store` shares enumerated cells with the other verifier of the
+    same run (see verify_graphs).
     """
     if cell_store is None:
         cell_store = {}
     results = []
-    for E in (3, 6):
-        for V in range(1, V_MAX + 1):
-            # all-triangle maps have F = 2E/3 and even Euler characteristic
-            if (V - E + 2 * E // 3) % 2:
-                continue
-            counts = []
-            ideal_chi = None
-            for _, report in _monogon_free_cell(V, E, cell_store):
-                if any(d != 3 for d in report.degrees):
-                    continue
-                chi = report.euler_characteristic - V
-                if chi not in (-1, -2):
-                    continue
-                ideal_chi = chi
-                counts.append(report.num_parallel_classes)
-            if counts:
-                bound = parallelism_class_bound(ideal_chi)
-                results.append(
-                    TriangulationResult(
-                        V, E, ideal_chi, len(counts), tuple(counts), bound
-                    )
-                )
+    for V, E in ((1, 3), (3, 3), (2, 6)):
+        counts = tuple(
+            report.num_parallel_classes
+            for _, report in _monogon_free_cell(V, E, cell_store)
+            if all(d == 3 for d in report.degrees)
+        )
+        ideal_chi = -E // 3
+        bound = parallelism_class_bound(ideal_chi)
+        results.append(TriangulationResult(V, E, ideal_chi, len(counts), counts, bound))
     return TriangulationReport(tuple(results), annulus_bound=parallelism_class_bound(0))
 
 

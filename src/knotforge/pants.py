@@ -19,13 +19,15 @@ Seam data serialization (version 1) is a plain line-oriented text format::
     parallels <pants-id> <p_x> <p_y> <p_z>
     closed <cuff-id> <count>
 
-Lines may appear in any order after the header; unknown keys are rejected.
+Lines may appear in any order after the header.  Unknown keys, a second
+genus or compatible line, a second line of another key for one id, and a
+count line for an undeclared id are rejected.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 class PantsError(ValueError):
@@ -101,7 +103,7 @@ def empty_curve(pd: PantsDecomposition) -> SeamedCurve:
 @dataclass(frozen=True)
 class BustingCertificate:
     level: int
-    method: str  # one of: seamed, promoted, plumbed, hitting-bound
+    method: str  # "seamed", the one method made here
     annulus_busting: bool
     notes: str = ""
 
@@ -152,13 +154,6 @@ def seamed_level(curve: SeamedCurve, pd: PantsDecomposition) -> int:
     if any(sum(t) for t in curve.parallels) or any(curve.closed):
         return 0
     return min(min(t) for t in curve.seams)
-
-
-def promote(cert: BustingCertificate, genus: int) -> BustingCertificate:
-    """A 1-disk-busting curve on a genus >= 2 boundary is 2-disk-busting."""
-    if cert.level == 1 and genus >= 2:
-        return replace(cert, level=2, method="promoted")
-    return cert
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +227,9 @@ def load_seam_data(text: str) -> tuple[SeamedCurve, PantsDecomposition]:
     """Parse the version-1 seam data format; validates on load.
 
     Every malformed line (unknown key, wrong field count, a non-integer
-    count, a `compatible` value other than true or false) raises
-    PantsError.
+    count, a `compatible` value other than true or false, a repeated line
+    as the module docstring defines it, a count for an undeclared id)
+    raises PantsError.
     """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].strip() != "seamcurve v1":
@@ -241,11 +237,11 @@ def load_seam_data(text: str) -> tuple[SeamedCurve, PantsDecomposition]:
     genus = None
     compatible = None
     cuffs: list[str] = []
-    pants_ids: list[str] = []
-    pants_sides: dict[str, tuple[str, str, str]] = {}
+    pants_sides: dict[str, tuple[str, str, str]] = {}  # in line order
     seams: dict[str, tuple[int, int, int]] = {}
     parallels: dict[str, tuple[int, int, int]] = {}
     closed: dict[str, int] = {}
+    seen: set[str] = set()
     for ln in lines[1:]:
         key, *fields = ln.split()
         if key not in _SEAM_FIELDS:
@@ -254,6 +250,10 @@ def load_seam_data(text: str) -> tuple[SeamedCurve, PantsDecomposition]:
             raise PantsError(
                 f"{key!r} line needs {_SEAM_FIELDS[key]} fields, got {ln.strip()!r}"
             )
+        what = key if key in ("genus", "compatible") else f"{key} {fields[0]}"
+        if what in seen:
+            raise PantsError(f"seam data repeats {what!r}: {ln.strip()!r}")
+        seen.add(what)
         if key == "genus":
             genus = _seam_int(fields[0], ln)
         elif key == "compatible":
@@ -263,7 +263,6 @@ def load_seam_data(text: str) -> tuple[SeamedCurve, PantsDecomposition]:
         elif key == "cuff":
             cuffs.append(fields[0])
         elif key == "pants":
-            pants_ids.append(fields[0])
             pants_sides[fields[0]] = tuple(fields[1:])
         elif key == "seams":
             seams[fields[0]] = tuple(_seam_int(t, ln) for t in fields[1:])
@@ -273,16 +272,20 @@ def load_seam_data(text: str) -> tuple[SeamedCurve, PantsDecomposition]:
             closed[fields[0]] = _seam_int(fields[1], ln)
     if genus is None or compatible is None:
         raise PantsError("seam data missing genus or compatible line")
+    undeclared = sorted((seams.keys() | parallels.keys()) - pants_sides.keys())
+    undeclared += sorted(closed.keys() - set(cuffs))
+    if undeclared:
+        raise PantsError(f"seam data counts undeclared ids {undeclared}")
     pd = PantsDecomposition(
         genus=genus,
         cuffs=tuple(cuffs),
-        pants=tuple(pants_sides[p] for p in pants_ids),
+        pants=tuple(pants_sides.values()),
         compatible=compatible,
     )
     try:
         curve = SeamedCurve(
-            seams=tuple(seams[p] for p in pants_ids),
-            parallels=tuple(parallels[p] for p in pants_ids),
+            seams=tuple(seams[p] for p in pants_sides),
+            parallels=tuple(parallels[p] for p in pants_sides),
             closed=tuple(closed[c] for c in cuffs),
         )
     except KeyError as exc:

@@ -14,10 +14,11 @@ are immutable shared postfix trees, and `trace` and `replay` are O(g) for
 a genus-g construction.
 
 Per-step invariant: every MarkedPair has genus >= 1 and holds a Lineage
-(its constructor converts a tuple of steps).  So a plumb step converts
-nothing and scans no parts: its lineage is one node (a, b, step) that
-shares both input lineages and has length len(a) + len(b) + 1, and its
-result is filled in field by field.  Each step is O(1).
+(its constructor converts a tuple of steps).  So a plumb step checks no
+genus, since its genus is the sum of two genera >= 1, converts nothing and
+scans no parts: its lineage is one node (a, b, step) that shares both input
+lineages and has length len(a) + len(b) + 1, and its result is filled in
+field by field.  Each step is O(1).
 """
 
 from __future__ import annotations
@@ -191,10 +192,9 @@ def eta1_doubled() -> MarkedPair:
 
 
 def gamma2_pair() -> MarkedPair:
-    """The genus-2 pair built from the 3-seamed curve certificate."""
-    _, _, cert = gamma2()
-    if cert.level < 3 or not cert.annulus_busting:
-        raise MissingPrecondition("gamma_2 certificate lost its flags")
+    """The genus-2 pair built from the 3-seamed curve certificate, which
+    gamma2() checks on first use and always certifies annulus-busting."""
+    gamma2()
     return _base("gamma2", 2, 1)
 
 
@@ -252,14 +252,11 @@ def plumb(
     components = a.components + b.components - 1 - spans_a - spans_b
     if components < 1:
         raise PlumbingError("band data merges more components than exist")
-    genus = a.genus + b.genus
-    if genus < 1:
-        raise InvalidGenus("marked pairs need genus >= 1")
     nonsep = bool(nonseparating_witness)
     annulus = bool(flags_a.annulus_busting and flags_b.annulus_busting)
     pair = _new(MarkedPair)
     fields = pair.__dict__  # in field order, as __init__ fills it
-    fields["genus"] = genus
+    fields["genus"] = a.genus + b.genus
     fields["components"] = components
     fields["flags"] = _PLUMBED_FLAGS[annulus, nonsep]
     fields["lineage"] = Lineage._join(

@@ -88,16 +88,3 @@ def dehn_twist(kappa: TorusCurve, alpha: TorusCurve, n: int) -> TorusCurve:
 def is_exceptional(tau: TorusCurve) -> bool:
     """True iff tau is one of the six classes in EXCEPTIONAL_SET."""
     return tau in EXCEPTIONAL_SET
-
-
-def product_disk_intersections(tau: TorusCurve) -> tuple[int, int, int]:
-    """Intersection counts of K(tau) with the product disks D_mu, D_lambda, D_nu.
-
-    Equals (distance to mu, distance to lambda, distance to nu); geometric and
-    |algebraic| counts agree for these disks.
-    """
-    return (
-        intersection(tau, MU),
-        intersection(tau, LAMBDA),
-        intersection(tau, NU),
-    )

@@ -277,6 +277,18 @@ class TestFamily:
         assert code == 0
         assert capsys.readouterr().out == render_csv(demo)
 
+    def test_desk_demo_catalog_bytes_pinned(self, capsys):
+        # the README's desk-demo command; CI runs it through the console script
+        argv = (
+            "family --genus 2 --type H --kappa 2,1 --alpha 1,1"
+            " --n-range 4752,5000,10000 --i-range 2592,5184,10368"
+            " --chi-bridge -6 --chi-nu -6 --format csv"
+        )
+        assert main(argv.split()) == 0
+        out = capsys.readouterr().out
+        digest = "23b78c6453961b4a01c87e9b081010648598ec1d1618d906622f6a13013ca686"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestVerifyGraphs:
     def test_small_run(self, capsys):

@@ -455,3 +455,18 @@ class TestVerifyClassBound:
             triangulations += 1
             assert E == -3 * (report.euler_characteristic - V)
         assert triangulations > 0
+
+    def test_cell_lemma(self):
+        # ideal chi in {-1, -2} means E in {3, 6}; an all-triangle map has
+        # F = 2E/3, so its Euler characteristic V - E/3 must be even
+        even = {(V, E) for V in range(1, maps.V_MAX + 1) for E in (3, 6) if (V - E // 3) % 2 == 0}
+        assert even == {(1, 3), (3, 3), (2, 6)}
+        report = verify_parallel_class_bound()
+        assert [(r.V, r.E) for r in report.results] == [(1, 3), (3, 3), (2, 6)]
+        assert all(r.triangulations > 0 for r in report.results)
+
+    @pytest.mark.parametrize("V, E, representatives", [(2, 3, 4), (1, 6, 196), (3, 6, 762)])
+    def test_odd_cells_hold_no_triangulation(self, V, E, representatives):
+        reports = [trace_faces(m) for m in enumerate_maps(V, E, monogon_free=True)]
+        assert len(reports) == representatives
+        assert not any(all(d == 3 for d in r.degrees) for r in reports)

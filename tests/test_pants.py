@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from knotforge import pants
 from knotforge.pants import (
     GAMMA2_DATA,
-    BustingCertificate,
     IncompatibleDecomposition,
     PantsDecomposition,
     PantsError,
@@ -17,7 +16,6 @@ from knotforge.pants import (
     empty_curve,
     gamma2,
     load_seam_data,
-    promote,
     seamed_level,
     validate,
 )
@@ -134,21 +132,6 @@ class TestSeamedLevel:
         assert all(sum(t) >= 3 * k for t in curve.seams)
 
 
-class TestPromote:
-    def test_promotes_level_one(self):
-        cert = BustingCertificate(level=1, method="seamed", annulus_busting=False)
-        out = promote(cert, 2)
-        assert out.level == 2 and out.method == "promoted"
-
-    def test_genus_one_unchanged(self):
-        cert = BustingCertificate(level=1, method="seamed", annulus_busting=False)
-        assert promote(cert, 1) == cert
-
-    def test_higher_levels_unchanged(self):
-        cert = BustingCertificate(level=3, method="seamed", annulus_busting=True)
-        assert promote(cert, 4) == cert
-
-
 class TestSerialization:
     def test_round_trip(self):
         curve, pd = load_seam_data(GAMMA2_DATA)
@@ -203,6 +186,38 @@ class TestSerialization:
         bad = GAMMA2_DATA.replace("seams p1 4 4 3", "seams p1 4 4 5")
         with pytest.raises(PantsError):
             load_seam_data(bad)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            *(
+                GAMMA2_DATA + line + "\n"
+                for line in (
+                    "genus 2",
+                    "compatible true",
+                    "seams p0 4 4 3",
+                    "parallels p1 0 0 0",
+                    "closed c0 0",
+                    "seams p9 1 1 1",
+                    "parallels p9 0 0 0",
+                    "closed c9 5",
+                )
+            ),
+            # two `pants p0` lines make a valid two-pants decomposition
+            GAMMA2_DATA.replace("p1", "p0"),
+        ],
+    )
+    def test_repeated_or_undeclared_line_rejected(self, text):
+        # each text would load if repeats and undeclared ids went unchecked
+        with pytest.raises(PantsError, match="repeats|undeclared"):
+            load_seam_data(text)
+
+    def test_counts_may_precede_their_declarations(self):
+        lines = GAMMA2_DATA.splitlines()
+        counts = [ln for ln in lines[1:] if ln.split()[0] in ("seams", "parallels", "closed")]
+        declarations = [ln for ln in lines[1:] if ln not in counts]
+        text = "\n".join([lines[0], *counts, *declarations])
+        assert load_seam_data(text) == load_seam_data(GAMMA2_DATA)
 
 
 class TestGamma2:

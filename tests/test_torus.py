@@ -14,7 +14,6 @@ from knotforge.torus import (
     intersection,
     is_exceptional,
     normalize,
-    product_disk_intersections,
 )
 from oracles import lattice_crossing_count
 
@@ -141,12 +140,3 @@ class TestExceptional:
     def test_set_contents(self):
         expected = {(0, 1), (1, 0), (1, 1), (1, -1), (1, 2), (2, 1)}
         assert {(c.p, c.q) for c in EXCEPTIONAL_SET} == expected
-
-
-class TestProductDisks:
-    @pytest.mark.parametrize(
-        "tau,expected",
-        [((1, 1), (1, 1, 0)), ((1, 0), (0, 1, 1)), ((3, 2), (2, 3, 1))],
-    )
-    def test_examples(self, tau, expected):
-        assert product_disk_intersections(normalize(*tau)) == expected
