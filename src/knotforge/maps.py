@@ -13,12 +13,14 @@ the rotation) and a fixed-point-free edge involution alpha pairing darts.
 The face permutation is phi(d) = sigma(alpha(d)); chi = V - E + F.  Only
 orientable maps arise from this encoding.  A monogon is a degree-1 face,
 that is a fixed point of phi, so enumeration rejects monogons with an O(E)
-scan and traces faces only on the representatives it yields.
+scan of alpha against sigma^-1 and traces faces only on the
+representatives it yields.
 
 Enumeration is orderly: it keeps no set of seen maps and computes no
 canonical form, but yields a candidate only when its pairing is least
-among its conjugates under the symmetries of sigma (the lemma is stated
-once, in enumerate_maps).
+among its conjugates under the symmetries of sigma.  It validates sigma
+once per cycle type and builds each candidate without re-validating it.
+Both lemmas are stated once, in enumerate_maps.
 
 The parallel-edge claim holds in every cell by a degree-count lemma,
 stated once in verify_parallelP.  Exhaustive enumeration is feasible for
@@ -42,6 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations, product
+from operator import eq
 
 from .bounds import parallel_edges_threshold, parallelism_class_bound
 
@@ -105,12 +108,6 @@ class CombinatorialMap:
     @property
     def num_vertices(self) -> int:
         return len(_cycles(self.sigma))
-
-    def has_monogon(self) -> bool:
-        """Whether some face has degree 1, i.e. phi = sigma alpha has a
-        fixed point; O(E), without tracing faces."""
-        sigma, alpha = self.sigma, self.alpha
-        return any(sigma[alpha[d]] == d for d in range(len(sigma)))
 
     def is_connected(self) -> bool:
         """Connectivity of the dart graph."""
@@ -333,26 +330,38 @@ def enumerate_maps(V: int, E: int, monogon_free: bool = False):
     with tau sigma_lambda tau^-1 = sigma_lambda^(+-1); distinct cycle types
     are never isomorphic.  Connectivity and monogons are class invariants,
     so the candidate kept for each class is the one whose alpha is least
-    in its H_lambda-orbit (orderly generation).  Each candidate is built,
-    tested for connectivity and, with monogon_free, for monogons (an O(E)
-    fixed-point test), and only then for orbit-leastness; memory per cell
-    is O(E) plus H_lambda.
+    in its H_lambda-orbit (orderly generation).
+
+    Candidates are built without validation.  Lemma: sigma_lambda is
+    checked once per cycle type, by the public constructor, and
+    _involutions yields only fixed-point-free involutions of the same
+    darts, so every candidate is a valid map.  A monogon is a fixed point
+    of phi = sigma alpha, and sigma(alpha(d)) = d exactly when
+    alpha(d) = sigma^-1(d), so with monogon_free a candidate is dropped
+    when alpha and sigma_lambda^-1, computed once per cycle type, agree at
+    some dart.  Each candidate is tested for connectivity, then for
+    monogons, and only then for orbit-leastness; memory per cell is O(E)
+    plus H_lambda.
     """
     if V < 1 or E < 1:
         raise MapError("V >= 1 and E >= 1 required")
     if V > V_MAX or E > E_MAX:
         raise LimitExceeded(f"cell V={V}, E={E} exceeds limits {V_MAX}, {E_MAX}")
+    new, setattr_ = object.__new__, object.__setattr__
     for cycle_lengths in _partitions_into(2 * E, V):
-        sigma = _standard_sigma(cycle_lengths)
+        sigma = CombinatorialMap(_standard_sigma(cycle_lengths), standard_involution(E)).sigma
+        sigma_inv = tuple(sorted(range(2 * E), key=sigma.__getitem__))
         conjugators = [
             (tau, tuple(sorted(range(2 * E), key=tau.__getitem__)))
             for tau in _sigma_symmetries(cycle_lengths)[1:]
         ]
         for alpha in _involutions(2 * E):
-            m = CombinatorialMap(sigma, alpha)
+            m = new(CombinatorialMap)
+            setattr_(m, "sigma", sigma)
+            setattr_(m, "alpha", alpha)
             if not m.is_connected():
                 continue
-            if monogon_free and m.has_monogon():
+            if monogon_free and any(map(eq, alpha, sigma_inv)):
                 continue
             if _least_in_orbit(alpha, conjugators):
                 yield m
@@ -452,6 +461,8 @@ def verify_parallelP(
 
     A range with no cell or no surface raises MapError: V_max or E_budget
     below 1, or chi_min above 2, the Euler characteristic of the sphere.
+    So does a negative work_budget; a budget of 0 enumerates no cell and
+    leaves every cell to the lemma.
     """
     if V_max > V_MAX or E_budget > E_MAX:
         raise LimitExceeded(f"requested range exceeds limits {V_MAX}, {E_MAX}")
@@ -461,6 +472,8 @@ def verify_parallelP(
         raise MapError(
             f"empty range: chi_min = {chi_min}, but no closed orientable surface has chi > 2"
         )
+    if work_budget < 0:
+        raise MapError(f"work_budget = {work_budget} must be >= 0")
     if cell_store is None:
         cell_store = {}
     cells = []
@@ -577,7 +590,8 @@ def verify_graphs(
     so a cell both of them read is enumerated and face-traced once.  The
     arc-class report does not depend on V_max, E_budget, chi_min or
     work_budget: it always enumerates the cells (1, 3), (3, 3) and (2, 6),
-    so even verify_graphs(1, 1) takes about half a second.
+    so even verify_graphs(1, 1) takes about a quarter of a second (0.22 to
+    0.30 s on Python 3.11 with 2 vCPUs).
     """
     store: dict = {}
     report = verify_parallelP(V_max, E_budget, chi_min, work_budget, cell_store=store)

@@ -3,12 +3,13 @@
 Everything here recomputes library results by a different method: lattice
 crossing enumeration for intersection numbers, explicit threshold scans
 for the inverted hitting bounds and the strong threshold, the canonical
-map key (pruned and plain exhaustive forms) and the map enumerator that
-drops duplicates by it, a Burnside count of chord diagrams, the
-parallel-class count of a map by breadth-first search over its bigons, the
-Harer-Zagier recurrence for one-vertex maps, the rooted-map census of a
-(V, E) cell, and the row-by-row catalog (one certificate built and
-rendered per (n, i)).  Pure integer arithmetic throughout.
+map key (pruned and plain exhaustive forms), the monogon test phi(d) = d,
+the map enumerator that drops duplicates by the key, a Burnside count of
+chord diagrams, the parallel-class count of a map by breadth-first search
+over its bigons, the Harer-Zagier recurrence for one-vertex maps, the
+rooted-map census of a (V, E) cell, and the row-by-row catalog (one
+certificate built and rendered per (n, i)).  Pure integer arithmetic
+throughout.
 """
 
 from __future__ import annotations
@@ -227,6 +228,13 @@ def chord_diagrams_up_to_dihedral(E: int) -> int:
     return fixed // len(group)
 
 
+def has_monogon(m: CombinatorialMap) -> bool:
+    """Whether some face of a map has degree 1, i.e. phi = sigma alpha has
+    a fixed point; O(E), without tracing faces."""
+    sigma, alpha = m.sigma, m.alpha
+    return any(sigma[alpha[d]] == d for d in range(len(sigma)))
+
+
 def reference_enumerate_maps(V: int, E: int, monogon_free: bool = False):
     """The connected maps of the (V, E) cell, one per isomorphism class,
     found by keeping the first candidate with each canonical key: cycle
@@ -237,7 +245,7 @@ def reference_enumerate_maps(V: int, E: int, monogon_free: bool = False):
         sigma = _standard_sigma(cycle_lengths)
         for partner in _matchings(list(range(2 * E)), [0] * (2 * E)):
             m = CombinatorialMap(sigma, tuple(partner))
-            if not m.is_connected() or (monogon_free and m.has_monogon()):
+            if not m.is_connected() or (monogon_free and has_monogon(m)):
                 continue
             key = canonical_key(m)
             if key not in seen:

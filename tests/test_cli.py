@@ -328,6 +328,19 @@ class TestVerifyGraphs:
         assert captured.err.startswith("error:")
         assert captured.out == ""
 
+    def test_negative_work_budget_exit_code(self, capsys):
+        argv = ["verify-graphs", "--v-max", "1", "--e-budget", "2", "--work-budget", "-5"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: work_budget")
+        assert captured.out == ""
+
+    def test_zero_work_budget_is_valid(self, capsys):
+        argv = ["verify-graphs", "--v-max", "1", "--e-budget", "2", "--work-budget", "0"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "[degree-count]" in out and "[enumerated]" not in out
+
 
 # --- fuzzing: random argv and --config files ---------------------------------
 

@@ -24,6 +24,7 @@ from oracles import (
     canonical_key,
     chord_diagrams_up_to_dihedral,
     harer_zagier,
+    has_monogon,
     parallel_class_count,
     reference_canonical_key,
     reference_enumerate_maps,
@@ -181,6 +182,16 @@ class TestEnumeration:
     def test_all_connected(self):
         assert all(m.is_connected() for m in enumerate_maps(2, 3))
 
+    @pytest.mark.parametrize("monogon_free", [False, True])
+    @pytest.mark.parametrize(
+        "V, E", [(V, E) for V in (1, 2, 3) for E in range(1, 6)] + [(2, 6)]
+    )
+    def test_yielded_maps_pass_the_validating_constructor(self, V, E, monogon_free):
+        # candidates are built unchecked; rebuilding one through the public
+        # constructor validates it and must give an equal map
+        for m in enumerate_maps(V, E, monogon_free):
+            assert m == CombinatorialMap(m.sigma, m.alpha)
+
     def test_limits_enforced(self):
         with pytest.raises(LimitExceeded):
             list(enumerate_maps(4, 1))
@@ -226,7 +237,7 @@ class TestEnumeration:
     @given(st.integers(0, 10**6), st.integers(1, 7))
     def test_fixed_point_monogon_test_matches_face_tracing(self, seed, E):
         m = random_map(random.Random(seed), E)
-        assert m.has_monogon() == (trace_faces(m).degrees.count(1) > 0)
+        assert has_monogon(m) == (trace_faces(m).degrees.count(1) > 0)
 
     @pytest.mark.parametrize("V, E", [(1, 4), (2, 3), (3, 3)])
     def test_monogon_free_is_the_filtered_enumeration(self, V, E):
@@ -293,7 +304,7 @@ class TestOrderlyGeneration:
             group = maps._sigma_symmetries(cycle_lengths)
             fixed = 0
             for m in labeled_candidates(V, E):
-                if m.sigma != sigma or (monogon_free and m.has_monogon()):
+                if m.sigma != sigma or (monogon_free and has_monogon(m)):
                     continue
                 fixed += sum(conjugate(m.alpha, tau) == m.alpha for tau in group)
             assert fixed == len(group) * yielded[sigma]
@@ -404,6 +415,13 @@ class TestVerifyParallelP:
             verify_parallelP(1, 2, chi_min)
         with pytest.raises(MapError):
             verify_graphs(1, 2, chi_min)
+
+    @pytest.mark.parametrize("work_budget", [-1, -5])
+    def test_negative_work_budget_rejected(self, work_budget):
+        with pytest.raises(MapError, match="work_budget"):
+            verify_parallelP(1, 2, work_budget=work_budget)
+        with pytest.raises(MapError):
+            verify_graphs(1, 2, work_budget=work_budget)
 
     def test_sphere_chi_still_checked(self):
         report = verify_parallelP(2, 2, 2)
