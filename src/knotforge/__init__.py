@@ -12,6 +12,7 @@ from .torus import (
     intersection,
     is_exceptional,
     normalize,
+    twist,
 )
 
 __version__ = "0.1.0"
@@ -26,5 +27,6 @@ __all__ = [
     "intersection",
     "is_exceptional",
     "normalize",
+    "twist",
     "__version__",
 ]

@@ -36,15 +36,11 @@ from types import SimpleNamespace
 from typing import NamedTuple
 
 from . import bounds
-from .torus import LAMBDA, MU, NU, TorusCurve, dehn_twist, is_exceptional
+from .torus import LAMBDA, MU, NU, TorusCurve, dehn_twist, is_exceptional, normalize
 
 
 class CertificateError(ValueError):
     """A certificate failed its internal consistency guards."""
-
-
-class NonPrimitiveBase(ValueError):
-    """Seifert base coordinates must be coprime."""
 
 
 @dataclass(frozen=True)
@@ -61,11 +57,15 @@ class KnotSpec:
 
 
 def _check_request(g: int, family: str, kappa: TorusCurve, alpha: TorusCurve) -> None:
-    """The checks of a knot spec, none of which reads n or i."""
+    """The checks of a knot spec, none of which reads n or i.  After them no
+    twist of kappa along alpha raises (the lemma in `torus.twist`)."""
     if g < 2:
         raise CertificateError("knot specs need g >= 2")
     if family not in ("H", "S"):
         raise CertificateError("family must be 'H' or 'S'")
+    for name, curve in (("kappa", kappa), ("alpha", alpha)):
+        if gcd(curve.p, curve.q) != 1 or normalize(curve.p, curve.q) != curve:
+            raise CertificateError(f"{name} {curve} is not a primitive class in normal form")
     if kappa == alpha:
         raise CertificateError("kappa and alpha must be distinct classes")
 
@@ -125,14 +125,6 @@ def _check_bridge(bridge_lower: Fraction | None, bridge_upper_heuristic: int) ->
         )
 
 
-def seifert_invariants(r: int, s: int, n: int) -> tuple[int, int]:
-    """Exceptional-fiber orders after n annulus twists:
-    ((n+1)r - ns, nr - (n-1)s)."""
-    if gcd(abs(r), abs(s)) != 1:
-        raise NonPrimitiveBase(f"({r}, {s}) is not primitive")
-    return ((n + 1) * r - n * s, n * r - (n - 1) * s)
-
-
 def bridge_upper_heuristic(tau: TorusCurve) -> int:
     """|p| + |q|: maxima of the standard bridge presentation of tau in a
     collar of the splitting surface.  A presentation heuristic, not a
@@ -183,7 +175,6 @@ class _Twisted(NamedTuple):
 
 
 def _twisted(g: int, family: str, kappa: TorusCurve, alpha: TorusCurve, n: int) -> _Twisted:
-    """Raises the twist's error."""
     tau = dehn_twist(kappa, alpha, n)
     if family == "S":
         seifert = (tau.p, tau.q)
@@ -218,13 +209,12 @@ def _cell(
 class _NEntry(NamedTuple):
     """What the rows of one n share: the fields fixed by n and `cells[strong]`
     (from _cell, or that cell's error message) for each strong flag that
-    some error-free i entry has; or the KnotSpec or twist error of every
-    row."""
+    some error-free i entry has; only n when the request fails, since every
+    i entry then carries the request's error."""
 
     n: int
     fields: _Twisted | None = None
     cells: tuple = (None, None)
-    error: str | None = None
 
 
 class _IEntry(NamedTuple):
@@ -250,9 +240,7 @@ def _i_entry(i: int, threshold: int, chi_Q_hit: int) -> _IEntry:
 
 def _row_cell(n_entry: _NEntry, i_entry: _IEntry) -> tuple[Fraction | None, str] | str:
     """The row's cell, or its error message: the first error in the order
-    KnotSpec, twist, n_strong, hitting bounds, bridge bound, bridge guard."""
-    if n_entry.error is not None:
-        return n_entry.error
+    KnotSpec, n_strong, hitting bounds, bridge bound, bridge guard."""
     if i_entry.error is not None:
         return i_entry.error
     return n_entry.cells[i_entry.strong]
@@ -369,10 +357,7 @@ def _n_entry(
     strongs: set[bool],
     chi_Q_bridge: int | None,
 ) -> _NEntry:
-    try:
-        fields = _twisted(g, family, kappa, alpha, n)
-    except _ROW_ERRORS as exc:
-        return _NEntry(n, error=str(exc))
+    fields = _twisted(g, family, kappa, alpha, n)
     # One twist per row: perfbench/test_perfbench.py::test_smoke_traced_run pins it.
     for _ in range(rows - 1):
         dehn_twist(kappa, alpha, n)
@@ -419,7 +404,7 @@ def generate_family(
             kappa,
             alpha,
             statements,
-            tuple(_NEntry(n, error=str(exc)) for n in n_values),
+            tuple(map(_NEntry, n_values)),
             tuple(_IEntry(i, error=str(exc)) for i in i_values),
         )
     chi_Q_bridge, chi_Q_nu, chi_Q_hit = _default_chis(

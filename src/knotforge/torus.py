@@ -73,16 +73,29 @@ def intersection(a: TorusCurve, b: TorusCurve) -> int:
     return abs(a.p * b.q - a.q * b.p)
 
 
-def dehn_twist(kappa: TorusCurve, alpha: TorusCurve, n: int) -> TorusCurve:
-    """Apply n positive Dehn twists along alpha to kappa.
+def twist(kappa: TorusCurve, alpha: TorusCurve, m: int) -> TorusCurve:
+    """The signed twist T_alpha^m(kappa) = normalize(kappa + m*w*alpha), with
+    w = kappa.p*alpha.q - kappa.q*alpha.p (Farb & Margalit, Primer on Mapping
+    Class Groups, Prop. 6.3).  Negating the lift of kappa negates the sum and
+    negating that of alpha keeps it, so the class is well defined; twisting
+    fixes w, so T^m(T^n(kappa)) = T^(m+n)(kappa) and T^0 is the identity.
 
-    With kappa = (r, s), alpha = (t, v) and d their intersection number the
-    result is (r + n*d*t, s + n*d*v).  The lift of alpha used in the formula
-    is its normal form, which fixes the sign convention: positive n is a
-    right-handed twist in the right-handed (mu, lambda) basis.
+    Lemma: v -> v + m*w(v, alpha)*alpha has determinant 1, so a primitive
+    kappa gives a primitive, nonzero result: a twist of normal-form inputs
+    never raises.
     """
-    d = intersection(kappa, alpha)
-    return normalize(kappa.p + n * d * alpha.p, kappa.q + n * d * alpha.q)
+    w = kappa.p * alpha.q - kappa.q * alpha.p
+    return normalize(kappa.p + m * w * alpha.p, kappa.q + m * w * alpha.q)
+
+
+def dehn_twist(kappa: TorusCurve, alpha: TorusCurve, n: int) -> TorusCurve:
+    """n Dehn twists along alpha, each moving kappa by d = |w| copies of alpha:
+    twist(kappa, alpha, s*n), with s the sign of w for the normal-form lifts.
+    A negative count can flip the normal form of kappa and so s, hence counts
+    compose only when both are >= 0; `twist` is the group action.
+    """
+    w = kappa.p * alpha.q - kappa.q * alpha.p
+    return twist(kappa, alpha, n if w > 0 else -n)
 
 
 def is_exceptional(tau: TorusCurve) -> bool:

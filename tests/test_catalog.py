@@ -11,13 +11,11 @@ from knotforge.catalog import (
     CertificateError,
     ExteriorFlags,
     KnotSpec,
-    NonPrimitiveBase,
     bridge_upper_heuristic,
     build_certificate,
     generate_family,
     render_csv,
     render_txt,
-    seifert_invariants,
 )
 from knotforge.torus import LAMBDA, MU, NU, TorusCurve, normalize
 from oracles import (
@@ -26,43 +24,6 @@ from oracles import (
     reference_render_csv,
     reference_render_txt,
 )
-
-
-class TestSeifertInvariants:
-    def test_examples(self):
-        assert seifert_invariants(2, 1, 1) == (3, 2)
-        assert seifert_invariants(1, 0, 0) == (1, 0)
-        assert seifert_invariants(3, 2, 2) == (5, 4)
-
-    def test_non_primitive_rejected(self):
-        with pytest.raises(NonPrimitiveBase):
-            seifert_invariants(2, 4, 1)
-
-    def test_coprime_exhaustive_small(self):
-        for r in range(-12, 13):
-            for s in range(-12, 13):
-                if gcd(abs(r), abs(s)) != 1:
-                    continue
-                for n in range(-12, 13):
-                    p, q = seifert_invariants(r, s, n)
-                    assert gcd(abs(p), abs(q)) == 1, (r, s, n)
-
-    @given(st.integers(-30, 30), st.integers(-30, 30), st.integers(-30, 30))
-    @settings(max_examples=300)
-    def test_coprime_property(self, r, s, n):
-        if (r, s) == (0, 0) or gcd(abs(r), abs(s)) != 1:
-            return
-        p, q = seifert_invariants(r, s, n)
-        assert gcd(abs(p), abs(q)) == 1
-
-    def test_matches_nu_twist(self):
-        # twisting kappa along the (1,1) class realizes the same parameters
-        from knotforge.torus import dehn_twist
-
-        for r, s in [(2, 1), (3, 2), (5, 2)]:
-            for n in range(0, 8):
-                tau = dehn_twist(normalize(r, s), NU, n)
-                assert (tau.p, tau.q) == seifert_invariants(r, s, n)
 
 
 class TestBridgeUpper:
@@ -80,6 +41,24 @@ class TestKnotSpec:
             KnotSpec(2, "X", normalize(2, 1), NU, 1, 1)
         with pytest.raises(CertificateError):
             KnotSpec(2, "H", NU, NU, 1, 1)
+
+    @pytest.mark.parametrize(
+        "kappa,alpha",
+        [
+            (TorusCurve(2, 4), NU),
+            (TorusCurve(0, 0), NU),
+            (normalize(2, 1), TorusCurve(0, -1)),
+            (normalize(2, 1), TorusCurve(-1, -1)),
+        ],
+    )
+    def test_non_normal_form_curves_rejected(self, kappa, alpha):
+        # twists of these would raise, or depend on the sign of the lift
+        with pytest.raises(CertificateError, match="not a primitive class in normal form"):
+            KnotSpec(2, "H", kappa, alpha, 0, 0)
+        cat = generate_family(2, "H", kappa, alpha, [0, 1], [0, 5])
+        assert cat.errored
+        assert len(cat.rows) == 4
+        assert all(r.certificate is None and "normal form" in r.error for r in cat.rows)
 
 
 class TestBuildCertificate:
@@ -266,7 +245,8 @@ CURVES = st.one_of(
     _primitive(st.integers(-9, 9)),
     _primitive(st.integers(-1200, 1200)),
 )
-# also curves that bypass normalize, such as (0,0) and (2,4), whose twists raise
+# also curves that bypass normalize, such as (0,0), (2,4) and (-1,0), which the
+# request check rejects
 RAW_CURVES = st.one_of(CURVES, st.builds(TorusCurve, st.integers(-4, 4), st.integers(-4, 4)))
 CHIS = st.one_of(st.none(), st.integers(-8, 2))
 N_VALUES = st.lists(st.one_of(st.integers(-30, 30), st.integers(-1300, 1300)), max_size=7)
@@ -339,11 +319,14 @@ class TestColumnarCatalogMatchesRowOracle:
     def test_build_certificate_is_the_one_cell_catalog(
         self, g, family, kappa, alpha, n, i, chi_bridge, chi_nu, chi_hit
     ):
-        if kappa == alpha:
-            return
-        spec = KnotSpec(g, family, kappa, alpha, n, i)
         chis = (chi_bridge, chi_nu, chi_hit)
         (row,) = generate_family(g, family, kappa, alpha, [n], [i], *chis).rows
+        try:
+            spec = KnotSpec(g, family, kappa, alpha, n, i)
+        except CertificateError as exc:
+            assert str(exc) == row.error
+            assert row.certificate is None
+            return
         try:
             expected = reference_build_certificate(spec, *chis)
         except (ValueError, ArithmeticError) as exc:

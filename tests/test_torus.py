@@ -14,6 +14,7 @@ from knotforge.torus import (
     intersection,
     is_exceptional,
     normalize,
+    twist,
 )
 from oracles import lattice_crossing_count
 
@@ -102,9 +103,9 @@ class TestDehnTwist:
     @given(curves(20), curves(20), st.integers(0, 20), st.integers(0, 20))
     @settings(max_examples=200)
     def test_group_action_same_direction(self, kappa, alpha, m, n):
-        # the unsigned-distance formula composes along a fixed twist
-        # direction; mixed-sign twist counts are not a group action because
-        # normalization forgets the orientation between calls
+        # dehn_twist is twist(kappa, alpha, s*n) with s read off kappa's
+        # normal form; counts >= 0 never flip that form, so they compose,
+        # while a negative count can flip it (see TestTwist for the action)
         once = dehn_twist(dehn_twist(kappa, alpha, m), alpha, n)
         assert once == dehn_twist(kappa, alpha, m + n)
 
@@ -129,6 +130,113 @@ class TestDehnTwist:
         # twisting along (1,1) lands on ((n+1)r - ns, nr - (n-1)s)
         out = dehn_twist(normalize(r, s), NU, n)
         assert out == normalize((n + 1) * r - n * s, n * r - (n - 1) * s)
+
+
+def transvection(alpha, m):
+    """The matrix of v -> v + m*w(v, alpha)*alpha, entry by entry."""
+    t, v = alpha.p, alpha.q
+    return ((1 + m * t * v, -m * t * t), (m * v * v, 1 - m * t * v))
+
+
+def apply(matrix, curve):
+    (a, b), (c, d) = matrix
+    return normalize(a * curve.p + b * curve.q, c * curve.p + d * curve.q)
+
+
+def negated(curve):
+    return TorusCurve(-curve.p, -curve.q)
+
+
+COUNTS = st.integers(-20, 20)
+
+
+class TestTwist:
+    def test_inverse_counterexample_of_dehn_twist(self):
+        # T^1(T^-1(lambda)) along nu: the unsigned count drifts to (2,1)
+        assert twist(twist(LAMBDA, NU, -1), NU, 1) == LAMBDA
+        assert twist(LAMBDA, NU, -1) == TorusCurve(1, 2)
+        assert dehn_twist(dehn_twist(LAMBDA, NU, -1), NU, 1) == TorusCurve(2, 1)
+
+    @given(curves(20), curves(20), COUNTS, COUNTS)
+    @settings(max_examples=300)
+    def test_composition_and_inverse(self, kappa, alpha, m, n):
+        assert twist(twist(kappa, alpha, m), alpha, n) == twist(kappa, alpha, m + n)
+        assert twist(twist(kappa, alpha, m), alpha, -m) == kappa
+        assert twist(kappa, alpha, 0) == kappa
+
+    @given(curves(20), curves(20), COUNTS)
+    @settings(max_examples=300)
+    def test_defining_identity(self, kappa, alpha, m):
+        (a, b), (c, d) = transvection(alpha, m)
+        assert a * d - b * c == 1
+        assert twist(kappa, alpha, m) == apply(transvection(alpha, m), kappa)
+        # T^m is the m-th power of T^1 on the lattice
+        step = transvection(alpha, 1 if m >= 0 else -1)
+        tau = kappa
+        for _ in range(abs(m)):
+            tau = apply(step, tau)
+        assert twist(kappa, alpha, m) == tau
+
+    @given(curves(20), curves(20), COUNTS)
+    def test_lift_independence(self, kappa, alpha, m):
+        tau = twist(kappa, alpha, m)
+        assert twist(negated(kappa), alpha, m) == tau
+        assert twist(kappa, negated(alpha), m) == tau
+        assert twist(negated(kappa), negated(alpha), m) == tau
+
+    @given(curves(20), curves(20), COUNTS)
+    def test_dehn_twist_is_the_signed_twist(self, kappa, alpha, n):
+        w = kappa.p * alpha.q - kappa.q * alpha.p
+        s = (w > 0) - (w < 0)
+        assert dehn_twist(kappa, alpha, n) == twist(kappa, alpha, s * n)
+
+    @given(curves(10**6), curves(10**6), st.integers(-(10**6), 10**6))
+    @settings(max_examples=300)
+    def test_never_raises_on_normal_forms(self, kappa, alpha, m):
+        tau = twist(kappa, alpha, m)
+        assert normalize(tau.p, tau.q) == tau
+        assert intersection(tau, alpha) == intersection(kappa, alpha)
+
+
+def nu_closed_form(r, s, n):
+    """T_nu^n(r, s) written out: ((n+1)r - ns, nr - (n-1)s)."""
+    return ((n + 1) * r - n * s, n * r - (n - 1) * s)
+
+
+class TestNuTwistIdentity:
+    """T_nu^n(r, s) = ((n+1)r - ns, nr - (n-1)s): the exceptional-fiber
+    orders of the Seifert family after n annulus twists."""
+
+    def test_examples(self):
+        assert twist(normalize(2, 1), NU, 1) == TorusCurve(3, 2)
+        assert twist(normalize(1, 0), NU, 0) == TorusCurve(1, 0)
+        assert twist(normalize(3, 2), NU, 2) == TorusCurve(5, 4)
+
+    def test_coprime_exhaustive_small(self):
+        for r in range(-12, 13):
+            for s in range(-12, 13):
+                if gcd(abs(r), abs(s)) != 1:
+                    continue
+                for n in range(-12, 13):
+                    p, q = nu_closed_form(r, s, n)
+                    assert gcd(abs(p), abs(q)) == 1, (r, s, n)
+                    assert twist(normalize(r, s), NU, n) == normalize(p, q), (r, s, n)
+
+    @given(st.integers(-30, 30), st.integers(-30, 30), st.integers(-30, 30))
+    @settings(max_examples=300)
+    def test_coprime_property(self, r, s, n):
+        if (r, s) == (0, 0) or gcd(abs(r), abs(s)) != 1:
+            return
+        p, q = nu_closed_form(r, s, n)
+        assert gcd(abs(p), abs(q)) == 1
+        assert twist(normalize(r, s), NU, n) == normalize(p, q)
+
+    def test_matches_nu_twist(self):
+        # the Seifert family's counts: dehn_twist along (1,1), n >= 0
+        for r, s in [(2, 1), (3, 2), (5, 2)]:
+            for n in range(0, 8):
+                tau = dehn_twist(normalize(r, s), NU, n)
+                assert (tau.p, tau.q) == nu_closed_form(r, s, n)
 
 
 class TestExceptional:
