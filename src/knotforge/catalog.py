@@ -386,15 +386,12 @@ def generate_family(
 
     The request (KnotSpec checks, chi defaults, n_strong) is checked once,
     each n and each i once, and the bridge guard once per (n, strong) pair
-    that has rows.
+    that has rows.  A rejected request makes no statement.
     """
     n_values = sorted(set(n_range))
     i_values = sorted(set(i_range))
     if not i_values:  # no rows, so nothing to twist
         n_values = []
-    statements = ()
-    if alpha not in (MU, LAMBDA):
-        statements = ("distinctness: hbar_D lower bound unbounded in |i|",)
     try:
         _check_request(g, family, kappa, alpha)
     except CertificateError as exc:
@@ -403,10 +400,13 @@ def generate_family(
             family,
             kappa,
             alpha,
-            statements,
+            (),
             tuple(map(_NEntry, n_values)),
             tuple(_IEntry(i, error=str(exc)) for i in i_values),
         )
+    statements = ()
+    if alpha not in (MU, LAMBDA):
+        statements = ("distinctness: hbar_D lower bound unbounded in |i|",)
     chi_Q_bridge, chi_Q_nu, chi_Q_hit = _default_chis(
         kappa, alpha, chi_Q_bridge, chi_Q_nu, chi_Q_hit
     )

@@ -422,7 +422,8 @@ def reference_generate_family(
     chi_Q_hit=None,
 ) -> ReferenceCatalog:
     """One KnotSpec and one certificate per (n, i), in sorted order; a row
-    whose spec or certificate raises carries the message."""
+    whose spec or certificate raises carries the message.  A request whose
+    spec raises makes no statement."""
     rows = []
     for n in sorted(set(n_range)):
         for i in sorted(set(i_range)):
@@ -433,8 +434,13 @@ def reference_generate_family(
             except (ValueError, ArithmeticError) as exc:
                 rows.append(CatalogRow(n, i, None, error=str(exc)))
     statements = ()
-    if alpha not in (MU, LAMBDA):
-        statements = ("distinctness: hbar_D lower bound unbounded in |i|",)
+    try:  # the spec checks read neither n nor i
+        KnotSpec(g=g, family=family, kappa=kappa, alpha=alpha, n=0, i=0)
+    except ValueError:
+        pass
+    else:
+        if alpha not in (MU, LAMBDA):
+            statements = ("distinctness: hbar_D lower bound unbounded in |i|",)
     return ReferenceCatalog(g, family, kappa, alpha, statements, tuple(rows))
 
 

@@ -189,6 +189,21 @@ class TestGenerateFamily:
         cat = generate_family(2, "H", normalize(2, 1), MU, [1], [1])
         assert cat.statements == ()
 
+    @pytest.mark.parametrize(
+        "g, kappa, alpha",
+        [
+            (2, normalize(2, 1), normalize(2, 1)),
+            (1, normalize(2, 1), NU),
+            (2, normalize(2, 1), TorusCurve(0, -1)),
+        ],
+    )
+    def test_rejected_request_makes_no_statement(self, g, kappa, alpha):
+        cat = generate_family(g, "H", kappa, alpha, [1], [1])
+        assert cat.errored
+        assert all(r.certificate is None for r in cat.rows)
+        assert cat.statements == ()
+        assert "statement" not in render_txt(cat) + render_csv(cat)
+
     def test_error_rows_kept(self):
         # n = 0 with kappa = alpha-translate... use kappa equal to alpha to error
         cat = generate_family(2, "H", NU, NU, [0], [1, 2])

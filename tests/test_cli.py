@@ -238,6 +238,20 @@ class TestFamily:
         capsys.readouterr()
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "request_args",
+        [
+            ["--kappa", "2,1", "--alpha", "2,1"],
+            ["--genus", "1", "--kappa", "2,1", "--alpha", "1,1"],
+        ],
+    )
+    def test_rejected_request_prints_no_statement(self, capsys, request_args):
+        code = main(["family", *request_args, "--n-range", "1", "--i-range", "1"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "error=" in out
+        assert "statement" not in out
+
     @pytest.mark.parametrize("flag, text", [("--n-range", "5:1"), ("--i-range", "3:0:2")])
     def test_empty_grid_exit_code(self, capsys, flag, text):
         argv = ["family", "--kappa", "2,1", "--alpha", "1,1", "--n-range", "1:2", "--i-range", "0:0"]

@@ -192,6 +192,25 @@ class TestEnumeration:
         for m in enumerate_maps(V, E, monogon_free):
             assert m == CombinatorialMap(m.sigma, m.alpha)
 
+    @pytest.mark.parametrize("monogon_free", [False, True])
+    @pytest.mark.parametrize(
+        "V, E", [(V, E) for V in (1, 2, 3) for E in range(1, 6)] + [(2, 6)]
+    )
+    def test_one_connectivity_test_per_raw_candidate(self, monkeypatch, V, E, monogon_free):
+        # perfbench's traced run counts the candidates built as is_connected
+        # calls on the class and checks them against candidate_count
+        calls = 0
+        original = CombinatorialMap.is_connected
+
+        def counting(m):
+            nonlocal calls
+            calls += 1
+            return original(m)
+
+        monkeypatch.setattr(CombinatorialMap, "is_connected", counting)
+        list(enumerate_maps(V, E, monogon_free))
+        assert calls == maps.candidate_count(V, E)
+
     def test_limits_enforced(self):
         with pytest.raises(LimitExceeded):
             list(enumerate_maps(4, 1))
