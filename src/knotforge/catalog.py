@@ -22,6 +22,18 @@ the bridge bound against the heuristic upper bound.  tau comes from
 `normalize`, so its Seifert data are coprime, and the hyperbolicity-
 precondition flags and unique_surgery are all `strong and not exceptional`
 (they hold exactly for strong twisting of a non-exceptional tau).
+
+Verdict lemma: the request's own errors read neither n nor i, so a request
+either fails on every row with one error or fails on no row.  The KnotSpec
+checks read g, family, kappa and alpha; n_strong fails only on chi_Q_nu;
+and the hitting bounds fail only through _check_chi(chi_Q_hit).  Once the
+request passes, no twist raises (the lemma in `torus.twist`), the chi
+defaults are negative, and a weak row cannot fail: its bridge bound is None,
+which the guard accepts.  A strong row fails only through its n's strong
+cell: the bridge bound's chi check (its genus check is the KnotSpec's
+g >= 2) or the bridge guard.  All of this arithmetic is on exact integers,
+and every divisor is 36|chi| or 72|chi|, nonzero after _check_chi, so every
+error is a ValueError.
 """
 
 from __future__ import annotations
@@ -137,8 +149,6 @@ def bridge_upper_heuristic(tau: TorusCurve) -> int:
 # build_certificate is their one-cell case.
 # ---------------------------------------------------------------------------
 
-_ROW_ERRORS = (ValueError, ArithmeticError)
-
 
 def _default_chis(
     kappa: TorusCurve,
@@ -208,9 +218,8 @@ def _cell(
 
 class _NEntry(NamedTuple):
     """What the rows of one n share: the fields fixed by n and `cells[strong]`
-    (from _cell, or that cell's error message) for each strong flag that
-    some error-free i entry has; only n when the request fails, since every
-    i entry then carries the request's error."""
+    (from _cell, or that cell's error message) for each strong flag of the
+    i column; only n when the request is rejected."""
 
     n: int
     fields: _Twisted | None = None
@@ -218,14 +227,13 @@ class _NEntry(NamedTuple):
 
 
 class _IEntry(NamedTuple):
-    """What the rows of one i share: the strong flag and the hitting bounds,
-    or the KnotSpec, n_strong or hitting-bound error of every row."""
+    """What the rows of one i share: the strong flag and the hitting bounds;
+    only i when the request is rejected."""
 
     i: int
     strong: bool = False
     hbar_D_lower: int = 0
     hbar_A_lower: int = 0
-    error: str | None = None
 
 
 def _i_entry(i: int, threshold: int, chi_Q_hit: int) -> _IEntry:
@@ -236,14 +244,6 @@ def _i_entry(i: int, threshold: int, chi_Q_hit: int) -> _IEntry:
         bounds.disk_hitting_lower_bound(i, chi_Q_hit),
         bounds.annulus_hitting_lower_bound(i, chi_Q_hit),
     )
-
-
-def _row_cell(n_entry: _NEntry, i_entry: _IEntry) -> tuple[Fraction | None, str] | str:
-    """The row's cell, or its error message: the first error in the order
-    KnotSpec, n_strong, hitting bounds, bridge bound, bridge guard."""
-    if i_entry.error is not None:
-        return i_entry.error
-    return n_entry.cells[i_entry.strong]
 
 
 def _certificate(
@@ -300,7 +300,9 @@ class CatalogRow:
 @dataclass(frozen=True)
 class Catalog:
     """A family catalog held as its n column and its i column; its rows
-    are their outer product, sorted by n, then i."""
+    are their outer product, sorted by n, then i.  `error` is set when the
+    request is rejected, and then every row carries it (the verdict lemma
+    in the module docstring)."""
 
     g: int
     family: str
@@ -309,42 +311,33 @@ class Catalog:
     statements: tuple[str, ...]
     n_column: tuple[_NEntry, ...]
     i_column: tuple[_IEntry, ...]
+    error: str | None = None
 
     @property
     def rows(self) -> tuple[CatalogRow, ...]:
         """The rows, built from the columns on every access."""
+        if self.error is not None:
+            return tuple(
+                CatalogRow(n_entry.n, i_entry.i, None, error=self.error)
+                for n_entry in self.n_column
+                for i_entry in self.i_column
+            )
         return tuple(
             CatalogRow(n_entry.n, i_entry.i, None, error=cell)
             if isinstance(cell, str)
             else CatalogRow(n_entry.n, i_entry.i, _certificate(n_entry.fields, cell, i_entry))
             for n_entry in self.n_column
             for i_entry in self.i_column
-            for cell in (_row_cell(n_entry, i_entry),)
+            for cell in (n_entry.cells[i_entry.strong],)
         )
 
     @property
     def errored(self) -> bool:
-        # i entries with the same error and strong flag give the same cells
-        kinds = {(e.error, e.strong): e for e in self.i_column}.values()
-        return any(
-            isinstance(cell, str) and cell != ""
-            for n_entry in self.n_column
-            for cell in (_row_cell(n_entry, i_entry) for i_entry in kinds)
-        )
-
-
-def _i_column(i_values: list, chi_Q_nu: int, chi_Q_hit: int) -> tuple[_IEntry, ...]:
-    try:
-        threshold = bounds.n_strong(chi_Q_nu)
-    except _ROW_ERRORS as exc:
-        return tuple(_IEntry(i, error=str(exc)) for i in i_values)
-    column = []
-    for i in i_values:
-        try:
-            column.append(_i_entry(i, threshold, chi_Q_hit))
-        except _ROW_ERRORS as exc:
-            column.append(_IEntry(i, error=str(exc)))
-    return tuple(column)
+        """There are rows, and the request failed or some n's cell is an
+        error message (cells exist only for the strong flags of rows)."""
+        if self.error is not None:
+            return bool(self.n_column and self.i_column)
+        return any(isinstance(cell, str) for n_entry in self.n_column for cell in n_entry.cells)
 
 
 def _n_entry(
@@ -365,7 +358,7 @@ def _n_entry(
     for strong in strongs:
         try:
             cells[strong] = _cell(fields, g, alpha, n, strong, chi_Q_bridge)
-        except _ROW_ERRORS as exc:
+        except ValueError as exc:
             cells[strong] = str(exc)
     return _NEntry(n, fields, tuple(cells))
 
@@ -384,34 +377,31 @@ def generate_family(
     """One certificate row per (n, i), sorted lexicographically; failed
     rows carry their error message and are never dropped.
 
-    The request (KnotSpec checks, chi defaults, n_strong) is checked once,
-    each n and each i once, and the bridge guard once per (n, strong) pair
-    that has rows.  A rejected request makes no statement.
+    The request (KnotSpec checks, chi defaults, n_strong, hitting bounds) is
+    checked once.  By the verdict lemma in the module docstring, a rejected
+    request gives every row its one error and twists nothing; a request
+    rejected by the KnotSpec checks also makes no statement.  An accepted
+    request computes each n and each i once, and runs the bridge bound and
+    guard once per (n, strong) pair that has rows.
     """
     n_values = sorted(set(n_range))
     i_values = sorted(set(i_range))
     if not i_values:  # no rows, so nothing to twist
         n_values = []
+    statements = ()
     try:
         _check_request(g, family, kappa, alpha)
-    except CertificateError as exc:
-        return Catalog(
-            g,
-            family,
-            kappa,
-            alpha,
-            (),
-            tuple(map(_NEntry, n_values)),
-            tuple(_IEntry(i, error=str(exc)) for i in i_values),
+        if alpha not in (MU, LAMBDA):
+            statements = ("distinctness: hbar_D lower bound unbounded in |i|",)
+        chi_Q_bridge, chi_Q_nu, chi_Q_hit = _default_chis(
+            kappa, alpha, chi_Q_bridge, chi_Q_nu, chi_Q_hit
         )
-    statements = ()
-    if alpha not in (MU, LAMBDA):
-        statements = ("distinctness: hbar_D lower bound unbounded in |i|",)
-    chi_Q_bridge, chi_Q_nu, chi_Q_hit = _default_chis(
-        kappa, alpha, chi_Q_bridge, chi_Q_nu, chi_Q_hit
-    )
-    i_column = _i_column(i_values, chi_Q_nu, chi_Q_hit)
-    strongs = {e.strong for e in i_column if e.error is None}
+        threshold = bounds.n_strong(chi_Q_nu)
+        i_column = tuple(_i_entry(i, threshold, chi_Q_hit) for i in i_values)
+    except ValueError as exc:
+        n_column, i_column = tuple(map(_NEntry, n_values)), tuple(map(_IEntry, i_values))
+        return Catalog(g, family, kappa, alpha, statements, n_column, i_column, str(exc))
+    strongs = {e.strong for e in i_column}
     n_column = tuple(
         _n_entry(g, family, kappa, alpha, n, len(i_values), strongs, chi_Q_bridge)
         for n in n_values
@@ -456,56 +446,57 @@ def _na(reason: str) -> str:
 
 def _row_texts(catalog: Catalog, format_values, sep: str) -> Iterator[str]:
     """Each row's line: fragments joined by sep, where format_values(start,
-    values) formats values of _COLUMNS[start:].  Each n entry, i entry and
-    cell formats its own fragments once; tails and error fragments, shared
-    across entries, are formatted once per distinct value."""
-    shared: dict[tuple, str] = {}
-
-    def shared_fragment(start: int, *values: str) -> str:
-        key = (start, *values)
-        if key not in shared:
-            shared[key] = format_values(start, values)
-        return shared[key]
-
+    values) formats values of _COLUMNS[start:].  The request's error, the
+    three tails (strong flag, exterior flags, unique_surgery and an empty
+    error) and each n entry, i entry and cell are formatted once."""
     na = [_na("row error")] * (len(_COLUMNS) - 3)
+
+    def error_rest(error: str) -> str:
+        """An errored row's line after its i."""
+        return f"{sep}{format_values(2, (*na, error))}\n"
+
+    # flags_all implies strong, so no tail has strong false and flags true
+    tails = {}
+    for strong, flags in ((False, False), (True, False), (True, True)):
+        values = (str(strong).lower(), *[str(flags).lower()] * 5, "")
+        tails[strong, flags] = f"{sep}{format_values(_TAIL, values)}\n"
+    rejected = None if catalog.error is None else error_rest(catalog.error)
     i_parts = [
         (
-            e,
-            format_values(1, (str(e.i),)),
+            e.strong,
+            f"{sep}{format_values(1, (str(e.i),))}",
             format_values(_HBAR, (str(e.hbar_D_lower), str(e.hbar_A_lower))),
         )
         for e in catalog.i_column
     ]
     for n_entry in catalog.n_column:
         head = format_values(0, (str(n_entry.n),))
+        # per strong flag: the line after i, or the parts around the hbar fragment
+        rests: list = [rejected, rejected]
         f = n_entry.fields
-        around_hbar = [None, None]
         for strong, cell in zip((False, True), n_entry.cells):
-            if not isinstance(cell, tuple):
-                continue
-            bridge_lower, reason = cell
-            mid = format_values(
-                2,
-                (
-                    str(f.tau),
-                    str(f.exceptional).lower(),
-                    f"({f.seifert[0]},{f.seifert[1]})" if f.seifert else _na("handlebody family"),
-                    f.surgery,
-                    str(bridge_lower) if bridge_lower is not None else _na(reason),
-                    f"{f.bridge_upper_heuristic} (heuristic)",
-                ),
-            )
-            # the four exterior flags and unique_surgery, then an empty error
-            flags = str(f.flags_all(strong)).lower()
-            tail = shared_fragment(_TAIL, str(strong).lower(), *[flags] * 5, "")
-            around_hbar[strong] = (f"{sep}{mid}{sep}", f"{sep}{tail}\n")
-        for i_entry, i_text, hbar in i_parts:
-            cell = _row_cell(n_entry, i_entry)
             if isinstance(cell, str):
-                yield f"{head}{sep}{i_text}{sep}{shared_fragment(2, *na, cell)}\n"
+                rests[strong] = error_rest(cell)
+            elif cell is not None:
+                bridge_lower, reason = cell
+                mid = format_values(
+                    2,
+                    (
+                        str(f.tau),
+                        str(f.exceptional).lower(),
+                        f"({f.seifert[0]},{f.seifert[1]})" if f.seifert else _na("handlebody family"),
+                        f.surgery,
+                        str(bridge_lower) if bridge_lower is not None else _na(reason),
+                        f"{f.bridge_upper_heuristic} (heuristic)",
+                    ),
+                )
+                rests[strong] = (f"{sep}{mid}{sep}", tails[strong, f.flags_all(strong)])
+        for strong, i_text, hbar in i_parts:
+            rest = rests[strong]
+            if isinstance(rest, str):
+                yield f"{head}{i_text}{rest}"
             else:
-                before, after = around_hbar[i_entry.strong]
-                yield f"{head}{sep}{i_text}{before}{hbar}{after}"
+                yield f"{head}{i_text}{rest[0]}{hbar}{rest[1]}"
 
 
 def _txt_values(start: int, values: tuple[str, ...]) -> str:

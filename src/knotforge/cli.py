@@ -194,10 +194,10 @@ def _maybe_int(value):
 
 def _cmd_verify_graphs(args, config) -> int:
     report, tri = maps.verify_graphs(
-        V_max=int(_resolve(args, config, "v_max", "3")),
-        E_budget=int(_resolve(args, config, "e_budget", "12")),
-        chi_min=int(_resolve(args, config, "chi_min", "-2")),
-        work_budget=int(_resolve(args, config, "work_budget", "150000")),
+        V_max=int(_resolve(args, config, "v_max", maps.V_MAX)),
+        E_budget=int(_resolve(args, config, "e_budget", maps.E_MAX)),
+        chi_min=int(_resolve(args, config, "chi_min", maps.CHI_MIN)),
+        work_budget=int(_resolve(args, config, "work_budget", maps.WORK_BUDGET)),
     )
     sys.stdout.write(report.render())
     sys.stdout.write(tri.render())

@@ -453,11 +453,18 @@ class ParallelEdgeReport:
         return "\n".join(lines) + "\n"
 
 
+# Defaults of a verification run: every surface from the sphere down to
+# chi = -2, and exhaustive enumeration of the cells with at most this many
+# raw candidates.
+CHI_MIN = -2
+WORK_BUDGET = 150_000
+
+
 def verify_parallelP(
     V_max: int,
     E_budget: int,
-    chi_min: int = -2,
-    work_budget: int = 150_000,
+    chi_min: int = CHI_MIN,
+    work_budget: int = WORK_BUDGET,
     *,
     cell_store: dict | None = None,
 ) -> ParallelEdgeReport:
@@ -602,8 +609,8 @@ def verify_parallel_class_bound(*, cell_store: dict | None = None) -> Triangulat
 def verify_graphs(
     V_max: int,
     E_budget: int,
-    chi_min: int = -2,
-    work_budget: int = 150_000,
+    chi_min: int = CHI_MIN,
+    work_budget: int = WORK_BUDGET,
 ) -> tuple[ParallelEdgeReport, TriangulationReport]:
     """Both graph claims in one run: verify_parallelP over the given cells,
     then verify_parallel_class_bound.

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from knotforge import catalog
+from knotforge import bounds, catalog
 from knotforge.catalog import (
     Certificate,
     CertificateError,
@@ -17,7 +17,7 @@ from knotforge.catalog import (
     render_csv,
     render_txt,
 )
-from knotforge.torus import LAMBDA, MU, NU, TorusCurve, normalize
+from knotforge.torus import LAMBDA, MU, NU, TorusCurve, dehn_twist, normalize
 from oracles import (
     reference_build_certificate,
     reference_generate_family,
@@ -359,3 +359,40 @@ class TestColumnarCatalogMatchesRowOracle:
         monkeypatch.setattr(catalog, "CatalogRow", None)
         monkeypatch.setattr(catalog, "Certificate", None)
         assert not cat.errored
+
+
+class TestVerdictLemma:
+    @given(family_requests())
+    @example((2, "H", normalize(2, 1), NU, [1, 2], [5, 3000], None, 0, None))
+    # chi_Q_bridge >= 0: the strong rows err, the weak ones do not
+    @example((2, "H", normalize(2, 1), NU, [0, 40], [-3, 0, 216, 217, 5000], 1, -1, None))
+    @example(GUARD_GRID)
+    @settings(max_examples=400, deadline=None)
+    def test_row_oracle_errors_are_the_requests_or_strong(self, grid):
+        # either every row carries one and the same error (the request's), or
+        # only strong rows err; checked on the row oracle alone
+        rows = reference_generate_family(*grid).rows
+        if all(row.error for row in rows) and len({row.error for row in rows}) <= 1:
+            return
+        kappa, chi_Q_nu = grid[2], grid[7]
+        if chi_Q_nu is None:
+            chi_Q_nu = bounds.catching_chi(bounds.nu_recipe(kappa))
+        threshold = bounds.n_strong(chi_Q_nu)
+        assert all(abs(row.i) > threshold for row in rows if row.error)
+
+    @pytest.mark.parametrize("chis", [(None, 0, None), (None, None, 0)])
+    def test_rejected_request_makes_no_twist(self, monkeypatch, chis):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return dehn_twist(*args)
+
+        monkeypatch.setattr(catalog, "dehn_twist", counted)
+        cat = generate_family(2, "H", normalize(2, 1), NU, range(100), range(50), *chis)
+        assert calls == []
+        assert len(cat.rows) == 5000
+        assert {(row.certificate, row.error) for row in cat.rows} == {
+            (None, "a catching surface with chi(Q) < 0 is required")
+        }
+        assert cat.errored
