@@ -11,10 +11,12 @@ parallel-edge claims:
 Maps are encoded by a vertex permutation sigma (cycles = vertices, giving
 the rotation) and a fixed-point-free edge involution alpha pairing darts.
 The face permutation is phi(d) = sigma(alpha(d)); chi = V - E + F.  Only
-orientable maps arise from this encoding.  A monogon is a degree-1 face,
-that is a fixed point of phi, so enumeration rejects monogons with an O(E)
-scan of alpha against sigma^-1 and traces faces only on the
-representatives it yields.
+orientable maps arise from this encoding.  A map is connected exactly
+when its vertices, the cycles of sigma, are joined up by its edges, so
+connectivity is a walk over the vertex partition of sigma, which a map
+computes once and caches.  A monogon is a degree-1 face, that is a fixed
+point of phi, so enumeration rejects monogons with an O(E) scan of alpha
+against sigma^-1 and traces faces only on the representatives it yields.
 
 Enumeration is orderly: it keeps no set of seen maps and computes no
 canonical form, but yields a candidate only when its pairing is least
@@ -22,7 +24,8 @@ among its conjugates under the symmetries of sigma.  It validates sigma
 once per cycle type and builds each candidate without re-validating it.
 It walks the edge pairings once per cell and tests each against every
 cycle type, holding the classes of all but the first type until the walk
-ends.  The three lemmas are stated once, in enumerate_maps.
+ends, and every candidate of a cycle type shares that type's vertex
+partition.  The four lemmas are stated once, in enumerate_maps.
 
 The parallel-edge claim holds in every cell by a degree-count lemma,
 stated once in verify_parallelP.  Exhaustive enumeration is feasible for
@@ -45,8 +48,9 @@ one side and antiparallel ones on the other holds by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations, product
-from operator import eq
+from operator import eq, index
 
 from .bounds import parallel_edges_threshold, parallelism_class_bound
 
@@ -84,50 +88,76 @@ class CombinatorialMap:
     """A graph in an orientable surface: rotation system plus edge pairing.
 
     sigma and alpha act on darts 0..2E-1; cycles of sigma are vertices,
-    orbits of alpha are edges.
+    orbits of alpha are edges.  Both are stored as tuples of ints, so maps
+    given as lists and as tuples are equal and hashable alike.
     """
 
     sigma: tuple[int, ...]
     alpha: tuple[int, ...]
 
     def __post_init__(self):
-        n = len(self.sigma)
+        try:
+            sigma = tuple(map(index, self.sigma))
+            alpha = tuple(map(index, self.alpha))
+        except TypeError:
+            raise MalformedMap("sigma and alpha must be sequences of integer darts") from None
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "alpha", alpha)
+        n = len(sigma)
         if n == 0 or n % 2:
             raise MalformedMap("dart count must be positive and even")
-        if len(self.alpha) != n:
+        if len(alpha) != n:
             raise MalformedMap("sigma and alpha must act on the same darts")
-        if sorted(self.sigma) != list(range(n)):
+        if sorted(sigma) != list(range(n)):
             raise MalformedMap("sigma is not a permutation of the darts")
         for d in range(n):
-            a = self.alpha[d]
-            if not 0 <= a < n or a == d or self.alpha[a] != d:
+            a = alpha[d]
+            if not 0 <= a < n or a == d or alpha[a] != d:
                 raise MalformedMap("alpha is not a fixed-point-free involution")
 
     @property
     def num_edges(self) -> int:
         return len(self.sigma) // 2
 
+    @cached_property
+    def vertex_partition(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+        """The vertices: the cycles of sigma, dart 0's cycle first, and the
+        index of each dart's cycle.  It depends on sigma alone."""
+        cycles = _cycles(self.sigma)
+        vertex_of = [0] * len(self.sigma)
+        for v, cycle in enumerate(cycles):
+            for d in cycle:
+                vertex_of[d] = v
+        return tuple(cycles), tuple(vertex_of)
+
     @property
     def num_vertices(self) -> int:
-        return len(_cycles(self.sigma))
+        return len(self.vertex_partition[0])
 
     def is_connected(self) -> bool:
-        """Connectivity of the dart graph."""
-        sigma, alpha = self.sigma, self.alpha
-        seen = [False] * len(sigma)
-        seen[0] = True
+        """Connectivity of the vertex graph: the sigma-cycles, joined by
+        alpha.  The darts of one sigma-cycle are already joined in the dart
+        graph (sigma and alpha as edges), so the vertex graph is connected
+        exactly when the dart graph is.  The walk from vertex 0 stops as
+        soon as every vertex is reached."""
+        cycles, vertex_of = self.vertex_partition
+        count = len(cycles)
+        if count == 1:
+            return True
+        alpha = self.alpha
+        reached = [False] * count
+        reached[0] = True
         order = [0]
         # order grows while it is iterated: a breadth-first traversal
-        for d in order:
-            s = sigma[d]
-            if not seen[s]:
-                seen[s] = True
-                order.append(s)
-            a = alpha[d]
-            if not seen[a]:
-                seen[a] = True
-                order.append(a)
-        return len(order) == len(sigma)
+        for v in order:
+            for d in cycles[v]:
+                w = vertex_of[alpha[d]]
+                if not reached[w]:
+                    reached[w] = True
+                    order.append(w)
+                    if len(order) == count:
+                        return True
+        return False
 
 
 def standard_involution(num_edges: int) -> tuple[int, ...]:
@@ -344,6 +374,12 @@ def enumerate_maps(V: int, E: int, monogon_free: bool = False):
     some dart.  Each candidate is tested for connectivity, then for
     monogons, and only then for orbit-leastness.
 
+    The vertex partition is computed once per cycle type.  Lemma (shared
+    partition): the candidates of one cycle type share the sigma_lambda
+    tuple, and the vertex partition depends on sigma alone, so the
+    partition of the validated sigma_lambda map is each candidate's, and
+    is stored in the candidate's cached-property slot.
+
     The involutions are walked once per cell, and each alpha is tested
     against every cycle type in turn.  Lemma (swap): the candidates are
     the same (sigma_lambda, alpha) pairs as in a walk per cycle type, and
@@ -357,26 +393,30 @@ def enumerate_maps(V: int, E: int, monogon_free: bool = False):
         raise MapError("V >= 1 and E >= 1 required")
     if V > V_MAX or E > E_MAX:
         raise LimitExceeded(f"cell V={V}, E={E} exceeds limits {V_MAX}, {E_MAX}")
-    types = []  # (sigma, sigma^-1, conjugators, held survivors) per cycle type
+    # per cycle type: sigma, its vertex partition, sigma^-1, the
+    # conjugators and the held survivors
+    types = []
     for cycle_lengths in _partitions_into(2 * E, V):
-        sigma = CombinatorialMap(_standard_sigma(cycle_lengths), standard_involution(E)).sigma
+        checked = CombinatorialMap(_standard_sigma(cycle_lengths), standard_involution(E))
+        sigma, partition = checked.sigma, checked.vertex_partition
         sigma_inv = tuple(sorted(range(2 * E), key=sigma.__getitem__))
         conjugators = [
             (tau, tuple(sorted(range(2 * E), key=tau.__getitem__)))
             for tau in _sigma_symmetries(cycle_lengths)[1:]
         ]
-        types.append((sigma, sigma_inv, conjugators, []))
+        types.append((sigma, partition, sigma_inv, conjugators, []))
     if not types:  # V > 2E
         return
-    first = types[0][3]  # at most one survivor per alpha
+    first = types[0][4]  # at most one survivor per alpha
     # read at call time, so that a wrapper installed on the class is called
     new, is_connected = object.__new__, CombinatorialMap.is_connected
     for alpha in _involutions(2 * E):
-        for sigma, sigma_inv, conjugators, held in types:
+        for sigma, partition, sigma_inv, conjugators, held in types:
             m = new(CombinatorialMap)
             fields = m.__dict__
             fields["sigma"] = sigma
             fields["alpha"] = alpha
+            fields["vertex_partition"] = partition  # the cached_property slot
             if not is_connected(m):
                 continue
             if monogon_free and any(map(eq, alpha, sigma_inv)):
@@ -385,7 +425,7 @@ def enumerate_maps(V: int, E: int, monogon_free: bool = False):
                 held.append(m)
         if first:
             yield first.pop()
-    for _, _, _, held in types[1:]:
+    for *_, held in types[1:]:
         yield from held
 
 
@@ -619,8 +659,8 @@ def verify_graphs(
     so a cell both of them read is enumerated and face-traced once.  The
     arc-class report does not depend on V_max, E_budget, chi_min or
     work_budget: it always enumerates the cells (1, 3), (3, 3) and (2, 6),
-    so even verify_graphs(1, 1) takes about a fifth of a second (0.17 to
-    0.23 s on Python 3.11 with 2 vCPUs).
+    so even verify_graphs(1, 1) takes about 0.15 s (0.13 to 0.24 s on
+    Python 3.11 with 2 vCPUs).
     """
     store: dict = {}
     report = verify_parallelP(V_max, E_budget, chi_min, work_budget, cell_store=store)

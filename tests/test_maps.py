@@ -23,6 +23,7 @@ from knotforge.maps import (
 from oracles import (
     canonical_key,
     chord_diagrams_up_to_dihedral,
+    dart_graph_connected,
     harer_zagier,
     has_monogon,
     parallel_class_count,
@@ -80,6 +81,27 @@ def labeled_candidates(V, E):
                 yield m
 
 
+@st.composite
+def map_unions(draw):
+    """A map from the public constructor, given lists, that is the disjoint
+    union of 1 to 3 random maps with 1 to 5 edges each, darts relabelled at
+    random; with its number of parts.  Each part may itself be
+    disconnected, and a union of two or more parts always is."""
+    sigma, alpha = [], []
+    parts = draw(st.integers(1, 3))
+    for _ in range(parts):
+        n = 2 * draw(st.integers(1, 5))
+        offset = len(sigma)
+        sigma.extend(offset + s for s in draw(st.permutations(range(n))))
+        order = draw(st.permutations(range(n)))
+        pairing = [0] * n
+        for a, b in zip(order[::2], order[1::2]):
+            pairing[a], pairing[b] = b, a
+        alpha.extend(offset + a for a in pairing)
+    perm = draw(st.permutations(range(len(sigma))))
+    return relabeled(CombinatorialMap(sigma, alpha), perm), parts
+
+
 def conjugate(perm, tau):
     """tau perm tau^-1: the permutation perm with dart d renamed tau[d]."""
     out = [0] * len(perm)
@@ -105,6 +127,31 @@ class TestValidation:
     def test_odd_darts_rejected(self):
         with pytest.raises(MalformedMap):
             CombinatorialMap(sigma=(0,), alpha=(0,))
+
+    def test_lists_give_the_same_hashable_map(self):
+        from_lists = CombinatorialMap([1, 0], [1, 0])
+        assert from_lists == LOOP_ON_SPHERE
+        assert hash(from_lists) == hash(LOOP_ON_SPHERE)
+        assert from_lists.sigma == (1, 0) and from_lists.alpha == (1, 0)
+
+    def test_integer_like_darts_stored_as_ints(self):
+        m = CombinatorialMap(sigma=(True, False), alpha=range(1, -1, -1))
+        assert m == LOOP_ON_SPHERE
+        assert all(type(d) is int for d in m.sigma + m.alpha)
+
+    @pytest.mark.parametrize(
+        "sigma, alpha",
+        [
+            ((0, 1), (1, 0.0)),
+            ((0, 1), ("1", 0)),
+            ((1.0, 0), (1, 0)),
+            ((0, 1), (None, 0)),
+            (2, (1, 0)),
+        ],
+    )
+    def test_non_integer_darts_rejected(self, sigma, alpha):
+        with pytest.raises(MalformedMap):
+            CombinatorialMap(sigma, alpha)
 
 
 class TestTraceFaces:
@@ -147,6 +194,29 @@ class TestTraceFaces:
     def test_parallel_classes_match_bigon_components_on_cells(self, V, E):
         for m in enumerate_maps(V, E, monogon_free=True):
             assert trace_faces(m).num_parallel_classes == parallel_class_count(m)
+
+
+class TestConnectivity:
+    @settings(max_examples=300)
+    @given(map_unions())
+    def test_vertex_walk_matches_the_dart_graph(self, drawn):
+        m, parts = drawn
+        assert m.is_connected() == dart_graph_connected(m)
+        if parts > 1:
+            assert not m.is_connected()
+
+    @settings(max_examples=100)
+    @given(map_unions())
+    def test_vertex_partition_is_the_cycles_of_sigma(self, drawn):
+        m, _ = drawn
+        cycles, vertex_of = m.vertex_partition
+        assert cycles[0][0] == 0
+        assert sorted(d for cycle in cycles for d in cycle) == list(range(len(m.sigma)))
+        for v, cycle in enumerate(cycles):
+            for j, d in enumerate(cycle):
+                assert vertex_of[d] == v
+                assert m.sigma[d] == cycle[(j + 1) % len(cycle)]
+        assert m.num_vertices == len(cycles)
 
 
 class TestEnumeration:
@@ -210,6 +280,32 @@ class TestEnumeration:
         monkeypatch.setattr(CombinatorialMap, "is_connected", counting)
         list(enumerate_maps(V, E, monogon_free))
         assert calls == maps.candidate_count(V, E)
+
+    @pytest.mark.parametrize("monogon_free", [False, True])
+    @pytest.mark.parametrize(
+        "V, E", [(V, E) for V in (1, 2, 3) for E in range(1, 6)] + [(2, 6)]
+    )
+    def test_every_connectivity_answer_matches_the_dart_graph(
+        self, monkeypatch, V, E, monogon_free
+    ):
+        # candidates carry their cycle type's shared vertex partition; each
+        # answer is checked against a search that reads sigma and alpha only
+        calls = 0
+        wrong = []
+        original = CombinatorialMap.is_connected
+
+        def checked(m):
+            nonlocal calls
+            calls += 1
+            answer = original(m)
+            if answer != dart_graph_connected(m):
+                wrong.append((m.sigma, m.alpha))
+            return answer
+
+        monkeypatch.setattr(CombinatorialMap, "is_connected", checked)
+        list(enumerate_maps(V, E, monogon_free))
+        assert calls == maps.candidate_count(V, E)
+        assert wrong == []
 
     def test_limits_enforced(self):
         with pytest.raises(LimitExceeded):
