@@ -15,7 +15,10 @@ is fixed by n (the twisted curve and what follows from it), by i (the
 strong flag and the hitting bounds), or by n and the strong flag (the
 bridge bound and the exterior flags).  Rows are the outer product of the
 columns, and the renderers format each fragment of a row once per column
-entry, not once per row.
+entry, not once per row.  An error is a cell: each n entry holds, per
+strong flag, its bridge cell or that cell's error message.  A rejected
+request has an infinite strong threshold, so its i entries are all weak,
+and each n entry's weak cell is the request's error.
 
 Guard lemma: the only Certificate guard that can fail on a catalog row is
 the bridge bound against the heuristic upper bound.  tau comes from
@@ -25,20 +28,21 @@ precondition flags and unique_surgery are all `strong and not exceptional`
 
 Verdict lemma: the request's own errors read neither n nor i, so a request
 either fails on every row with one error or fails on no row.  The KnotSpec
-checks read g, family, kappa and alpha; n_strong fails only on chi_Q_nu;
-and the hitting bounds fail only through _check_chi(chi_Q_hit).  Once the
-request passes, no twist raises (the lemma in `torus.twist`), the chi
-defaults are negative, and a weak row cannot fail: its bridge bound is None,
-which the guard accepts.  A strong row fails only through its n's strong
-cell: the bridge bound's chi check (its genus check is the KnotSpec's
-g >= 2) or the bridge guard.  All of this arithmetic is on exact integers,
-and every divisor is 36|chi| or 72|chi|, nonzero after _check_chi, so every
-error is a ValueError.
+checks read g, family, kappa and alpha, and n_strong fails only on
+chi_Q_nu.  The hitting bounds read the constant GAMMA_DISK < 0, so their
+_check_chi cannot fail.  Once the request passes, no twist raises (the
+lemma in `torus.twist`), the chi defaults are negative, and a weak row
+cannot fail: its bridge bound is None, which the guard accepts.  A strong
+row fails only through its n's strong cell: the bridge bound's chi check
+(its genus check is the KnotSpec's g >= 2) or the bridge guard.  All of
+this arithmetic is on exact integers, and every divisor is 36|chi| or
+72|chi|, nonzero after _check_chi, so every error is a ValueError.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -155,18 +159,15 @@ def _default_chis(
     alpha: TorusCurve,
     chi_Q_bridge: int | None,
     chi_Q_nu: int | None,
-    chi_Q_hit: int | None,
-) -> tuple[int | None, int, int]:
-    """(chi_Q_bridge, chi_Q_nu, chi_Q_hit) with build_certificate's defaults
-    filled in; chi_Q_bridge stays None when alpha is not the (1,1) class."""
+) -> tuple[int | None, int]:
+    """(chi_Q_bridge, chi_Q_nu) with build_certificate's defaults filled in;
+    chi_Q_bridge stays None when alpha is not the (1,1) class."""
     nu_chi = bounds.catching_chi(bounds.nu_recipe(kappa))
     if chi_Q_bridge is None and alpha == NU:
         chi_Q_bridge = nu_chi
     if chi_Q_nu is None:
         chi_Q_nu = nu_chi
-    if chi_Q_hit is None:
-        chi_Q_hit = bounds.GAMMA_DISK
-    return chi_Q_bridge, chi_Q_nu, chi_Q_hit
+    return chi_Q_bridge, chi_Q_nu
 
 
 class _Twisted(NamedTuple):
@@ -217,32 +218,31 @@ def _cell(
 
 
 class _NEntry(NamedTuple):
-    """What the rows of one n share: the fields fixed by n and `cells[strong]`
-    (from _cell, or that cell's error message) for each strong flag of the
-    i column; only n when the request is rejected."""
+    """What the rows of one n share: the fields fixed by n (None when the
+    request is rejected) and `cells[strong]` (from _cell, or an error
+    message) for each strong flag of the i column."""
 
     n: int
-    fields: _Twisted | None = None
-    cells: tuple = (None, None)
+    fields: _Twisted | None
+    cells: tuple
 
 
 class _IEntry(NamedTuple):
-    """What the rows of one i share: the strong flag and the hitting bounds;
-    only i when the request is rejected."""
+    """What the rows of one i share: the strong flag and the hitting bounds
+    of the gamma_g curve's catching disk."""
 
     i: int
-    strong: bool = False
-    hbar_D_lower: int = 0
-    hbar_A_lower: int = 0
+    strong: bool
+    hbar_D_lower: int
+    hbar_A_lower: int
 
 
-def _i_entry(i: int, threshold: int, chi_Q_hit: int) -> _IEntry:
-    """Raises the hitting bounds' error."""
+def _i_entry(i: int, threshold: float) -> _IEntry:
     return _IEntry(
         i,
         abs(i) > threshold,
-        bounds.disk_hitting_lower_bound(i, chi_Q_hit),
-        bounds.annulus_hitting_lower_bound(i, chi_Q_hit),
+        bounds.disk_hitting_lower_bound(i, bounds.GAMMA_DISK),
+        bounds.annulus_hitting_lower_bound(i, bounds.GAMMA_DISK),
     )
 
 
@@ -267,24 +267,21 @@ def build_certificate(
     spec: KnotSpec,
     chi_Q_bridge: int | None = None,
     chi_Q_nu: int | None = None,
-    chi_Q_hit: int | None = None,
 ) -> Certificate:
     """Assemble the certificate for one knot spec.
 
-    chi_Q_hit (hitting bounds) defaults to the tubed-meridian-disk value
-    GAMMA_DISK; chi_Q_nu (the strong threshold) defaults to the
-    3-punctured-sphere recipe for spec.kappa; chi_Q_bridge defaults to the
-    same recipe when alpha is the (1,1) class and is otherwise required
-    explicitly (the catching surface depends on i there).
+    The hitting bounds use the tubed meridian disk caught by the gamma_g
+    curve, chi = GAMMA_DISK = -6; chi_Q_nu (the strong threshold) defaults
+    to the 3-punctured-sphere recipe for spec.kappa; chi_Q_bridge defaults
+    to the same recipe when alpha is the (1,1) class and is otherwise
+    required explicitly (the catching surface depends on i there).
 
     This is the one-cell catalog: the column helpers of generate_family,
     with the first error raised instead of recorded.
     """
-    chi_Q_bridge, chi_Q_nu, chi_Q_hit = _default_chis(
-        spec.kappa, spec.alpha, chi_Q_bridge, chi_Q_nu, chi_Q_hit
-    )
+    chi_Q_bridge, chi_Q_nu = _default_chis(spec.kappa, spec.alpha, chi_Q_bridge, chi_Q_nu)
     fields = _twisted(spec.g, spec.family, spec.kappa, spec.alpha, spec.n)
-    i_entry = _i_entry(spec.i, bounds.n_strong(chi_Q_nu), chi_Q_hit)
+    i_entry = _i_entry(spec.i, bounds.n_strong(chi_Q_nu))
     cell = _cell(fields, spec.g, spec.alpha, spec.n, i_entry.strong, chi_Q_bridge)
     return _certificate(fields, cell, i_entry)
 
@@ -300,9 +297,10 @@ class CatalogRow:
 @dataclass(frozen=True)
 class Catalog:
     """A family catalog held as its n column and its i column; its rows
-    are their outer product, sorted by n, then i.  `error` is set when the
-    request is rejected, and then every row carries it (the verdict lemma
-    in the module docstring)."""
+    are their outer product, sorted by n, then i.  A row whose n entry's
+    cell for its strong flag is a message is an error row; a rejected
+    request makes every row one (the column model in the module
+    docstring)."""
 
     g: int
     family: str
@@ -311,17 +309,10 @@ class Catalog:
     statements: tuple[str, ...]
     n_column: tuple[_NEntry, ...]
     i_column: tuple[_IEntry, ...]
-    error: str | None = None
 
     @property
     def rows(self) -> tuple[CatalogRow, ...]:
         """The rows, built from the columns on every access."""
-        if self.error is not None:
-            return tuple(
-                CatalogRow(n_entry.n, i_entry.i, None, error=self.error)
-                for n_entry in self.n_column
-                for i_entry in self.i_column
-            )
         return tuple(
             CatalogRow(n_entry.n, i_entry.i, None, error=cell)
             if isinstance(cell, str)
@@ -333,10 +324,8 @@ class Catalog:
 
     @property
     def errored(self) -> bool:
-        """There are rows, and the request failed or some n's cell is an
-        error message (cells exist only for the strong flags of rows)."""
-        if self.error is not None:
-            return bool(self.n_column and self.i_column)
+        """Some n's cell is an error message (cells exist only for the strong
+        flags of rows)."""
         return any(isinstance(cell, str) for n_entry in self.n_column for cell in n_entry.cells)
 
 
@@ -372,17 +361,17 @@ def generate_family(
     i_range,
     chi_Q_bridge: int | None = None,
     chi_Q_nu: int | None = None,
-    chi_Q_hit: int | None = None,
 ) -> Catalog:
     """One certificate row per (n, i), sorted lexicographically; failed
     rows carry their error message and are never dropped.
 
-    The request (KnotSpec checks, chi defaults, n_strong, hitting bounds) is
-    checked once.  By the verdict lemma in the module docstring, a rejected
-    request gives every row its one error and twists nothing; a request
-    rejected by the KnotSpec checks also makes no statement.  An accepted
-    request computes each n and each i once, and runs the bridge bound and
-    guard once per (n, strong) pair that has rows.
+    The request (KnotSpec checks, chi defaults, n_strong) is checked once.
+    By the verdict lemma in the module docstring, a rejected request gives
+    every row its one error, as the weak cell of every n entry, and twists
+    nothing; a request rejected by the KnotSpec checks also makes no
+    statement.  Each i is computed once, and an accepted request computes
+    each n once and runs the bridge bound and guard once per (n, strong)
+    pair that has rows.
     """
     n_values = sorted(set(n_range))
     i_values = sorted(set(i_range))
@@ -393,19 +382,19 @@ def generate_family(
         _check_request(g, family, kappa, alpha)
         if alpha not in (MU, LAMBDA):
             statements = ("distinctness: hbar_D lower bound unbounded in |i|",)
-        chi_Q_bridge, chi_Q_nu, chi_Q_hit = _default_chis(
-            kappa, alpha, chi_Q_bridge, chi_Q_nu, chi_Q_hit
-        )
+        chi_Q_bridge, chi_Q_nu = _default_chis(kappa, alpha, chi_Q_bridge, chi_Q_nu)
         threshold = bounds.n_strong(chi_Q_nu)
-        i_column = tuple(_i_entry(i, threshold, chi_Q_hit) for i in i_values)
     except ValueError as exc:
-        n_column, i_column = tuple(map(_NEntry, n_values)), tuple(map(_IEntry, i_values))
-        return Catalog(g, family, kappa, alpha, statements, n_column, i_column, str(exc))
-    strongs = {e.strong for e in i_column}
-    n_column = tuple(
-        _n_entry(g, family, kappa, alpha, n, len(i_values), strongs, chi_Q_bridge)
-        for n in n_values
-    )
+        # every i is weak, so every row reads its n's weak cell: the error
+        threshold = math.inf
+        n_column = tuple(_NEntry(n, None, (str(exc), None)) for n in n_values)
+    else:
+        strongs = {abs(i) > threshold for i in i_values}
+        n_column = tuple(
+            _n_entry(g, family, kappa, alpha, n, len(i_values), strongs, chi_Q_bridge)
+            for n in n_values
+        )
+    i_column = tuple(_i_entry(i, threshold) for i in i_values)
     return Catalog(g, family, kappa, alpha, statements, n_column, i_column)
 
 
@@ -446,21 +435,15 @@ def _na(reason: str) -> str:
 
 def _row_texts(catalog: Catalog, format_values, sep: str) -> Iterator[str]:
     """Each row's line: fragments joined by sep, where format_values(start,
-    values) formats values of _COLUMNS[start:].  The request's error, the
-    three tails (strong flag, exterior flags, unique_surgery and an empty
-    error) and each n entry, i entry and cell are formatted once."""
+    values) formats values of _COLUMNS[start:].  The three tails (strong
+    flag, exterior flags, unique_surgery and an empty error) and each n
+    entry, i entry and cell, error cells included, are formatted once."""
     na = [_na("row error")] * (len(_COLUMNS) - 3)
-
-    def error_rest(error: str) -> str:
-        """An errored row's line after its i."""
-        return f"{sep}{format_values(2, (*na, error))}\n"
-
     # flags_all implies strong, so no tail has strong false and flags true
     tails = {}
     for strong, flags in ((False, False), (True, False), (True, True)):
         values = (str(strong).lower(), *[str(flags).lower()] * 5, "")
         tails[strong, flags] = f"{sep}{format_values(_TAIL, values)}\n"
-    rejected = None if catalog.error is None else error_rest(catalog.error)
     i_parts = [
         (
             e.strong,
@@ -472,11 +455,11 @@ def _row_texts(catalog: Catalog, format_values, sep: str) -> Iterator[str]:
     for n_entry in catalog.n_column:
         head = format_values(0, (str(n_entry.n),))
         # per strong flag: the line after i, or the parts around the hbar fragment
-        rests: list = [rejected, rejected]
+        rests: list = [None, None]
         f = n_entry.fields
         for strong, cell in zip((False, True), n_entry.cells):
-            if isinstance(cell, str):
-                rests[strong] = error_rest(cell)
+            if isinstance(cell, str):  # an errored row's line after its i
+                rests[strong] = f"{sep}{format_values(2, (*na, cell))}\n"
             elif cell is not None:
                 bridge_lower, reason = cell
                 mid = format_values(

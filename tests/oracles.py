@@ -7,7 +7,8 @@ map key (pruned and plain exhaustive forms), the monogon test phi(d) = d,
 the map enumerator that drops duplicates by the key, a Burnside count of
 chord diagrams, the parallel-class count of a map by breadth-first search
 over its bigons, the Harer-Zagier recurrence for one-vertex maps, the
-rooted-map census of a (V, E) cell, and the row-by-row catalog (one
+rooted-map census of a (V, E) cell, the closed-form count of the connected
+pairings of a cycle type, and the row-by-row catalog (one
 certificate built and rendered per (n, i)).  Pure integer arithmetic
 throughout.
 """
@@ -327,6 +328,66 @@ def centralizer_order(cycle_lengths: tuple[int, ...]) -> int:
         m = cycle_lengths.count(k)
         z *= k**m * math.factorial(m)
     return z
+
+
+def _pairings(cycle_lengths, monogon_free: bool) -> int:
+    """The perfect matchings of the darts of these cycles of sigma, by
+    inclusion-exclusion over the forbidden pairs {d, sigma(d)} when
+    monogon_free (a monogon is alpha(d) = sigma^-1(d)):
+    sum_k (-1)^k m_k (n - 2k - 1)!! for n darts, where m_k counts the
+    k-matchings of the forbidden pairs.  m_k is the coefficient of x^k in the
+    product over the cycles of their matching polynomials: 1 for L = 1 (no
+    pair), 1 + x for L = 2 (one pair), and the cycle graph's
+    sum_k L / (L - k) C(L - k, k) x^k for L >= 3 (Touchard 1934)."""
+    n = sum(cycle_lengths)
+    if n % 2:
+        return 0
+    m = [1]
+    for L in cycle_lengths:
+        if not monogon_free or L == 1:
+            continue
+        factor = [1, 1] if L == 2 else [
+            L * math.comb(L - k, k) // (L - k) for k in range(L // 2 + 1)
+        ]
+        product = [0] * (len(m) + len(factor) - 1)
+        for a, x in enumerate(m):
+            for b, y in enumerate(factor):
+                product[a + b] += x * y
+        m = product
+    # (n - 2k - 1)!!, with (-1)!! = 1
+    return sum(
+        (-1) ** k * m_k * math.prod(range(n - 2 * k - 1, 0, -2))
+        for k, m_k in enumerate(m)
+    )
+
+
+def connected_pairings(cycle_lengths: tuple[int, ...], monogon_free: bool) -> int:
+    """The fixed-point-free involutions alpha of the darts of
+    sigma = _standard_sigma(cycle_lengths) that make (sigma, alpha) a
+    connected map (with no monogon, when monogon_free), in closed form.
+
+    A pairing splits the cycles into the blocks it joins, so the pairings
+    of a set S of cycles are sum_T connected(T) pairings(S - T) over the
+    subsets T of S that hold S's least cycle; Moebius inversion over the
+    set partitions of the cycles (Stanley, EC2 5.1) solves this for
+    connected(S).  Reads no candidate."""
+    cycles = tuple(cycle_lengths)
+
+    def lengths(mask):
+        return [L for c, L in enumerate(cycles) if mask >> c & 1]
+
+    connected = {}
+    for mask in range(1, 1 << len(cycles)):
+        low = mask & -mask
+        rest = mask ^ low
+        total = _pairings(lengths(mask), monogon_free)
+        # each proper T holding the least cycle is low | sub, sub a proper subset of rest
+        sub = rest
+        while sub:
+            sub = (sub - 1) & rest
+            total -= connected[low | sub] * _pairings(lengths(rest ^ sub), monogon_free)
+        connected[mask] = total
+    return connected[(1 << len(cycles)) - 1]
 
 
 def rooted_map_census(V: int, E: int) -> dict[int, int]:

@@ -172,7 +172,6 @@ def test_criterion_8_desk_demo():
         i_range=i_values,
         chi_Q_bridge=-6,
         chi_Q_nu=-6,
-        chi_Q_hit=-6,
     )
     assert not cat.errored
     by_n = {}

@@ -287,20 +287,24 @@ def family_requests(draw):
         draw(I_VALUES),
         draw(CHIS),
         draw(CHIS),
-        draw(CHIS),
     )
 
 
 # tau = (1000,999) + n (1,1) reaches (0,1) and (1,0) at n = -1000, -999, so with
 # chi_Q_bridge = -1 the bridge bound exceeds the heuristic upper bound there
-GUARD_GRID = (2, "S", normalize(1000, 999), NU, [5, -999, -1000, 5], [300, 0], -1, -1, None)
+GUARD_GRID = (2, "S", normalize(1000, 999), NU, [5, -999, -1000, 5], [300, 0], -1, -1)
 
 
 class TestColumnarCatalogMatchesRowOracle:
     @given(family_requests())
     @example(GUARD_GRID)
-    @example((2, "H", normalize(2, 1), NU, [3, 1], [], None, None, None))
-    @example((2, "H", normalize(2, 1), NU, [], [5], None, None, None))
+    @example((2, "H", normalize(2, 1), NU, [3, 1], [], None, None))
+    @example((2, "H", normalize(2, 1), NU, [], [5], None, None))
+    # rejected requests with no rows are not errored
+    @example((2, "H", normalize(2, 1), NU, [], [5], None, 0))
+    @example((2, "H", normalize(2, 1), NU, [3, 1], [], None, 0))
+    # rows that the spec check rejects
+    @example((1, "H", normalize(2, 1), NU, [0, 1], [0, 5000], None, None))
     @settings(max_examples=400, deadline=None)
     def test_rows_errored_and_renderings(self, grid):
         cat = generate_family(*grid)
@@ -327,14 +331,13 @@ class TestColumnarCatalogMatchesRowOracle:
         st.integers(-3000, 3000),
         CHIS,
         CHIS,
-        CHIS,
     )
-    @example(2, "S", normalize(1000, 999), NU, -1000, 300, -1, -1, None)
+    @example(2, "S", normalize(1000, 999), NU, -1000, 300, -1, -1)
     @settings(max_examples=300, deadline=None)
     def test_build_certificate_is_the_one_cell_catalog(
-        self, g, family, kappa, alpha, n, i, chi_bridge, chi_nu, chi_hit
+        self, g, family, kappa, alpha, n, i, chi_bridge, chi_nu
     ):
-        chis = (chi_bridge, chi_nu, chi_hit)
+        chis = (chi_bridge, chi_nu)
         (row,) = generate_family(g, family, kappa, alpha, [n], [i], *chis).rows
         try:
             spec = KnotSpec(g, family, kappa, alpha, n, i)
@@ -363,9 +366,9 @@ class TestColumnarCatalogMatchesRowOracle:
 
 class TestVerdictLemma:
     @given(family_requests())
-    @example((2, "H", normalize(2, 1), NU, [1, 2], [5, 3000], None, 0, None))
+    @example((2, "H", normalize(2, 1), NU, [1, 2], [5, 3000], None, 0))
     # chi_Q_bridge >= 0: the strong rows err, the weak ones do not
-    @example((2, "H", normalize(2, 1), NU, [0, 40], [-3, 0, 216, 217, 5000], 1, -1, None))
+    @example((2, "H", normalize(2, 1), NU, [0, 40], [-3, 0, 216, 217, 5000], 1, -1))
     @example(GUARD_GRID)
     @settings(max_examples=400, deadline=None)
     def test_row_oracle_errors_are_the_requests_or_strong(self, grid):
@@ -380,7 +383,7 @@ class TestVerdictLemma:
         threshold = bounds.n_strong(chi_Q_nu)
         assert all(abs(row.i) > threshold for row in rows if row.error)
 
-    @pytest.mark.parametrize("chis", [(None, 0, None), (None, None, 0)])
+    @pytest.mark.parametrize("chis", [(None, 0)])
     def test_rejected_request_makes_no_twist(self, monkeypatch, chis):
         calls = []
 

@@ -252,6 +252,29 @@ class TestFamily:
         assert "error=" in out
         assert "statement" not in out
 
+    @pytest.mark.parametrize(
+        "fmt, digest",
+        [
+            ("txt", "6b9c18c384d37e5d6c9967e2f4145a54a917c6decd1db9b8db33b31dc737aceb"),
+            ("csv", "040a7d977c444629c38e68cbaae2bfaeecbe5598d02591124b6fc150cab92620"),
+        ],
+    )
+    def test_mixed_verdict_bytes_pinned(self, capsys, fmt, digest):
+        # an accepted request whose bridge chi is >= 0: only the strong rows
+        # (i = 5000 > 216 * 3) err, the weak ones are certified
+        argv = (
+            "family --kappa 2,1 --alpha 1,1 --chi-bridge 0"
+            f" --n-range 0:1 --i-range 0,5000 --format {fmt}"
+        )
+        assert main(argv.split()) == 1
+        out = capsys.readouterr().out
+        rows = out.splitlines()[-4:]
+        erred = [row for row in rows if "a catching surface with chi(Q) < 0 is required" in row]
+        assert len(erred) == 2
+        assert all("5000" in row for row in erred)
+        assert all("5000" not in row for row in rows if row not in erred)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     @pytest.mark.parametrize("flag, text", [("--n-range", "5:1"), ("--i-range", "3:0:2")])
     def test_empty_grid_exit_code(self, capsys, flag, text):
         argv = ["family", "--kappa", "2,1", "--alpha", "1,1", "--n-range", "1:2", "--i-range", "0:0"]
@@ -262,7 +285,7 @@ class TestFamily:
         assert captured.out == ""
 
     def test_desk_demo_catalog(self, capsys):
-        # the default hitting chi is bounds.GAMMA_DISK = -6, as in the demo
+        # the hitting chi is bounds.GAMMA_DISK = -6, as in the demo
         code = main(
             [
                 "family",
@@ -286,7 +309,6 @@ class TestFamily:
             i_range=[2592, 5184, 10368],
             chi_Q_bridge=-6,
             chi_Q_nu=-6,
-            chi_Q_hit=-6,
         )
         assert code == 0
         assert capsys.readouterr().out == render_csv(demo)

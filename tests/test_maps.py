@@ -23,6 +23,7 @@ from knotforge.maps import (
 from oracles import (
     canonical_key,
     chord_diagrams_up_to_dihedral,
+    connected_pairings,
     dart_graph_connected,
     harer_zagier,
     has_monogon,
@@ -423,6 +424,25 @@ class TestOrderlyGeneration:
                     continue
                 fixed += sum(conjugate(m.alpha, tau) == m.alpha for tau in group)
             assert fixed == len(group) * yielded[sigma]
+
+    @pytest.mark.parametrize(
+        "V, E, monogon_free",
+        [(V, E, m) for V in (1, 2, 3) for E in range(1, 7) for m in (False, True)]
+        + [(1, 7, True)],
+    )
+    def test_orbit_sums_match_the_closed_form(self, V, E, monogon_free):
+        # orbit-stabilizer: the H-orbit of a yielded alpha has |H| / |Stab(alpha)|
+        # pairings, and the orbits of one cycle type hold all its connected ones
+        by_sigma = {}
+        for m in enumerate_maps(V, E, monogon_free):
+            by_sigma.setdefault(m.sigma, []).append(m.alpha)
+        for cycle_lengths in maps._partitions_into(2 * E, V):
+            group = maps._sigma_symmetries(cycle_lengths)
+            orbit_sizes = sum(
+                len(group) // sum(conjugate(alpha, tau) == alpha for tau in group)
+                for alpha in by_sigma.get(maps._standard_sigma(cycle_lengths), [])
+            )
+            assert orbit_sizes == connected_pairings(cycle_lengths, monogon_free)
 
     @pytest.mark.parametrize("monogon_free", [False, True])
     @pytest.mark.parametrize(
