@@ -13,6 +13,15 @@ plumb steps popping two) that can be serialized and replayed.  Lineages
 are immutable shared postfix trees, and `trace` and `replay` are O(g) for
 a genus-g construction.
 
+The trace language has exactly eleven lines: `base eta1`, `base eta1x2`,
+`base gamma2`, and the eight `plumb spans_a=A spans_b=B nonsep=N` with A,
+B and N each 0 or 1, fields in that order and one space apart.  `plumb`
+writes its line from the table _PLUMB_STEPS, and replay reads every line
+from _TRACE_LINES, which is built from that same table; any other line
+(blank, respaced or reordered) is not a trace line and raises
+PlumbingError.  The three base pairs are frozen values built once, at
+import, after gamma2() has checked the shipped seam data.
+
 Per-step invariant: every MarkedPair has genus >= 1 and holds a Lineage
 (its constructor converts a tuple of steps).  So a plumb step checks no
 genus, since its genus is the sum of two genera >= 1, converts nothing and
@@ -75,28 +84,22 @@ class Flags:
 class Lineage:
     """The steps of a construction in postfix order, as an immutable tree.
 
-    `Lineage(*parts)` is the concatenation of its parts, each a step string
-    or another Lineage, which is shared rather than copied; a plumb step
-    makes its node with `_join`.  A Lineage acts as the flat tuple of its
-    steps: len() is O(1), iteration yields the steps in order without
-    recursion, and equality and hashing go by content, also against plain
-    tuples.
+    `Lineage(*steps)` is a leaf that holds its step strings; a plumb step
+    makes its node with `_join`, which shares both input lineages rather
+    than copying them.  A Lineage acts as the flat tuple of its steps:
+    len() is O(1), iteration yields the steps in order without recursion,
+    and equality and hashing go by content, also against plain tuples.
     """
 
     __slots__ = ("_parts", "_len", "_hash")
 
-    def __init__(self, *parts: str | Lineage):
-        length = 0
-        for part in parts:
-            if isinstance(part, Lineage):
-                length += part._len
-            elif isinstance(part, str):
-                length += 1
-            else:
-                raise TypeError(f"lineage parts are steps or lineages, got {part!r}")
+    def __init__(self, *steps: str):
+        for step in steps:
+            if not isinstance(step, str):
+                raise TypeError(f"lineage steps are strings, got {step!r}")
         # a step is kept as a plain str, which is what _steps tests for
-        self._parts = tuple(str(p) if isinstance(p, str) else p for p in parts)
-        self._len = length
+        self._parts = tuple(map(str, steps))
+        self._len = len(steps)
         self._hash = None
 
     def _steps(self) -> list[str]:
@@ -142,8 +145,8 @@ class Lineage:
 
     @staticmethod
     def _join(a: Lineage, b: Lineage, step: str) -> Lineage:
-        """Lineage(a, b, step) for two lineages and a plain str step, without
-        the per-part scan: the node of one plumb step."""
+        """The node of one plumb step: the steps of a, then those of b, then
+        the plain str step, with a and b shared."""
         node = _new(Lineage)
         node._parts = (a, b, step)
         node._len = a._len + b._len + 1
@@ -171,35 +174,6 @@ class MarkedPair:
 
 _ALL_FLAGS = Flags(True, True, True, True)
 
-
-def _base(name: str, genus: int, components: int) -> MarkedPair:
-    return MarkedPair(
-        genus=genus,
-        components=components,
-        flags=_ALL_FLAGS,
-        lineage=Lineage(f"base {name}"),
-    )
-
-
-def eta1() -> MarkedPair:
-    """Solid torus with a winding-number-3 boundary curve (axiom flags)."""
-    return _base("eta1", 1, 1)
-
-
-def eta1_doubled() -> MarkedPair:
-    """Two parallel copies of the eta1 curve on the solid torus."""
-    return _base("eta1x2", 1, 2)
-
-
-def gamma2_pair() -> MarkedPair:
-    """The genus-2 pair built from the 3-seamed curve certificate, which
-    gamma2() checks on first use and always certifies annulus-busting."""
-    gamma2()
-    return _base("gamma2", 2, 1)
-
-
-_BASES = {"eta1": eta1, "eta1x2": eta1_doubled, "gamma2": gamma2_pair}
-
 # the flags of a plumbed pair, by (annulus_busting, nonseparating)
 _PLUMBED_FLAGS = {
     (annulus, nonsep): Flags(True, annulus, nonsep, True)
@@ -216,6 +190,38 @@ _PLUMB_STEPS = {
     for spans_b in (False, True)
     for nonsep in (False, True)
 }
+
+# the shipped gamma_2 seam data is checked once, before its base pair exists
+gamma2()
+
+# What replay does with each of the eleven trace lines: a base line pushes
+# its pair, a frozen value built once here; a plumb line plumbs the top two
+# pairs with its bands and witness.
+_TRACE_LINES = {
+    f"base {name}": MarkedPair(genus, components, _ALL_FLAGS, Lineage(f"base {name}"))
+    for name, genus, components in (("eta1", 1, 1), ("eta1x2", 1, 2), ("gamma2", 2, 1))
+}
+_TRACE_LINES.update(
+    (line, (PlumbingBand("a", True, spans_a), PlumbingBand("b", True, spans_b), nonsep))
+    for (spans_a, spans_b, nonsep), line in _PLUMB_STEPS.items()
+)
+
+
+def eta1() -> MarkedPair:
+    """Solid torus with a winding-number-3 boundary curve (axiom flags)."""
+    return _TRACE_LINES["base eta1"]
+
+
+def eta1_doubled() -> MarkedPair:
+    """Two parallel copies of the eta1 curve on the solid torus."""
+    return _TRACE_LINES["base eta1x2"]
+
+
+def gamma2_pair() -> MarkedPair:
+    """The genus-2 pair built from the 3-seamed curve certificate, which
+    gamma2() checks when this module is imported and always certifies
+    annulus-busting."""
+    return _TRACE_LINES["base gamma2"]
 
 
 def plumb(
@@ -305,67 +311,19 @@ def gamma(g: int) -> MarkedPair:
     )
 
 
-_PLUMB_KEYS = ("spans_a", "spans_b", "nonsep")
-
-
-def _plumb_fields(tokens: list[str]) -> dict[str, bool]:
-    """The 0/1 fields of a plumb step, each of _PLUMB_KEYS exactly once."""
-    fields: dict[str, bool] = {}
-    for token in tokens:
-        key, sep, value = token.partition("=")
-        if not sep or key not in _PLUMB_KEYS:
-            raise PlumbingError(f"bad plumb field {token!r}")
-        if key in fields:
-            raise PlumbingError(f"duplicate plumb field {key!r}")
-        if value not in ("0", "1"):
-            raise PlumbingError(f"plumb field {key!r} must be 0 or 1, got {value!r}")
-        fields[key] = value == "1"
-    missing = [key for key in _PLUMB_KEYS if key not in fields]
-    if missing:
-        raise PlumbingError(f"plumb step lacks {', '.join(missing)}")
-    return fields
-
-
-_UNPARSED = object()  # a line replay has not parsed yet
-
-
-def _parse_step(line: str) -> MarkedPair | tuple[PlumbingBand, PlumbingBand, bool] | None:
-    """One trace line: its base pair, the bands and witness of its plumb
-    step, or None for a blank line."""
-    parts = line.split()
-    if not parts:
-        return None
-    if parts[0] == "base":
-        if len(parts) != 2:
-            raise PlumbingError(f"base step needs one pair name: {line.strip()!r}")
-        name = parts[1]
-        if name not in _BASES:
-            raise PlumbingError(f"unknown base pair {name!r}")
-        return _BASES[name]()
-    if parts[0] == "plumb":
-        fields = _plumb_fields(parts[1:])
-        band_a = PlumbingBand("a", True, fields["spans_a"])
-        band_b = PlumbingBand("b", True, fields["spans_b"])
-        return band_a, band_b, fields["nonsep"]
-    raise PlumbingError(f"unknown lineage step {parts[0]!r}")
-
-
 def replay(trace: str) -> MarkedPair:
     """Re-run a serialized lineage trace; returns the reconstructed pair.
 
-    Each distinct line is parsed and checked once per call; its result
-    depends only on its text.  Raises PlumbingError on any malformed trace.
+    Each line is looked up in _TRACE_LINES, and plumb checks every step.
+    Raises PlumbingError on any malformed trace.
     """
     stack: list[MarkedPair] = []
     push, pop = stack.append, stack.pop
-    parsed = {}  # line -> _parse_step(line)
-    lookup = parsed.get
+    lookup = _TRACE_LINES.get
     for line in trace.splitlines():
-        step = lookup(line, _UNPARSED)
-        if step is _UNPARSED:
-            step = parsed[line] = _parse_step(line)
+        step = lookup(line)
         if step is None:
-            continue
+            raise PlumbingError(f"not a trace line: {line!r}")
         if type(step) is MarkedPair:
             push(step)
             continue

@@ -84,12 +84,15 @@ class DiskBoundScan:
     def __init__(self, chi_Q: int):
         self.chi_Q = chi_Q
         self.level = 0
+        self._thresholds: dict[int, int] = {}  # h -> threshold, filled on first use
 
     def _threshold(self, h: int) -> int:
-        stats = bounds.CatchingStats(
-            chi_Q=self.chi_Q, f_K=h, f_L=1, f_M=1, chi_F_hat=2, Delta_K=0
-        )
-        return bounds.threshold(stats)
+        if h not in self._thresholds:
+            stats = bounds.CatchingStats(
+                chi_Q=self.chi_Q, f_K=h, f_L=1, f_M=1, chi_F_hat=2, Delta_K=0
+            )
+            self._thresholds[h] = bounds.threshold(stats)
+        return self._thresholds[h]
 
     def value(self, i: int) -> int:
         """Certified lower bound at this i; call with nondecreasing i."""

@@ -6,6 +6,8 @@ success (run with -s to see them); any failure is a hard assert.
 
 from math import gcd
 
+import pytest
+
 from knotforge import bounds, catalog, maps, pants, plumbing
 from knotforge.torus import TorusCurve, dehn_twist, intersection, normalize
 from oracles import DiskBoundScan, lattice_crossing_count, n_strong_scan
@@ -71,6 +73,19 @@ def test_criterion_4_bound_engine_consistency():
         "criterion 4 PASS: threshold inversion matches disk bound for"
         " |i| <= 1e5, |chi| <= 20; catching chi = -6; n_strong(-6) = 1296"
     )
+
+
+# the annulus bound at its threshold 216|chi|: (chi, 216|chi|); nothing is
+# certified there, and one twist more certifies h_A >= 2
+ANNULUS_THRESHOLDS = [(-1, 216), (-2, 432), (-3, 648), (-6, 1296), (-20, 4320)]
+
+
+@pytest.mark.parametrize("chi, threshold", ANNULUS_THRESHOLDS)
+def test_criterion_4_annulus_bound_at_its_threshold(chi, threshold):
+    for sign in (1, -1):
+        assert bounds.annulus_hitting_lower_bound(sign * threshold, chi) == 0
+        assert bounds.annulus_hitting_lower_bound(sign * (threshold + 1), chi) == 2
+    print(f"criterion 4 PASS: annulus bound at chi = {chi} is 0 at |i| = {threshold}, 2 past it")
 
 
 def test_criterion_5_graph_claims():

@@ -146,6 +146,31 @@ class TestBuildCertificate:
                 unique_surgery=False,
             )
 
+    @pytest.mark.parametrize(
+        "excess, rejected", [(Fraction(0), False), (Fraction(1, 2), True)]
+    )
+    def test_bridge_guard_at_its_boundary(self, excess, rejected):
+        # the bridge lower bound may reach the heuristic upper bound, not pass it
+        fields = dict(
+            tau=normalize(5, 3),
+            exceptional=False,
+            seifert=None,
+            surgery="handlebody",
+            bridge_lower=8 + excess,
+            bridge_lower_reason="",
+            bridge_upper_heuristic=8,
+            hbar_D_lower=0,
+            hbar_A_lower=0,
+            strong=False,
+            exterior_flags=ExteriorFlags(False, False, False, False),
+            unique_surgery=False,
+        )
+        if rejected:
+            with pytest.raises(CertificateError, match="exceeds the heuristic upper bound"):
+                Certificate(**fields)
+        else:
+            assert Certificate(**fields).bridge_lower == 8
+
     def test_flag_implication_guarded(self):
         with pytest.raises(CertificateError):
             Certificate(

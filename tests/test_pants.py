@@ -80,6 +80,12 @@ class TestValidate:
                 pd,
             )
 
+    def test_negative_closed_count(self):
+        pd = genus2_pd()
+        curve = dataclasses.replace(empty_curve(pd), closed=(-1, 0, 0))
+        with pytest.raises(ShapeMismatch, match="closed-component counts"):
+            validate(curve, pd)
+
     def test_gamma2_data_validates(self):
         curve, pd = load_seam_data(GAMMA2_DATA)
         assert validate(curve, pd)
@@ -108,6 +114,12 @@ class TestSeamedLevel:
         curve = dataclasses.replace(
             symmetric_curve(3, 3, 3), parallels=((1, 0, 0), (1, 0, 0))
         )
+        assert seamed_level(curve, pd) == 0
+
+    def test_closed_components_spoil_level(self):
+        # closed components leave cuff matching alone, so only the level sees them
+        curve, pd = load_seam_data(GAMMA2_DATA.replace("closed c0 0", "closed c0 1"))
+        assert curve.closed == (1, 0, 0)
         assert seamed_level(curve, pd) == 0
 
     @given(st.integers(0, 9), st.integers(0, 9), st.integers(0, 9), st.integers(0, 4))

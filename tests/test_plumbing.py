@@ -288,10 +288,17 @@ class TestReplay:
             PAIRS + "plumb spans_a=0=1 spans_b=0 nonsep=1",
             "base",
             "base eta1 eta1",
+            # trace() writes none of these: fields out of order, or spacing
+            # and line breaks other than its own
+            PAIRS + "plumb nonsep=1 spans_b=1 spans_a=0",
+            " base eta1",
+            "base\teta1",
+            "base eta1\n\n",
+            "base eta1 ",
         ],
     )
     def test_malformed_step_rejected(self, trace):
-        with pytest.raises(PlumbingError):
+        with pytest.raises(PlumbingError, match="not a trace line"):
             replay(trace)
 
     @given(TRACES)
@@ -320,25 +327,30 @@ class TestMarkedPair:
 
 class TestLineage:
     def test_parts_are_steps_or_lineages(self):
+        # Lineage(*steps) is a flat leaf: only _join nests lineages
         with pytest.raises(TypeError):
             Lineage("base eta1", 3)
+        with pytest.raises(TypeError):
+            Lineage("base eta1", Lineage("base eta1x2"))
 
     def test_str_subclass_steps_are_plain_steps(self):
         class Step(str):
             pass
 
-        lineage = Lineage(Step("base eta1"), Lineage(Step("base eta1x2")))
+        lineage = Lineage(Step("base eta1"), Step("base eta1x2"))
         assert [type(step) for step in lineage] == [str, str]
         assert lineage == ("base eta1", "base eta1x2")
 
     def test_flat_and_nested_agree(self):
         step = "plumb spans_a=0 spans_b=1 nonsep=1"
         flat = Lineage("base eta1", "base eta1x2", step)
-        nested = Lineage(Lineage("base eta1"), Lineage(Lineage(), "base eta1x2"), step)
+        nested = Lineage._join(Lineage("base eta1"), Lineage("base eta1x2"), step)
+        assert len(flat) == 3 and list(flat) == ["base eta1", "base eta1x2", step]
         assert len(nested) == 3 and list(nested) == list(flat)
         assert nested == flat and hash(nested) == hash(flat)
-        doubled = Lineage(nested, flat)
-        assert len(doubled) == 6 and tuple(doubled) == tuple(flat) * 2
+        assert flat == tuple(flat) and hash(flat) == hash(tuple(flat))
+        doubled = Lineage._join(nested, flat, step)
+        assert len(doubled) == 7 and tuple(doubled) == tuple(flat) * 2 + (step,)
         assert doubled != flat and flat != list(flat)
 
     @given(TREE_OPS)
