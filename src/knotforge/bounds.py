@@ -173,14 +173,20 @@ def annulus_hitting_lower_bound(i: int, chi_Q: int) -> int:
     return -((2 * d - abs(i)) // d)  # ceil(|i|/d - 2)
 
 
+_ZERO = Fraction(0)
+
+
 def bridge_lower_bound(n: int, chi_Q: int, g: int) -> Fraction:
     """Lower bound (1/2)(|n| / (36 |chi|) - 2g) on the genus-g bridge
-    number, clamped at 0; exact rational."""
+    number, clamped at 0; exact rational.  It is excess / (72 |chi|) for
+    the integer excess |n| - 72 |chi| g, so only a positive excess builds
+    a Fraction."""
     c = _check_chi(chi_Q)
     if g < 2:
         raise BadGenus("bridge bound needs g >= 2")
-    value = Fraction(abs(n), 72 * c) - g
-    return max(value, Fraction(0))
+    d = 72 * c
+    excess = abs(n) - d * g
+    return Fraction(excess, d) if excess > 0 else _ZERO
 
 
 def n_strong(chi_Q_nu: int) -> int:

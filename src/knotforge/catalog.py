@@ -24,7 +24,9 @@ Guard lemma: the only Certificate guard that can fail on a catalog row is
 the bridge bound against the heuristic upper bound.  tau comes from
 `normalize`, so its Seifert data are coprime, and the hyperbolicity-
 precondition flags and unique_surgery are all `strong and not exceptional`
-(they hold exactly for strong twisting of a non-exceptional tau).
+(they hold exactly for strong twisting of a non-exceptional tau).  The
+bridge guard is an integer cross-multiplication: a bound a/b (b > 0) passes
+a heuristic h exactly when a > h*b.
 
 Verdict lemma: the request's own errors read neither n nor i, so a request
 either fails on every row with one error or fails on no row.  The KnotSpec
@@ -134,7 +136,11 @@ class Certificate:
 
 
 def _check_bridge(bridge_lower: Fraction | None, bridge_upper_heuristic: int) -> None:
-    if bridge_lower is not None and bridge_lower > bridge_upper_heuristic:
+    # an int or a Fraction, whose denominator is positive: cross-multiply
+    if (
+        bridge_lower is not None
+        and bridge_lower.numerator > bridge_upper_heuristic * bridge_lower.denominator
+    ):
         raise CertificateError(
             f"bridge lower bound {bridge_lower} exceeds the"
             f" heuristic upper bound {bridge_upper_heuristic}"
@@ -437,7 +443,9 @@ def _row_texts(catalog: Catalog, format_values, sep: str) -> Iterator[str]:
     """Each row's line: fragments joined by sep, where format_values(start,
     values) formats values of _COLUMNS[start:].  The three tails (strong
     flag, exterior flags, unique_surgery and an empty error) and each n
-    entry, i entry and cell, error cells included, are formatted once."""
+    entry, i entry and cell, error cells included, are formatted once; the
+    texts of the fields fixed by n are made once per n entry, not once per
+    cell."""
     na = [_na("row error")] * (len(_COLUMNS) - 3)
     # flags_all implies strong, so no tail has strong false and flags true
     tails = {}
@@ -457,22 +465,24 @@ def _row_texts(catalog: Catalog, format_values, sep: str) -> Iterator[str]:
         # per strong flag: the line after i, or the parts around the hbar fragment
         rests: list = [None, None]
         f = n_entry.fields
+        fixed = None  # the texts of the fields fixed by n, made once
         for strong, cell in zip((False, True), n_entry.cells):
             if isinstance(cell, str):  # an errored row's line after its i
                 rests[strong] = f"{sep}{format_values(2, (*na, cell))}\n"
             elif cell is not None:
-                bridge_lower, reason = cell
-                mid = format_values(
-                    2,
-                    (
+                if fixed is None:
+                    fixed = (
                         str(f.tau),
                         str(f.exceptional).lower(),
-                        f"({f.seifert[0]},{f.seifert[1]})" if f.seifert else _na("handlebody family"),
+                        f"({f.seifert[0]},{f.seifert[1]})"
+                        if f.seifert
+                        else _na("handlebody family"),
                         f.surgery,
-                        str(bridge_lower) if bridge_lower is not None else _na(reason),
-                        f"{f.bridge_upper_heuristic} (heuristic)",
-                    ),
-                )
+                    )
+                    heuristic = f"{f.bridge_upper_heuristic} (heuristic)"
+                bridge_lower, reason = cell
+                bridge = str(bridge_lower) if bridge_lower is not None else _na(reason)
+                mid = format_values(2, (*fixed, bridge, heuristic))
                 rests[strong] = (f"{sep}{mid}{sep}", tails[strong, f.flags_all(strong)])
         for strong, i_text, hbar in i_parts:
             rest = rests[strong]

@@ -15,12 +15,13 @@ a genus-g construction.
 
 The trace language has exactly eleven lines: `base eta1`, `base eta1x2`,
 `base gamma2`, and the eight `plumb spans_a=A spans_b=B nonsep=N` with A,
-B and N each 0 or 1, fields in that order and one space apart.  `plumb`
-writes its line from the table _PLUMB_STEPS, and replay reads every line
-from _TRACE_LINES, which is built from that same table; any other line
-(blank, respaced or reordered) is not a trace line and raises
-PlumbingError.  The three base pairs are frozen values built once, at
-import, after gamma2() has checked the shipped seam data.
+B and N each 0 or 1, fields in that order and one space apart, each line
+ended by "\\n".  `plumb` writes its line from the table _PLUMB_STEPS, and
+replay reads every line from _TRACE_LINES, which is built from that same
+table; any other line (blank, respaced, reordered, ended by another line
+break or by none) is not a trace line and raises PlumbingError.  The
+three base pairs are frozen values built once, at import, after gamma2()
+has checked the shipped seam data.
 
 Per-step invariant: every MarkedPair has genus >= 1 and holds a Lineage
 (its constructor converts a tuple of steps).  So a plumb step checks no
@@ -314,13 +315,18 @@ def gamma(g: int) -> MarkedPair:
 def replay(trace: str) -> MarkedPair:
     """Re-run a serialized lineage trace; returns the reconstructed pair.
 
-    Each line is looked up in _TRACE_LINES, and plumb checks every step.
-    Raises PlumbingError on any malformed trace.
+    Each line ends with "\\n", the one line break trace() writes, and is
+    looked up in _TRACE_LINES; plumb checks every step.  Raises
+    PlumbingError on any malformed trace.
     """
+    lines = trace.split("\n")
+    unterminated = lines.pop()  # "" when the trace ends with its newline
+    if unterminated:
+        raise PlumbingError(f"not a trace line: {unterminated!r} has no final newline")
     stack: list[MarkedPair] = []
     push, pop = stack.append, stack.pop
     lookup = _TRACE_LINES.get
-    for line in trace.splitlines():
+    for line in lines:
         step = lookup(line)
         if step is None:
             raise PlumbingError(f"not a trace line: {line!r}")

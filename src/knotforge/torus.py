@@ -4,12 +4,18 @@ once-punctured torus.
 A curve class is a primitive integer vector (p, q) in the homology basis
 (mu, lambda), identified with its negative.  The normal form has p > 0, or
 (p, q) = (0, 1).  All arithmetic is exact (Python integers).
+
+`normalize` is the one checked constructor of curves: it rejects (0, 0) and
+non-primitive vectors and flips the sign into normal form.  The dataclass
+constructor `TorusCurve(p, q)` checks nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+
+_new = object.__new__
 
 
 class CurveError(ValueError):
@@ -46,7 +52,11 @@ def normalize(p: int, q: int) -> TorusCurve:
         raise NonPrimitive(f"({p}, {q}) is not primitive")
     if p < 0 or (p == 0 and q < 0):
         p, q = -p, -q
-    return TorusCurve(p, q)
+    curve = _new(TorusCurve)
+    fields = curve.__dict__  # in field order, as __init__ fills it
+    fields["p"] = p
+    fields["q"] = q
+    return curve
 
 
 MU = normalize(1, 0)
@@ -90,12 +100,14 @@ def twist(kappa: TorusCurve, alpha: TorusCurve, m: int) -> TorusCurve:
 
 def dehn_twist(kappa: TorusCurve, alpha: TorusCurve, n: int) -> TorusCurve:
     """n Dehn twists along alpha, each moving kappa by d = |w| copies of alpha:
-    twist(kappa, alpha, s*n), with s the sign of w for the normal-form lifts.
-    A negative count can flip the normal form of kappa and so s, hence counts
-    compose only when both are >= 0; `twist` is the group action.
+    normalize(kappa + n*|w|*alpha), which is twist(kappa, alpha, s*n) with s
+    the sign of w for the normal-form lifts.  A negative count can flip the
+    normal form of kappa and so s, hence counts compose only when both are
+    >= 0; `twist` is the group action.
     """
     w = kappa.p * alpha.q - kappa.q * alpha.p
-    return twist(kappa, alpha, n if w > 0 else -n)
+    m = n * abs(w)
+    return normalize(kappa.p + m * alpha.p, kappa.q + m * alpha.q)
 
 
 def is_exceptional(tau: TorusCurve) -> bool:

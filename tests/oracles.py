@@ -16,6 +16,7 @@ throughout.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 from dataclasses import dataclass
@@ -257,22 +258,39 @@ def dart_graph_connected(m: CombinatorialMap) -> bool:
     return len(order) == len(sigma)
 
 
-def reference_enumerate_maps(V: int, E: int, monogon_free: bool = False):
-    """The connected maps of the (V, E) cell, one per isomorphism class,
-    found by keeping the first candidate with each canonical key: cycle
-    types in _partitions_into order, pairings in _matchings order."""
-    seen = set()
-    out = []
+@functools.lru_cache(maxsize=1)
+def _cell_candidates(V: int, E: int) -> tuple:
+    """(candidate, connected, monogon, key) for every candidate of the
+    (V, E) cell: cycle types in _partitions_into order, pairings in
+    _matchings order; monogon and key are None for a disconnected one.
+    The two monogon modes of a cell are tested back to back, so one cell is
+    held at a time; equal keys share one tuple."""
+    keys: dict = {}
+    entries = []
     for cycle_lengths in _partitions_into(2 * E, V):
         sigma = _standard_sigma(cycle_lengths)
         for partner in _matchings(list(range(2 * E)), [0] * (2 * E)):
             m = CombinatorialMap(sigma, tuple(partner))
-            if not dart_graph_connected(m) or (monogon_free and has_monogon(m)):
-                continue
-            key = canonical_key(m)
-            if key not in seen:
-                seen.add(key)
-                out.append(m)
+            if dart_graph_connected(m):
+                key = canonical_key(m)
+                entries.append((m, True, has_monogon(m), keys.setdefault(key, key)))
+            else:
+                entries.append((m, False, None, None))
+    return tuple(entries)
+
+
+def reference_enumerate_maps(V: int, E: int, monogon_free: bool = False):
+    """The connected maps of the (V, E) cell, one per isomorphism class,
+    found by keeping the first candidate with each canonical key, in the
+    order of _cell_candidates."""
+    seen = set()
+    out = []
+    for m, connected, monogon, key in _cell_candidates(V, E):
+        if not connected or (monogon_free and monogon):
+            continue
+        if key not in seen:
+            seen.add(key)
+            out.append(m)
     return out
 
 

@@ -168,6 +168,28 @@ class TestBridgeBound:
         if bounds.bridge_lower_bound(n, chi, g) > 0:
             assert n != 0
 
+    @given(
+        st.one_of(st.integers(-10**6, 10**6), st.integers(-15000, 15000)),
+        st.integers(-20, -1),
+        st.integers(2, 10),
+    )
+    @settings(max_examples=300)
+    def test_matches_the_fraction_formula(self, n, chi, g):
+        value = bounds.bridge_lower_bound(n, chi, g)
+        assert type(value) is Fraction
+        assert value == max(Fraction(abs(n), 72 * abs(chi)) - g, Fraction(0))
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("chi, g", [(-1, 2), (-3, 3), (-6, 2), (-20, 5)])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_clamp_boundary(self, offset, chi, g, sign):
+        # |n| = 72|chi|g + offset: the excess over the clamp is offset
+        d = 72 * abs(chi)
+        value = bounds.bridge_lower_bound(sign * (d * g + offset), chi, g)
+        assert type(value) is Fraction and value == Fraction(max(offset, 0), d)
+        # a clamped bound is the one shared zero, built at import
+        assert (value is bounds._ZERO) == (offset <= 0)
+
 
 class TestNStrong:
     @pytest.mark.parametrize("chi,expected", [(-6, 1296), (-1, 216), (-3, 648)])

@@ -147,10 +147,12 @@ class TestBuildCertificate:
             )
 
     @pytest.mark.parametrize(
-        "excess, rejected", [(Fraction(0), False), (Fraction(1, 2), True)]
+        "excess, rejected",
+        [(Fraction(0), False), (Fraction(1, 2), True), (Fraction(1, 432), True), (0, False)],
     )
     def test_bridge_guard_at_its_boundary(self, excess, rejected):
-        # the bridge lower bound may reach the heuristic upper bound, not pass it
+        # the bridge lower bound may reach the heuristic upper bound, not pass
+        # it; an int bound is compared like a Fraction
         fields = dict(
             tau=normalize(5, 3),
             exceptional=False,

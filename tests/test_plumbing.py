@@ -295,6 +295,11 @@ class TestReplay:
             "base\teta1",
             "base eta1\n\n",
             "base eta1 ",
+            # nor a line break other than "\n", nor a last line without one
+            "base eta1\r\n",
+            "base eta1\x0c",
+            "base eta1\u2028",
+            "base eta1",
         ],
     )
     def test_malformed_step_rejected(self, trace):

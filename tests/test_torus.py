@@ -1,3 +1,7 @@
+import copy
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -61,6 +65,51 @@ class TestNormalize:
     @given(curves())
     def test_normal_form_shape(self, c):
         assert c.p > 0 or (c.p == 0 and c.q == 1)
+
+
+class TestNormalizeBuildsConstructorCurves:
+    """normalize fills a new curve's fields directly; the curve behaves in
+    every way like one from the TorusCurve(p, q) constructor."""
+
+    @given(curves())
+    def test_same_as_the_constructor(self, c):
+        made = TorusCurve(c.p, c.q)
+        assert c == made and not c != made and hash(c) == hash(made)
+        assert str(c) == str(made) and repr(c) == repr(made)
+        assert vars(c) == vars(made) and list(vars(c)) == ["p", "q"]
+        assert dataclasses.asdict(c) == dataclasses.asdict(made)
+        assert dataclasses.astuple(c) == (made.p, made.q)
+        assert dataclasses.replace(c, q=c.q + 1) == TorusCurve(c.p, c.q + 1)
+        assert pickle.dumps(c) == pickle.dumps(made)
+        assert pickle.loads(pickle.dumps(c)) == made
+        assert copy.copy(c) == made and copy.deepcopy(c) == made
+        assert {c: 1}[made] == 1
+
+    @given(curves())
+    def test_frozen(self, c):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            c.p = c.p + 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del c.q
+
+    @given(st.lists(curves(), max_size=8))
+    def test_sorts_like_the_constructor(self, cs):
+        made = [TorusCurve(c.p, c.q) for c in cs]
+        assert sorted(cs) == sorted(made)
+        assert [(c.p, c.q) for c in sorted(cs + made)] == sorted((c.p, c.q) for c in cs + made)
+        for a, b in zip(cs, made[::-1]):
+            assert (a < b, a <= b, a > b, a >= b) == (
+                (a.p, a.q) < (b.p, b.q),
+                (a.p, a.q) <= (b.p, b.q),
+                (a.p, a.q) > (b.p, b.q),
+                (a.p, a.q) >= (b.p, b.q),
+            )
+
+    def test_constructor_is_unchecked(self):
+        # only normalize checks: the constructor keeps what it is given
+        assert vars(TorusCurve(2, 4)) == {"p": 2, "q": 4}
+        assert vars(TorusCurve(0, 0)) == {"p": 0, "q": 0}
+        assert vars(TorusCurve(-1, 0)) == {"p": -1, "q": 0}
 
 
 class TestIntersection:
