@@ -3,9 +3,14 @@
 Subcommands: twist (curve arithmetic), bounds (bound formulas), plumb
 (construction traces), family (catalog generation), verify-graphs
 (combinatorial map checks).  A plain key-value configuration file
-(lines of "key = value", # comments allowed) may preload defaults via
---config; explicit flags override it.  Each key must name an option of
-the subcommand, and its value passes the option's choices.
+(lines of "key = value", # comments allowed) may preload option values via
+--config.  Each key must name an option of the subcommand, and its value
+passes the option's choices.
+
+Each option takes its flag's value, else its config key's, else its
+default (flag > config > default).  Every option that is given, as a flag
+or as a config key, is parsed, also when the chosen bounds op does not read
+it, so a malformed value never passes silently.
 """
 
 from __future__ import annotations
@@ -63,23 +68,6 @@ def load_config(path: str) -> dict[str, str]:
     return config
 
 
-def _check_config(subparser: argparse.ArgumentParser, config: dict[str, str]) -> None:
-    """Reject a config key that names no option of the subcommand, and a
-    value outside its option's choices, as the same flag would be."""
-    options = {
-        action.dest: action
-        for action in subparser._actions
-        if action.option_strings and action.dest != "help"
-    }
-    for key, value in config.items():
-        action = options.get(key)
-        if action is None:
-            raise ValueError(f"config key {key!r} is not an option of {subparser.prog!r}")
-        if action.choices is not None and value not in action.choices:
-            choices = ", ".join(map(repr, action.choices))
-            raise ValueError(f"config key {key!r}: invalid choice {value!r} (choose from {choices})")
-
-
 def _flag(args, key: str) -> str | None:
     """The value given to flag `key`, or None when it is absent."""
     value = getattr(args, key, None)
@@ -88,70 +76,69 @@ def _flag(args, key: str) -> str | None:
     return value
 
 
-def _resolve(args, config: dict[str, str], key: str, fallback=None):
-    value = _flag(args, key)
-    if value is None:
-        value = config.get(key, fallback)
-    return value
+_REQUIRED = object()  # the default of an option that must be given
 
 
-def _curve(args, config: dict[str, str], key: str):
-    """The curve named by flag or config key `key`, which is required."""
-    text = _resolve(args, config, key)
-    if text is None:
-        raise ValueError(f"--{key} is required (as a flag or a config key)")
-    return parse_curve(text)
+def _option(p: argparse.ArgumentParser, flag: str, parse=int, default=None, **kwargs) -> None:
+    """Declare option `flag` of subcommand `p` with the function that parses
+    its value and its default: a value that `parse` reads, None for an
+    option the command can go without, or _REQUIRED."""
+    p.add_argument(flag, **kwargs).spec = (parse, default)
 
 
-def _cmd_twist(args, config) -> int:
-    kappa = _curve(args, config, "kappa")
-    alpha = _curve(args, config, "alpha")
-    n = int(_resolve(args, config, "n", "1"))
-    tau = dehn_twist(kappa, alpha, n)
+def _parse_options(args, config: dict[str, str]) -> None:
+    """Set every option of the subcommand on `args`, parsed: the flag value,
+    else the config value, else the default.  A config key that names no
+    option, or a value outside the option's choices, is rejected first, as
+    the same flag would be."""
+    options = {a.dest: a for a in args.subparser._actions if hasattr(a, "spec")}
+    for key, value in config.items():
+        action = options.get(key)
+        if action is None:
+            raise ValueError(f"config key {key!r} is not an option of {args.subparser.prog!r}")
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            raise ValueError(f"config key {key!r}: invalid choice {value!r} (choose from {choices})")
+    for key, action in options.items():
+        parse, default = action.spec
+        text = _flag(args, key)
+        if text is None:
+            text = config.get(key, default)
+        if text is _REQUIRED:
+            raise ValueError(f"{action.option_strings[0]} is required (as a flag or a config key)")
+        setattr(args, key, None if text is None else parse(text))
+
+
+def _cmd_twist(args) -> int:
+    tau = dehn_twist(args.kappa, args.alpha, args.n)
     print(f"tau = {tau}")
-    print(f"distance(kappa, alpha) = {intersection(kappa, alpha)}")
-    print(f"distance(tau, kappa) = {intersection(tau, kappa)}")
+    print(f"distance(kappa, alpha) = {intersection(args.kappa, args.alpha)}")
+    print(f"distance(tau, kappa) = {intersection(tau, args.kappa)}")
     print(f"exceptional = {str(is_exceptional(tau)).lower()}")
     return 0
 
 
-def _cmd_bounds(args, config) -> int:
-    op = args.op
-    i = int(_resolve(args, config, "i", "0"))
-    chi = int(_resolve(args, config, "chi", str(bounds.GAMMA_DISK)))
-    if op == "disk":
-        print(bounds.disk_hitting_lower_bound(i, chi))
-    elif op == "annulus":
-        print(bounds.annulus_hitting_lower_bound(i, chi))
-    elif op == "bridge":
-        n = int(_resolve(args, config, "n", "0"))
-        g = int(_resolve(args, config, "genus", "2"))
-        print(bounds.bridge_lower_bound(n, chi, g))
-    elif op == "n-strong":
-        print(bounds.n_strong(chi))
-    elif op == "parallel-classes":
-        print(bounds.parallelism_class_bound(chi))
-    elif op == "edges-threshold":
-        v = int(_resolve(args, config, "vertices", "1"))
-        print(bounds.parallel_edges_threshold(v, chi))
-    elif op == "threshold":
-        stats = bounds.CatchingStats(
-            chi_Q=chi,
-            f_K=int(_resolve(args, config, "f_k", "0")),
-            f_L=int(_resolve(args, config, "f_l", "1")),
-            f_M=int(_resolve(args, config, "f_m", "1")),
-            chi_F_hat=int(_resolve(args, config, "chi_f_hat", "2")),
-            Delta_K=int(_resolve(args, config, "delta_k", "0")),
-        )
-        print(bounds.threshold(stats))
-    else:
-        raise AssertionError(op)
+# each bounds op and the formula it prints, on the parsed options
+_BOUNDS = {
+    "disk": lambda a: bounds.disk_hitting_lower_bound(a.i, a.chi),
+    "annulus": lambda a: bounds.annulus_hitting_lower_bound(a.i, a.chi),
+    "bridge": lambda a: bounds.bridge_lower_bound(a.n, a.chi, a.genus),
+    "n-strong": lambda a: bounds.n_strong(a.chi),
+    "parallel-classes": lambda a: bounds.parallelism_class_bound(a.chi),
+    "edges-threshold": lambda a: bounds.parallel_edges_threshold(a.vertices, a.chi),
+    "threshold": lambda a: bounds.threshold(
+        bounds.CatchingStats(a.chi, a.f_k, a.f_l, a.f_m, a.chi_f_hat, a.delta_k)
+    ),
+}
+
+
+def _cmd_bounds(args) -> int:
+    print(_BOUNDS[args.op](args))
     return 0
 
 
-def _cmd_plumb(args, config) -> int:
-    construction = _resolve(args, config, "construction", "gamma")
-    g = int(_resolve(args, config, "genus", "2"))
+def _cmd_plumb(args) -> int:
+    construction, g = args.construction, args.genus
     pair = plumbing.eta(g) if construction == "eta" else plumbing.gamma(g)
     print(f"{construction}_{g}: genus={pair.genus} components={pair.components}")
     print(
@@ -166,39 +153,28 @@ def _cmd_plumb(args, config) -> int:
     return 0
 
 
-def _cmd_family(args, config) -> int:
+def _cmd_family(args) -> int:
     cat = catalog.generate_family(
-        g=int(_resolve(args, config, "genus", "2")),
-        family=_resolve(args, config, "type", "H"),
-        kappa=_curve(args, config, "kappa"),
-        alpha=_curve(args, config, "alpha"),
-        n_range=parse_range(_resolve(args, config, "n_range", "0:0")),
-        i_range=parse_range(_resolve(args, config, "i_range", "0:0")),
-        chi_Q_bridge=_maybe_int(_resolve(args, config, "chi_bridge")),
-        chi_Q_nu=_maybe_int(_resolve(args, config, "chi_nu")),
+        args.genus,
+        args.type,
+        args.kappa,
+        args.alpha,
+        args.n_range,
+        args.i_range,
+        chi_Q_bridge=args.chi_bridge,
+        chi_Q_nu=args.chi_nu,
     )
-    fmt = _resolve(args, config, "format", "txt")
-    text = catalog.render_csv(cat) if fmt == "csv" else catalog.render_txt(cat)
-    out = _resolve(args, config, "out")
-    if out:
-        with open(out, "w", encoding="utf-8", newline="") as handle:
+    text = catalog.render_csv(cat) if args.format == "csv" else catalog.render_txt(cat)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
     return 1 if cat.errored else 0
 
 
-def _maybe_int(value):
-    return None if value is None else int(value)
-
-
-def _cmd_verify_graphs(args, config) -> int:
-    report, tri = maps.verify_graphs(
-        V_max=int(_resolve(args, config, "v_max", maps.V_MAX)),
-        E_budget=int(_resolve(args, config, "e_budget", maps.E_MAX)),
-        chi_min=int(_resolve(args, config, "chi_min", maps.CHI_MIN)),
-        work_budget=int(_resolve(args, config, "work_budget", maps.WORK_BUDGET)),
-    )
+def _cmd_verify_graphs(args) -> int:
+    report, tri = maps.verify_graphs(args.v_max, args.e_budget, args.chi_min, args.work_budget)
     sys.stdout.write(report.render())
     sys.stdout.write(tri.render())
     return 0 if not report.counterexamples and tri.ok else 1
@@ -210,59 +186,48 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("twist", help="curve arithmetic on the punctured torus")
-    p.add_argument("--kappa", help="base curve 'r,s'")
-    p.add_argument("--alpha", help="twisting curve 't,v'")
-    p.add_argument("--n", help="twist count")
+    _option(p, "--kappa", parse_curve, _REQUIRED, help="base curve 'r,s'")
+    _option(p, "--alpha", parse_curve, _REQUIRED, help="twisting curve 't,v'")
+    _option(p, "--n", default=1, help="twist count")
     p.set_defaults(func=_cmd_twist, subparser=p)
 
     p = sub.add_parser("bounds", help="bound formulas")
-    p.add_argument(
-        "op",
-        choices=(
-            "disk",
-            "annulus",
-            "bridge",
-            "n-strong",
-            "parallel-classes",
-            "edges-threshold",
-            "threshold",
-        ),
-    )
-    p.add_argument("--i", help="twist count")
-    p.add_argument("--chi", help="catching surface Euler characteristic")
-    p.add_argument("--n", help="annulus twist count (bridge)")
-    p.add_argument("--genus", help="splitting genus (bridge)")
-    p.add_argument("--vertices", help="vertex count (edges-threshold)")
-    p.add_argument("--f-k", dest="f_k")
-    p.add_argument("--f-l", dest="f_l")
-    p.add_argument("--f-m", dest="f_m")
-    p.add_argument("--chi-f-hat", dest="chi_f_hat")
-    p.add_argument("--delta-k", dest="delta_k")
+    p.add_argument("op", choices=tuple(_BOUNDS))
+    _option(p, "--i", default=0, help="twist count")
+    _option(p, "--chi", default=bounds.GAMMA_DISK, help="catching surface Euler characteristic")
+    _option(p, "--n", default=0, help="annulus twist count (bridge)")
+    _option(p, "--genus", default=2, help="splitting genus (bridge)")
+    _option(p, "--vertices", default=1, help="vertex count (edges-threshold)")
+    _option(p, "--f-k", default=0)
+    _option(p, "--f-l", default=1)
+    _option(p, "--f-m", default=1)
+    _option(p, "--chi-f-hat", default=2)
+    _option(p, "--delta-k", default=0)
     p.set_defaults(func=_cmd_bounds, subparser=p)
 
     p = sub.add_parser("plumb", help="construction traces")
-    p.add_argument("--construction", choices=("eta", "gamma"))
-    p.add_argument("--genus")
+    _option(p, "--construction", str, "gamma", choices=("eta", "gamma"))
+    _option(p, "--genus", default=2)
     p.set_defaults(func=_cmd_plumb, subparser=p)
 
     p = sub.add_parser("family", help="generate a certified catalog")
-    p.add_argument("--genus")
-    p.add_argument("--type", choices=("H", "S"))
-    p.add_argument("--kappa", help="base curve 'r,s'")
-    p.add_argument("--alpha", help="twisting curve 't,v'")
-    p.add_argument("--n-range", dest="n_range", help="'a:b', 'a:b:step', or comma list")
-    p.add_argument("--i-range", dest="i_range", help="'a:b', 'a:b:step', or comma list")
-    p.add_argument("--chi-bridge", dest="chi_bridge")
-    p.add_argument("--chi-nu", dest="chi_nu")
-    p.add_argument("--format", choices=("csv", "txt"))
-    p.add_argument("--out")
+    _option(p, "--genus", default=2)
+    _option(p, "--type", str, "H", choices=("H", "S"))
+    _option(p, "--kappa", parse_curve, _REQUIRED, help="base curve 'r,s'")
+    _option(p, "--alpha", parse_curve, _REQUIRED, help="twisting curve 't,v'")
+    _option(p, "--n-range", parse_range, "0:0", help="'a:b', 'a:b:step', or comma list")
+    _option(p, "--i-range", parse_range, "0:0", help="'a:b', 'a:b:step', or comma list")
+    _option(p, "--chi-bridge")
+    _option(p, "--chi-nu")
+    _option(p, "--format", str, "txt", choices=("csv", "txt"))
+    _option(p, "--out", str)
     p.set_defaults(func=_cmd_family, subparser=p)
 
     p = sub.add_parser("verify-graphs", help="combinatorial map verification")
-    p.add_argument("--v-max", dest="v_max")
-    p.add_argument("--e-budget", dest="e_budget")
-    p.add_argument("--chi-min", dest="chi_min")
-    p.add_argument("--work-budget", dest="work_budget")
+    _option(p, "--v-max", default=maps.V_MAX)
+    _option(p, "--e-budget", default=maps.E_MAX)
+    _option(p, "--chi-min", default=maps.CHI_MIN)
+    _option(p, "--work-budget", default=maps.WORK_BUDGET)
     p.set_defaults(func=_cmd_verify_graphs, subparser=p)
 
     # no option starts with -<digit>, so such a token (--kappa -3,2) is a value
@@ -282,9 +247,8 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         path = _flag(args, "config")
-        config = load_config(path) if path is not None else {}
-        _check_config(args.subparser, config)
-        return args.func(args, config)
+        _parse_options(args, load_config(path) if path is not None else {})
+        return args.func(args)
     except (OSError, ValueError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

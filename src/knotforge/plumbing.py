@@ -165,6 +165,8 @@ class MarkedPair:
     def __post_init__(self):
         if self.genus < 1:
             raise InvalidGenus("marked pairs need genus >= 1")
+        if isinstance(self.lineage, str):  # one step, not a sequence of steps
+            raise TypeError(f"a lineage is a sequence of steps, got {self.lineage!r}")
         if not isinstance(self.lineage, Lineage):
             object.__setattr__(self, "lineage", Lineage(*self.lineage))
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knotforge.catalog import generate_family, render_csv, render_txt
-from knotforge.cli import load_config, main, parse_curve, parse_range
+from knotforge.cli import build_parser, load_config, main, parse_curve, parse_range
 from knotforge.torus import normalize
 
 
@@ -507,3 +507,126 @@ class TestFuzz:
         # argparse parses "--genus=--" as an empty list, not a string
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: --")
+
+
+# --- every option, as a flag and as a config key ------------------------------
+
+def _options():
+    """(subcommand, flag) of every option that the parser declares."""
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return [
+        (command, action.option_strings[0])
+        for command, p in sub.choices.items()
+        for action in p._actions
+        if action.option_strings and action.dest != "help"
+    ]
+
+
+VALID_BOUNDS_OPS = [op for op in BOUNDS_OPS if op != "mystery"]
+# the positional arguments and required or cheap options of each subcommand
+BASES = {
+    "twist": ([[]], {"--kappa": "2,1", "--alpha": "1,1"}),
+    "bounds": ([[op] for op in VALID_BOUNDS_OPS], {}),
+    "plumb": ([[]], {}),
+    "family": ([[]], {"--kappa": "2,1", "--alpha": "1,1", "--i-range": "0,3000"}),
+    "verify-graphs": ([[]], {"--v-max": "1", "--e-budget": "1"}),
+}
+# (subcommand, flag) -> (a valid value other than the default, a malformed value)
+SAMPLES = {
+    ("twist", "--kappa"): ("-3,2", "abc"),
+    ("twist", "--alpha"): ("1,2", "1"),
+    ("twist", "--n"): ("-2", "two"),
+    ("bounds", "--i"): ("5000", "1.5"),
+    ("bounds", "--chi"): ("-3", "x"),
+    ("bounds", "--n"): ("700", "x"),
+    ("bounds", "--genus"): ("3", "x"),
+    ("bounds", "--vertices"): ("2", "x"),
+    ("bounds", "--f-k"): ("1", "x"),
+    ("bounds", "--f-l"): ("2", "x"),
+    ("bounds", "--f-m"): ("3", "x"),
+    ("bounds", "--chi-f-hat"): ("1", "x"),
+    ("bounds", "--delta-k"): ("2", "x"),
+    ("plumb", "--construction"): ("eta", "zeta"),
+    ("plumb", "--genus"): ("4", "four"),
+    ("family", "--genus"): ("3", "x"),
+    ("family", "--type"): ("S", "Q"),
+    ("family", "--kappa"): ("3,1", "3;1"),
+    ("family", "--alpha"): ("1,2", ""),
+    ("family", "--n-range"): ("-1:1", "5:1"),
+    ("family", "--i-range"): ("1000:3000:1000", "x"),
+    ("family", "--chi-bridge"): ("-3", "x"),
+    ("family", "--chi-nu"): ("-3", "x"),
+    ("family", "--format"): ("csv", "json"),
+    ("family", "--out"): ("@OUT", "@MISSING/catalog.txt"),
+    ("verify-graphs", "--v-max"): ("2", "x"),
+    ("verify-graphs", "--e-budget"): ("2", "x"),
+    ("verify-graphs", "--chi-min"): ("0", "x"),
+    ("verify-graphs", "--work-budget"): ("0", "x"),
+}
+
+
+def _run_captured(argv, out_path):
+    """(exit code, stdout, stderr, text written to out_path) of one CLI run;
+    an argparse usage error counts as its exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    written = out_path.read_text() if out_path.exists() else None
+    if written is not None:
+        out_path.unlink()
+    return code, out.getvalue(), err.getvalue(), written
+
+
+class TestFlagConfigEquivalence:
+    # driven by the parser, so that an option added later is checked too
+    @pytest.mark.parametrize("command, flag", _options())
+    def test_flag_and_config_key_agree(self, command, flag, tmp_path):
+        assert (command, flag) in SAMPLES, f"no sample value for {command} {flag}"
+        out_path = tmp_path / "catalog.txt"
+        conf = tmp_path / "knotforge.conf"
+        positionals, base = BASES[command]
+        rest = [token for key, value in base.items() if key != flag for token in (key, value)]
+        valid, malformed = (
+            value.replace("@OUT", str(out_path)).replace("@MISSING", str(tmp_path / "missing"))
+            for value in SAMPLES[command, flag]
+        )
+        for pos in positionals:
+            for value in (valid, malformed):
+                conf.write_text(f"{flag[2:]} = {value}\n")
+                by_flag = _run_captured([command, *pos, *rest, flag, value], out_path)
+                by_config = _run_captured(["--config", str(conf), command, *pos, *rest], out_path)
+                if value == valid:
+                    assert by_flag[0] in (0, 1), by_flag
+                    assert (by_flag[0], by_flag[1], by_flag[3]) == (by_config[0], by_config[1], by_config[3])
+                else:
+                    for code, out, err, _ in (by_flag, by_config):
+                        assert code == 2 and out == "" and "error:" in err, (pos, value, code, err)
+
+
+class TestEveryGivenOptionIsParsed:
+    @pytest.mark.parametrize("op", VALID_BOUNDS_OPS)
+    def test_malformed_unread_option_exit_code(self, op, tmp_path, capsys):
+        # the op reads only some options; a malformed value of any other one
+        # is still an error, as a flag and as a config key
+        conf = tmp_path / "knotforge.conf"
+        for command, flag in _options():
+            if command != "bounds":
+                continue
+            assert main(["bounds", op, f"{flag}=x"]) == 2
+            assert capsys.readouterr().err.startswith("error: invalid literal for int()")
+            conf.write_text(f"{flag[2:]} = x\n")
+            assert main(["--config", str(conf), "bounds", op]) == 2
+            assert capsys.readouterr().err.startswith("error: invalid literal for int()")
+
+    @pytest.mark.parametrize("command", ["twist", "family"])
+    def test_missing_curve_message(self, command, tmp_path, capsys):
+        conf = tmp_path / "knotforge.conf"
+        conf.write_text("alpha = 1,1\n")
+        for argv in ([command, "--alpha", "1,1"], ["--config", str(conf), command]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.err == "error: --kappa is required (as a flag or a config key)\n"
+            assert captured.out == ""

@@ -329,6 +329,11 @@ class TestMarkedPair:
         assert pair.lineage == ("base eta1",)
         assert replay(pair.trace()) == pair
 
+    def test_str_lineage_rejected(self):
+        # a str is a sequence of characters, not of steps
+        with pytest.raises(TypeError, match="sequence of steps"):
+            MarkedPair(1, 1, eta1().flags, "base eta1")
+
 
 class TestLineage:
     def test_parts_are_steps_or_lineages(self):
