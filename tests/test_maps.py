@@ -308,6 +308,38 @@ class TestEnumeration:
         assert calls == maps.candidate_count(V, E)
         assert wrong == []
 
+    @pytest.mark.parametrize("monogon_free", [False, True])
+    @pytest.mark.parametrize(
+        "V, E", [(V, E) for V in (1, 2, 3) for E in range(1, 6)] + [(2, 6)]
+    )
+    def test_each_raw_candidate_tested_exactly_once(self, monkeypatch, V, E, monogon_free):
+        # the set behind the count: every (sigma_lambda, alpha) pair is tested
+        # once, read during the call, since the probe map's alpha then changes
+        tested = []
+        original = CombinatorialMap.is_connected
+
+        def recording(m):
+            tested.append((m.sigma, m.alpha))
+            return original(m)
+
+        monkeypatch.setattr(CombinatorialMap, "is_connected", recording)
+        yielded = [(m, (m.sigma, m.alpha)) for m in enumerate_maps(V, E, monogon_free)]
+        raw = [
+            (maps._standard_sigma(cycle_lengths), alpha)
+            for cycle_lengths in maps._partitions_into(2 * E, V)
+            for alpha in maps._involutions(2 * E)
+        ]
+        assert sorted(tested) == sorted(raw)
+        assert len(set(raw)) == len(raw)
+        # each yielded map is its own object and keeps the pairing it was
+        # yielded with after the generator is exhausted
+        assert len({id(m) for m, _ in yielded}) == len(yielded)
+        for m, pair in yielded:
+            assert (m.sigma, m.alpha) == pair
+            rebuilt = CombinatorialMap(m.sigma, m.alpha)
+            assert m == rebuilt
+            assert m.vertex_partition == rebuilt.vertex_partition
+
     def test_limits_enforced(self):
         with pytest.raises(LimitExceeded):
             list(enumerate_maps(4, 1))
