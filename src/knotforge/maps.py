@@ -25,8 +25,8 @@ among its conjugates under the symmetries of sigma.  It validates sigma
 once per cycle type and tests every candidate of that type on one probe
 map, whose edge pairing it swaps; only a kept candidate becomes a map of
 its own.  It walks the edge pairings once per cell and tests each against
-every cycle type, holding the classes of all but the first type until the
-walk ends.  Its lemmas are stated once, in enumerate_maps.
+every cycle type, holding the classes of every type until the walk
+ends.  Its lemmas are stated once, in enumerate_maps.
 
 The parallel-edge claim holds in every cell by a degree-count lemma,
 stated once in verify_parallelP.  Exhaustive enumeration is feasible for
@@ -406,10 +406,9 @@ def enumerate_maps(V: int, E: int, monogon_free: bool = False):
     against every cycle type in turn.  Lemma (swap): the candidates are
     the same (sigma_lambda, alpha) pairs as in a walk per cycle type, and
     each type's survivors are found in lexicographic alpha order, so
-    yielding the first type's survivors as they are found and each later
-    type's, held until the walk ends, type by type gives the same maps in
-    the same order.  Memory per cell is O(E) plus H_lambda plus the held
-    classes.
+    holding them until the walk ends and yielding them type by type gives
+    the same maps in the same order.  Memory per cell is O(E) plus
+    H_lambda plus the held classes.
     """
     if V < 1 or E < 1:
         raise MapError("V >= 1 and E >= 1 required")
@@ -425,9 +424,6 @@ def enumerate_maps(V: int, E: int, monogon_free: bool = False):
             for tau in _sigma_symmetries(cycle_lengths)[1:]
         ]
         types.append((probe, probe.__dict__, probe.sigma, conjugators, []))
-    if not types:  # V > 2E
-        return
-    first = types[0][4]  # at most one survivor per alpha
     # read at call time, so that a wrapper installed on the class is called
     new, is_connected = object.__new__, CombinatorialMap.is_connected
     for alpha in _involutions(2 * E):
@@ -441,9 +437,7 @@ def enumerate_maps(V: int, E: int, monogon_free: bool = False):
                 m = new(CombinatorialMap)
                 m.__dict__.update(fields)
                 held.append(m)
-        if first:
-            yield first.pop()
-    for *_, held in types[1:]:
+    for *_, held in types:
         yield from held
 
 
@@ -677,8 +671,7 @@ def verify_graphs(
     so a cell both of them read is enumerated and face-traced once.  The
     arc-class report does not depend on V_max, E_budget, chi_min or
     work_budget: it always enumerates the cells (1, 3), (3, 3) and (2, 6),
-    so even verify_graphs(1, 1) takes about 0.13 s (0.10 to 0.17 s on
-    Python 3.11 with 2 vCPUs).
+    even for verify_graphs(1, 1).
     """
     store: dict = {}
     report = verify_parallelP(V_max, E_budget, chi_min, work_budget, cell_store=store)

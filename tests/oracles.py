@@ -444,18 +444,15 @@ def reference_build_certificate(
     spec: KnotSpec,
     chi_Q_bridge: int | None = None,
     chi_Q_nu: int | None = None,
-    chi_Q_hit: int | None = None,
 ) -> Certificate:
     """The certificate of one knot spec, every field computed for it alone."""
     tau = dehn_twist(spec.kappa, spec.alpha, spec.n)
     exceptional = is_exceptional(tau)
-    if chi_Q_hit is None:
-        chi_Q_hit = bounds.GAMMA_DISK
     if chi_Q_nu is None:
         chi_Q_nu = bounds.catching_chi(bounds.nu_recipe(spec.kappa))
     strong = abs(spec.i) > bounds.n_strong(chi_Q_nu)
-    hbar_D = bounds.disk_hitting_lower_bound(spec.i, chi_Q_hit)
-    hbar_A = bounds.annulus_hitting_lower_bound(spec.i, chi_Q_hit)
+    hbar_D = bounds.disk_hitting_lower_bound(spec.i, bounds.GAMMA_DISK)
+    hbar_A = bounds.annulus_hitting_lower_bound(spec.i, bounds.GAMMA_DISK)
 
     bridge_lower = None
     reason = ""
@@ -519,7 +516,6 @@ def reference_generate_family(
     i_range,
     chi_Q_bridge=None,
     chi_Q_nu=None,
-    chi_Q_hit=None,
 ) -> ReferenceCatalog:
     """One KnotSpec and one certificate per (n, i), in sorted order; a row
     whose spec or certificate raises carries the message.  A request whose
@@ -529,7 +525,7 @@ def reference_generate_family(
         for i in sorted(set(i_range)):
             try:
                 spec = KnotSpec(g=g, family=family, kappa=kappa, alpha=alpha, n=n, i=i)
-                cert = reference_build_certificate(spec, chi_Q_bridge, chi_Q_nu, chi_Q_hit)
+                cert = reference_build_certificate(spec, chi_Q_bridge, chi_Q_nu)
                 rows.append(CatalogRow(n, i, cert))
             except (ValueError, ArithmeticError) as exc:
                 rows.append(CatalogRow(n, i, None, error=str(exc)))

@@ -25,6 +25,11 @@ class TestThreshold:
         with pytest.raises(ValueError):
             stats(-6, f_L=0)
 
+    @pytest.mark.parametrize("field", ["f_K", "f_M", "Delta_K"])
+    def test_negative_count_rejected(self, field):
+        with pytest.raises(ValueError, match="boundary counts and distances are nonnegative"):
+            stats(-6, **{field: -1})
+
     @given(
         st.integers(-10, 0),
         st.integers(0, 5),

@@ -146,6 +146,22 @@ class TestBuildCertificate:
                 unique_surgery=False,
             )
 
+    # a valid certificate whose bridge lower bound meets its heuristic upper bound
+    FIELDS = dict(
+        tau=normalize(5, 3),
+        exceptional=False,
+        seifert=None,
+        surgery="handlebody",
+        bridge_lower=8,
+        bridge_lower_reason="",
+        bridge_upper_heuristic=8,
+        hbar_D_lower=0,
+        hbar_A_lower=0,
+        strong=False,
+        exterior_flags=ExteriorFlags(False, False, False, False),
+        unique_surgery=False,
+    )
+
     @pytest.mark.parametrize(
         "excess, rejected",
         [(Fraction(0), False), (Fraction(1, 2), True), (Fraction(1, 432), True), (0, False)],
@@ -153,20 +169,7 @@ class TestBuildCertificate:
     def test_bridge_guard_at_its_boundary(self, excess, rejected):
         # the bridge lower bound may reach the heuristic upper bound, not pass
         # it; an int bound is compared like a Fraction
-        fields = dict(
-            tau=normalize(5, 3),
-            exceptional=False,
-            seifert=None,
-            surgery="handlebody",
-            bridge_lower=8 + excess,
-            bridge_lower_reason="",
-            bridge_upper_heuristic=8,
-            hbar_D_lower=0,
-            hbar_A_lower=0,
-            strong=False,
-            exterior_flags=ExteriorFlags(False, False, False, False),
-            unique_surgery=False,
-        )
+        fields = {**self.FIELDS, "bridge_lower": 8 + excess}
         if rejected:
             with pytest.raises(CertificateError, match="exceeds the heuristic upper bound"):
                 Certificate(**fields)
@@ -189,6 +192,17 @@ class TestBuildCertificate:
                 exterior_flags=ExteriorFlags(True, True, True, True),
                 unique_surgery=True,
             )
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"seifert": (4, 2)}, r"seifert data \(4, 2\) not coprime"),
+            ({"unique_surgery": True}, "unique surgery must track the exterior flags"),
+        ],
+    )
+    def test_inconsistent_field_rejected(self, change, message):
+        with pytest.raises(CertificateError, match=message):
+            Certificate(**{**self.FIELDS, **change})
 
 
 class TestGenerateFamily:

@@ -2,6 +2,8 @@ import argparse
 import contextlib
 import hashlib
 import io
+import pathlib
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,125 @@ from hypothesis import strategies as st
 from knotforge.catalog import generate_family, render_csv, render_txt
 from knotforge.cli import build_parser, load_config, main, parse_curve, parse_range
 from knotforge.torus import normalize
+
+
+class Contract(NamedTuple):
+    """One pinned CLI run: its arguments, exit code and the sha256 of its
+    stdout, why those bytes are pinned, and the text of a --config file
+    that the run reads, if any."""
+
+    name: str
+    args: str
+    code: int
+    digest: str
+    why: str
+    config: str | None = None
+
+    def argv(self, directory) -> list[str]:
+        """The command line; a row with a config text first writes it to a
+        file in `directory`, which the command line names."""
+        if self.config is None:
+            return self.args.split()
+        path = pathlib.Path(directory, "knotforge.conf")
+        path.write_text(self.config, encoding="utf-8")
+        return ["--config", str(path), *self.args.split()]
+
+
+DESK_DEMO = (
+    "family --genus 2 --type H --kappa 2,1 --alpha 1,1 --i-range 2592,5184,10368"
+    " --chi-bridge -6 --chi-nu -6 --format csv"
+)
+DESK_DEMO_DIGEST = "23b78c6453961b4a01c87e9b081010648598ec1d1618d906622f6a13013ca686"
+CLAMP = "family --genus 3 --type S --kappa 2,1 --alpha 1,1 --i-range 646,648,649,650"
+REJECTED = "family --kappa 2,1 --alpha 1,1 --chi-nu 0 --n-range 1:3 --i-range 1:2"
+MIXED = "family --kappa 2,1 --alpha 1,1 --chi-bridge 0 --n-range 0:1 --i-range 0,5000"
+# The only pins of CLI output outside the benchmark: test_contract runs each
+# row in process, and CI runs each through the installed console script.
+CONTRACTS = (
+    Contract(
+        "verify-graphs-v2-e6", "verify-graphs --v-max 2 --e-budget 6", 0,
+        "1e8084d5e9a135de48dc56db7cb0825e246fe1015d33d18110611dcb65e5dfb6",
+        "the benchmark's verify request: both claims, every cell enumerated",
+    ),
+    Contract(
+        "verify-graphs", "verify-graphs", 0,
+        "c69ebaee0a43f76c846cb088aa62f2ba06fa0368d58ab811e1dbb962a730f53d",
+        "the defaults reach (1,7), (3,5) and (3,6), where the vertex walk of"
+        " is_connected takes more than one step",
+    ),
+    Contract(
+        "desk-demo", f"{DESK_DEMO} --n-range 4752,5000,10000", 0,
+        DESK_DEMO_DIGEST,
+        "the README's desk-demo catalog",
+    ),
+    Contract(
+        "desk-demo-config", DESK_DEMO, 0,
+        DESK_DEMO_DIGEST,
+        "the desk-demo catalog, with its n range read from a config file",
+        config="# the desk-demo n range\nn-range = 4752,5000,10000\n",
+    ),
+    Contract(
+        "clamp-txt", f"{CLAMP} --n-range=-652:-644 --format txt", 0,
+        "12b9d65fe635ca087cb4d3f1137992096cb49f653a87163f482c6d1a89e09c57",
+        "the bridge bound's clamp at |n| = 72|chi|g = 648, with n < 0: bridge_lower"
+        " is 0 at 648, 1/216 at 649 and 1/54 at 652",
+    ),
+    Contract(
+        "clamp-csv", f"{CLAMP} --n-range 644:652 --format csv", 0,
+        "4f4c8ddd39928ae31026a971d0a220829731af29699f78dbcdbe75a83bf394e6",
+        "the bridge bound's clamp at |n| = 648, with n > 0",
+    ),
+    Contract(
+        "plumb-gamma", "plumb --construction gamma --genus 5", 0,
+        "1d897049d5d97d37dc8b9144e9c342bb5439fa97ff41b2be4b2e7517d2b204c3",
+        "a gamma trace, which plumb writes from the table that replay reads it with",
+    ),
+    Contract(
+        "plumb-eta", "plumb --construction eta --genus 4", 0,
+        "54f9c55ddf158e0fd17b195b013dd27bc8d30a473c90a198d7ff2b719dffa826",
+        "an eta trace, written from the same table",
+    ),
+    Contract(
+        "rejected-txt", REJECTED, 1,
+        "5510a24f874323a100bfdf5a19921759a9bd3e733e389d45f07828f8f2c61c82",
+        "a request rejected at chi(Q) >= 0 carries its error on each of its six rows",
+    ),
+    Contract(
+        "rejected-csv", f"{REJECTED} --format csv", 1,
+        "56b6de1e287379377897c5697abba35aa0afcfc4dd16db826d1a82ce3af40233",
+        "the rejected request in csv",
+    ),
+    Contract(
+        "mixed-txt", MIXED, 1,
+        "6b9c18c384d37e5d6c9967e2f4145a54a917c6decd1db9b8db33b31dc737aceb",
+        "an accepted request with chi_Q_bridge >= 0 errs only on its strong rows:"
+        " two of its four",
+    ),
+    Contract(
+        "mixed-csv", f"{MIXED} --format csv", 1,
+        "040a7d977c444629c38e68cbaae2bfaeecbe5598d02591124b6fc150cab92620",
+        "the mixed-verdict request in csv",
+    ),
+    Contract(
+        "twist", "twist --kappa -3,2 --alpha 1,1", 0,
+        "58e5f32a625b2c76df6a9b72cd25027de9948ff191d74f2a025d30ed5716ff69",
+        "a negative first coordinate, given as its own argument, is a value",
+    ),
+    Contract(
+        "twist-n-negative", "twist --kappa -3,2 --alpha 1,1 --n -2", 0,
+        "518f6064124d250d734ae6700d2fe1d99ae81d36f640d39bc5e8919f631c6076",
+        "w(kappa, alpha) < 0 and n < 0: dehn_twist is twist(kappa, alpha, s*n)"
+        " with s the sign of w",
+    ),
+)
+
+
+@pytest.mark.parametrize("row", CONTRACTS, ids=lambda row: row.name)
+def test_contract(row, tmp_path, capsys):
+    code = main(row.argv(tmp_path))
+    captured = capsys.readouterr()
+    assert (code, hashlib.sha256(captured.out.encode()).hexdigest()) == (row.code, row.digest)
+    assert captured.err == ""
 
 
 class TestParsers:
@@ -26,6 +147,14 @@ class TestParsers:
     def test_empty_range_rejected(self, text):
         with pytest.raises(argparse.ArgumentTypeError, match="empty range"):
             parse_range(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("1:2:3:4", "bad range '1:2:3:4'"), ("1:5:0", "range step must be positive")],
+    )
+    def test_malformed_range_exit_code(self, text, message, capsys):
+        assert main(["family", "--kappa", "2,1", "--alpha", "1,1", "--n-range", text]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_load_config(self, tmp_path):
         path = tmp_path / "knotforge.conf"
@@ -252,28 +381,17 @@ class TestFamily:
         assert "error=" in out
         assert "statement" not in out
 
-    @pytest.mark.parametrize(
-        "fmt, digest",
-        [
-            ("txt", "6b9c18c384d37e5d6c9967e2f4145a54a917c6decd1db9b8db33b31dc737aceb"),
-            ("csv", "040a7d977c444629c38e68cbaae2bfaeecbe5598d02591124b6fc150cab92620"),
-        ],
-    )
-    def test_mixed_verdict_bytes_pinned(self, capsys, fmt, digest):
+    @pytest.mark.parametrize("fmt", ["txt", "csv"])
+    def test_mixed_verdict_rows(self, capsys, fmt):
         # an accepted request whose bridge chi is >= 0: only the strong rows
-        # (i = 5000 > 216 * 3) err, the weak ones are certified
-        argv = (
-            "family --kappa 2,1 --alpha 1,1 --chi-bridge 0"
-            f" --n-range 0:1 --i-range 0,5000 --format {fmt}"
-        )
-        assert main(argv.split()) == 1
-        out = capsys.readouterr().out
-        rows = out.splitlines()[-4:]
+        # (i = 5000 > 216 * 3) err, the weak ones are certified; its bytes
+        # are pinned in CONTRACTS
+        assert main([*MIXED.split(), "--format", fmt]) == 1
+        rows = capsys.readouterr().out.splitlines()[-4:]
         erred = [row for row in rows if "a catching surface with chi(Q) < 0 is required" in row]
         assert len(erred) == 2
         assert all("5000" in row for row in erred)
         assert all("5000" not in row for row in rows if row not in erred)
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("flag, text", [("--n-range", "5:1"), ("--i-range", "3:0:2")])
     def test_empty_grid_exit_code(self, capsys, flag, text):
@@ -313,18 +431,6 @@ class TestFamily:
         assert code == 0
         assert capsys.readouterr().out == render_csv(demo)
 
-    def test_desk_demo_catalog_bytes_pinned(self, capsys):
-        # the README's desk-demo command; CI runs it through the console script
-        argv = (
-            "family --genus 2 --type H --kappa 2,1 --alpha 1,1"
-            " --n-range 4752,5000,10000 --i-range 2592,5184,10368"
-            " --chi-bridge -6 --chi-nu -6 --format csv"
-        )
-        assert main(argv.split()) == 0
-        out = capsys.readouterr().out
-        digest = "23b78c6453961b4a01c87e9b081010648598ec1d1618d906622f6a13013ca686"
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
-
 
 class TestVerifyGraphs:
     def test_small_run(self, capsys):
@@ -335,21 +441,6 @@ class TestVerifyGraphs:
         assert code == 0
         assert "counterexamples: 0" in out
         assert "arc-class bound" in out
-
-    @pytest.mark.parametrize(
-        "argv, digest",
-        [
-            ([], "c69ebaee0a43f76c846cb088aa62f2ba06fa0368d58ab811e1dbb962a730f53d"),
-            (
-                ["--v-max", "2", "--e-budget", "6"],
-                "1e8084d5e9a135de48dc56db7cb0825e246fe1015d33d18110611dcb65e5dfb6",
-            ),
-        ],
-    )
-    def test_report_bytes_pinned(self, argv, digest, capsys):
-        assert main(["verify-graphs", *argv]) == 0
-        out = capsys.readouterr().out
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_empty_range_exit_code(self, capsys):
         assert main(["verify-graphs", "--v-max", "0", "--e-budget", "0"]) == 2

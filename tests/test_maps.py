@@ -22,6 +22,7 @@ from knotforge.maps import (
 )
 from oracles import (
     canonical_key,
+    centralizer_order,
     chord_diagrams_up_to_dihedral,
     connected_pairings,
     dart_graph_connected,
@@ -111,11 +112,6 @@ def conjugate(perm, tau):
     return tuple(out)
 
 
-def z_lambda(cycle_lengths):
-    """Order of the centralizer of a permutation of this cycle type."""
-    return math.prod(k**m * math.factorial(m) for k, m in Counter(cycle_lengths).items())
-
-
 class TestValidation:
     def test_fixed_point_rejected(self):
         with pytest.raises(MalformedMap):
@@ -128,6 +124,10 @@ class TestValidation:
     def test_odd_darts_rejected(self):
         with pytest.raises(MalformedMap):
             CombinatorialMap(sigma=(0,), alpha=(0,))
+
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(MalformedMap, match="sigma and alpha must act on the same darts"):
+            CombinatorialMap(sigma=(1, 0), alpha=(1, 0, 3, 2))
 
     def test_lists_give_the_same_hashable_map(self):
         from_lists = CombinatorialMap([1, 0], [1, 0])
@@ -346,6 +346,10 @@ class TestEnumeration:
         with pytest.raises(LimitExceeded):
             list(enumerate_maps(1, 13))
 
+    def test_empty_cell_rejected(self):
+        with pytest.raises(MapError, match=r"V >= 1 and E >= 1 required"):
+            list(enumerate_maps(0, 1))
+
     def test_canonical_key_invariant_under_relabeling(self):
         # conjugating both permutations by a dart bijection preserves the key
         rng = random.Random(7)
@@ -423,7 +427,7 @@ class TestOrderlyGeneration:
                     assert sorted(tau) == list(range(2 * E))
                     assert conjugate(sigma, tau) in (sigma, sigma_inv)
                 involutive = all(sigma[s] == d for d, s in enumerate(sigma))
-                z = z_lambda(cycle_lengths)
+                z = centralizer_order(cycle_lengths)
                 assert len(group) == (z if involutive else 2 * z)
 
     @pytest.mark.parametrize("E", [1, 2, 3])

@@ -57,6 +57,17 @@ class TestDecomposition:
         with pytest.raises(PantsError):
             PantsDecomposition(1, (), (), True)
 
+    @pytest.mark.parametrize(
+        "pants, message",
+        [
+            ((("c0", "c1", "c2"),), "expected 2 pants, got 1"),
+            ((("c0", "c1", "c9"), ("c0", "c1", "c2")), "unknown cuff 'c9'"),
+        ],
+    )
+    def test_pants_rejected(self, pants, message):
+        with pytest.raises(PantsError, match=message):
+            PantsDecomposition(2, ("c0", "c1", "c2"), pants, True)
+
 
 class TestValidate:
     def test_empty_curve(self):
@@ -79,6 +90,12 @@ class TestValidate:
                 SeamedCurve(seams=((1, 1, 1),), parallels=((0, 0, 0),), closed=(0,)),
                 pd,
             )
+
+    def test_non_triple_arc_count(self):
+        pd = genus2_pd()
+        curve = dataclasses.replace(empty_curve(pd), seams=((1, 1), (0, 0, 0)))
+        with pytest.raises(ShapeMismatch, match="arc counts must be triples"):
+            validate(curve, pd)
 
     def test_negative_closed_count(self):
         pd = genus2_pd()
@@ -103,6 +120,12 @@ class TestSeamedLevel:
     def test_minimum_rule(self):
         pd = genus2_pd()
         assert seamed_level(symmetric_curve(2, 5, 5), pd) == 2
+
+    def test_failing_cuff_match_rejected(self):
+        pd = genus2_pd()
+        curve = dataclasses.replace(empty_curve(pd), seams=((1, 0, 0), (0, 0, 0)))
+        with pytest.raises(ShapeMismatch, match="curve fails cuff matching"):
+            seamed_level(curve, pd)
 
     def test_incompatible_rejected(self):
         pd = genus2_pd(compatible=False)
@@ -223,6 +246,15 @@ class TestSerialization:
         # each text would load if repeats and undeclared ids went unchecked
         with pytest.raises(PantsError, match="repeats|undeclared"):
             load_seam_data(text)
+
+    @pytest.mark.parametrize("line", ["genus 2\n", "compatible true\n"])
+    def test_missing_genus_or_compatible_rejected(self, line):
+        with pytest.raises(PantsError, match="missing genus or compatible line"):
+            load_seam_data(GAMMA2_DATA.replace(line, ""))
+
+    def test_declared_pants_without_counts_rejected(self):
+        with pytest.raises(PantsError, match="missing counts for 'p1'"):
+            load_seam_data(GAMMA2_DATA.replace("seams p1 4 4 3\n", ""))
 
     def test_counts_may_precede_their_declarations(self):
         lines = GAMMA2_DATA.splitlines()
