@@ -1,11 +1,14 @@
 """Certified knot-family catalogs.
 
-A KnotSpec names a knot K(tau, g, *, i): the curve tau = T_alpha^n(kappa)
-sits on the boundary of a genus-g handlebody (family H) or of a Seifert
-piece with 1-handles (family S), and i counts twists along the annulus
-neighborhood of the gamma_g curve.  A Certificate collects everything the
-bound engine can certify about that knot, with every uncertified field
-carrying an explicit reason instead of a silent default.
+A family request names the knots K(tau, g; i): the curve
+tau = T_alpha^n(kappa) sits on the boundary of a genus-g handlebody
+(family H) or of a Seifert piece with 1-handles (family S), and i counts
+twists along the annulus neighborhood of the gamma_g curve.
+`generate_family` certifies one knot per (n, i) of its grid; one knot is
+the 1x1 catalog `generate_family(g, family, kappa, alpha, [n], [i])`, whose
+one row holds its Certificate or its error message.  A Certificate collects
+everything the bound engine can certify about its knot, with every
+uncertified field carrying an explicit reason instead of a silent default.
 
 Catalogs are deterministic: identical inputs give byte-identical csv/txt
 output (schema "knotforge-catalog v1").
@@ -29,15 +32,15 @@ bridge guard is an integer cross-multiplication: a bound a/b (b > 0) passes
 a heuristic h exactly when a > h*b.
 
 Verdict lemma: the request's own errors read neither n nor i, so a request
-either fails on every row with one error or fails on no row.  The KnotSpec
-checks read g, family, kappa and alpha, and n_strong fails only on
-chi_Q_nu.  The hitting bounds read the constant GAMMA_DISK < 0, so their
-_check_chi cannot fail.  Once the request passes, no twist raises (the
-lemma in `torus.twist`), the chi defaults are negative, and a weak row
+either fails on every row with one error or fails on no row.  The request
+check (_check_request) reads g, family, kappa and alpha, and n_strong fails
+only on chi_Q_nu.  The hitting bounds read the constant GAMMA_DISK < 0, so
+their _check_chi cannot fail.  Once the request passes, no twist raises
+(the lemma in `torus.twist`), the chi defaults are negative, and a weak row
 cannot fail: its bridge bound is None, which the guard accepts.  A strong
 row fails only through its n's strong cell: the bridge bound's chi check
-(its genus check is the KnotSpec's g >= 2) or the bridge guard.  All of
-this arithmetic is on exact integers, and every divisor is 36|chi| or
+(its genus check is the request check's g >= 2) or the bridge guard.  All
+of this arithmetic is on exact integers, and every divisor is 36|chi| or
 72|chi|, nonzero after _check_chi, so every error is a ValueError.
 """
 
@@ -61,22 +64,10 @@ class CertificateError(ValueError):
     """A certificate failed its internal consistency guards."""
 
 
-@dataclass(frozen=True)
-class KnotSpec:
-    g: int
-    family: str  # "H" (handlebody) or "S" (Seifert)
-    kappa: TorusCurve
-    alpha: TorusCurve
-    n: int
-    i: int
-
-    def __post_init__(self):
-        _check_request(self.g, self.family, self.kappa, self.alpha)
-
-
 def _check_request(g: int, family: str, kappa: TorusCurve, alpha: TorusCurve) -> None:
-    """The checks of a knot spec, none of which reads n or i.  After them no
-    twist of kappa along alpha raises (the lemma in `torus.twist`)."""
+    """The checks of a request, none of which reads n or i.  After them no
+    twist of kappa along alpha raises (the lemma in `torus.twist`).  Their
+    messages are catalog bytes, so each keeps its wording."""
     if g < 2:
         raise CertificateError("knot specs need g >= 2")
     if family not in ("H", "S"):
@@ -155,8 +146,7 @@ def bridge_upper_heuristic(tau: TorusCurve) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Column helpers: generate_family runs each once per column entry, and
-# build_certificate is their one-cell case.
+# Column helpers: generate_family runs each once per column entry.
 # ---------------------------------------------------------------------------
 
 
@@ -166,8 +156,9 @@ def _default_chis(
     chi_Q_bridge: int | None,
     chi_Q_nu: int | None,
 ) -> tuple[int | None, int]:
-    """(chi_Q_bridge, chi_Q_nu) with build_certificate's defaults filled in;
-    chi_Q_bridge stays None when alpha is not the (1,1) class."""
+    """(chi_Q_bridge, chi_Q_nu) with the request's defaults filled in (see
+    generate_family); chi_Q_bridge stays None when alpha is not the (1,1)
+    class."""
     nu_chi = bounds.catching_chi(bounds.nu_recipe(kappa))
     if chi_Q_bridge is None and alpha == NU:
         chi_Q_bridge = nu_chi
@@ -269,29 +260,6 @@ def _certificate(
     )
 
 
-def build_certificate(
-    spec: KnotSpec,
-    chi_Q_bridge: int | None = None,
-    chi_Q_nu: int | None = None,
-) -> Certificate:
-    """Assemble the certificate for one knot spec.
-
-    The hitting bounds use the tubed meridian disk caught by the gamma_g
-    curve, chi = GAMMA_DISK = -6; chi_Q_nu (the strong threshold) defaults
-    to the 3-punctured-sphere recipe for spec.kappa; chi_Q_bridge defaults
-    to the same recipe when alpha is the (1,1) class and is otherwise
-    required explicitly (the catching surface depends on i there).
-
-    This is the one-cell catalog: the column helpers of generate_family,
-    with the first error raised instead of recorded.
-    """
-    chi_Q_bridge, chi_Q_nu = _default_chis(spec.kappa, spec.alpha, chi_Q_bridge, chi_Q_nu)
-    fields = _twisted(spec.g, spec.family, spec.kappa, spec.alpha, spec.n)
-    i_entry = _i_entry(spec.i, bounds.n_strong(chi_Q_nu))
-    cell = _cell(fields, spec.g, spec.alpha, spec.n, i_entry.strong, chi_Q_bridge)
-    return _certificate(fields, cell, i_entry)
-
-
 @dataclass(frozen=True)
 class CatalogRow:
     n: int
@@ -369,15 +337,22 @@ def generate_family(
     chi_Q_nu: int | None = None,
 ) -> Catalog:
     """One certificate row per (n, i), sorted lexicographically; failed
-    rows carry their error message and are never dropped.
+    rows carry their error message and are never dropped.  One knot is the
+    1x1 catalog: `generate_family(g, family, kappa, alpha, [n], [i])`.
 
-    The request (KnotSpec checks, chi defaults, n_strong) is checked once.
+    The hitting bounds use the tubed meridian disk caught by the gamma_g
+    curve, chi = GAMMA_DISK = -6; chi_Q_nu (the strong threshold) defaults
+    to the 3-punctured-sphere recipe for kappa; chi_Q_bridge defaults to
+    the same recipe when alpha is the (1,1) class and is otherwise required
+    explicitly (the catching surface depends on i there).
+
+    The request (_check_request, chi defaults, n_strong) is checked once.
     By the verdict lemma in the module docstring, a rejected request gives
     every row its one error, as the weak cell of every n entry, and twists
-    nothing; a request rejected by the KnotSpec checks also makes no
-    statement.  Each i is computed once, and an accepted request computes
-    each n once and runs the bridge bound and guard once per (n, strong)
-    pair that has rows.
+    nothing; a request that _check_request rejects also makes no statement.
+    Each i is computed once, and an accepted request computes each n once
+    and runs the bridge bound and guard once per (n, strong) pair that has
+    rows.
     """
     n_values = sorted(set(n_range))
     i_values = sorted(set(i_range))

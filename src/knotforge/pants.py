@@ -91,15 +91,6 @@ class SeamedCurve:
         return contrib + 2 * self.parallels[pants_index][side]
 
 
-def empty_curve(pd: PantsDecomposition) -> SeamedCurve:
-    zero = (0, 0, 0)
-    return SeamedCurve(
-        seams=tuple(zero for _ in pd.pants),
-        parallels=tuple(zero for _ in pd.pants),
-        closed=tuple(0 for _ in pd.cuffs),
-    )
-
-
 @dataclass(frozen=True)
 class BustingCertificate:
     level: int
@@ -184,24 +175,6 @@ closed c0 0
 closed c1 0
 closed c2 0
 """
-
-
-def dump_seam_data(curve: SeamedCurve, pd: PantsDecomposition) -> str:
-    """Serialize seam data in the version-1 text format."""
-    lines = ["seamcurve v1", f"genus {pd.genus}"]
-    lines.append(f"compatible {'true' if pd.compatible else 'false'}")
-    for c in pd.cuffs:
-        lines.append(f"cuff {c}")
-    for i, trip in enumerate(pd.pants):
-        lines.append(f"pants p{i} {trip[0]} {trip[1]} {trip[2]}")
-    for i in range(len(pd.pants)):
-        s = curve.seams[i]
-        p = curve.parallels[i]
-        lines.append(f"seams p{i} {s[0]} {s[1]} {s[2]}")
-        lines.append(f"parallels p{i} {p[0]} {p[1]} {p[2]}")
-    for j, c in enumerate(pd.cuffs):
-        lines.append(f"closed {c} {curve.closed[j]}")
-    return "\n".join(lines) + "\n"
 
 
 # Seam data key -> number of fields after the key.

@@ -24,9 +24,9 @@ three base pairs are frozen values built once, at import, after gamma2()
 has checked the shipped seam data.
 
 Per-step invariant: every MarkedPair has genus >= 1 and holds a Lineage
-(its constructor converts a tuple of steps).  So a plumb step checks no
-genus, since its genus is the sum of two genera >= 1, converts nothing and
-scans no parts: its lineage is one node (a, b, step) that shares both input
+(its constructor accepts nothing else).  So a plumb step checks no genus,
+since its genus is the sum of two genera >= 1, converts nothing and scans
+no parts: its lineage is one node (a, b, step) that shares both input
 lineages and has length len(a) + len(b) + 1, and its result is filled in
 field by field.  Each step is O(1).
 """
@@ -87,9 +87,9 @@ class Lineage:
 
     `Lineage(*steps)` is a leaf that holds its step strings; a plumb step
     makes its node with `_join`, which shares both input lineages rather
-    than copying them.  A Lineage acts as the flat tuple of its steps:
+    than copying them.  A Lineage acts as the flat sequence of its steps:
     len() is O(1), iteration yields the steps in order without recursion,
-    and equality and hashing go by content, also against plain tuples.
+    and equality and hashing go by content.
     """
 
     __slots__ = ("_parts", "_len", "_hash")
@@ -128,8 +128,6 @@ class Lineage:
             return True
         if isinstance(other, Lineage):
             return self._len == other._len and self._steps() == other._steps()
-        if isinstance(other, tuple):
-            return self._len == len(other) and tuple(self._steps()) == other
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -160,15 +158,13 @@ class MarkedPair:
     genus: int
     components: int
     flags: Flags
-    lineage: Lineage  # a plain tuple of steps is converted
+    lineage: Lineage
 
     def __post_init__(self):
         if self.genus < 1:
             raise InvalidGenus("marked pairs need genus >= 1")
-        if isinstance(self.lineage, str):  # one step, not a sequence of steps
-            raise TypeError(f"a lineage is a sequence of steps, got {self.lineage!r}")
         if not isinstance(self.lineage, Lineage):
-            object.__setattr__(self, "lineage", Lineage(*self.lineage))
+            raise TypeError(f"a lineage is a Lineage, got {self.lineage!r}")
 
     def trace(self) -> str:
         """Serialize the lineage as a replayable text trace."""

@@ -8,9 +8,10 @@ the map enumerator that drops duplicates by the key, a Burnside count of
 chord diagrams, the parallel-class count of a map by breadth-first search
 over its bigons, the Harer-Zagier recurrence for one-vertex maps, the
 rooted-map census of a (V, E) cell, the closed-form count of the connected
-pairings of a cycle type, and the row-by-row catalog (one
-certificate built and rendered per (n, i)).  Pure integer arithmetic
-throughout.
+pairings of a cycle type, the row-by-row catalog (its own request
+checks, then one certificate built and rendered per (n, i)), and the
+empty multicurve and the seam-data writer that the seam-data reader is
+tested against.  Pure integer arithmetic throughout.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from knotforge.catalog import (
     CatalogRow,
     Certificate,
     ExteriorFlags,
-    KnotSpec,
     bridge_upper_heuristic,
 )
 from knotforge.maps import (
@@ -39,6 +39,7 @@ from knotforge.maps import (
     _standard_sigma,
     trace_faces,
 )
+from knotforge.pants import PantsDecomposition, SeamedCurve
 from knotforge.torus import LAMBDA, MU, NU, TorusCurve, dehn_twist, is_exceptional
 
 
@@ -440,37 +441,60 @@ def rooted_map_census(V: int, E: int) -> dict[int, int]:
     return dict(sorted(census.items()))
 
 
-def reference_build_certificate(
-    spec: KnotSpec,
+def reference_request_error(g, family, kappa, alpha) -> str | None:
+    """The message of the first request check that fails, or None: g >= 2,
+    the family, each curve primitive and in normal form (p > 0, or the
+    class (0, 1)), and kappa != alpha."""
+    if g < 2:
+        return "knot specs need g >= 2"
+    if family not in ("H", "S"):
+        return "family must be 'H' or 'S'"
+    for name, curve in (("kappa", kappa), ("alpha", alpha)):
+        normal = curve.p > 0 or (curve.p, curve.q) == (0, 1)
+        if math.gcd(curve.p, curve.q) != 1 or not normal:
+            return f"{name} {curve} is not a primitive class in normal form"
+    if kappa == alpha:
+        return "kappa and alpha must be distinct classes"
+    return None
+
+
+def reference_certificate(
+    g: int,
+    family: str,
+    kappa: TorusCurve,
+    alpha: TorusCurve,
+    n: int,
+    i: int,
     chi_Q_bridge: int | None = None,
     chi_Q_nu: int | None = None,
 ) -> Certificate:
-    """The certificate of one knot spec, every field computed for it alone."""
-    tau = dehn_twist(spec.kappa, spec.alpha, spec.n)
+    """The certificate of one knot of an accepted request, every field
+    computed for it alone."""
+    tau = dehn_twist(kappa, alpha, n)
     exceptional = is_exceptional(tau)
     if chi_Q_nu is None:
-        chi_Q_nu = bounds.catching_chi(bounds.nu_recipe(spec.kappa))
-    strong = abs(spec.i) > bounds.n_strong(chi_Q_nu)
-    hbar_D = bounds.disk_hitting_lower_bound(spec.i, bounds.GAMMA_DISK)
-    hbar_A = bounds.annulus_hitting_lower_bound(spec.i, bounds.GAMMA_DISK)
+        chi_Q_nu = bounds.catching_chi(bounds.nu_recipe(kappa))
+    strong = abs(i) > bounds.n_strong(chi_Q_nu)
+    hbar_D = bounds.disk_hitting_lower_bound(i, bounds.GAMMA_DISK)
+    hbar_A = bounds.annulus_hitting_lower_bound(i, bounds.GAMMA_DISK)
 
     bridge_lower = None
     reason = ""
     if not strong:
         reason = "needs |i| above the strong threshold"
-    elif spec.alpha in (MU, LAMBDA):
+    elif alpha in (MU, LAMBDA):
         reason = "alpha must miss the product-disk classes"
     else:
-        if chi_Q_bridge is None and spec.alpha == NU:
-            chi_Q_bridge = bounds.catching_chi(bounds.nu_recipe(spec.kappa))
+        if chi_Q_bridge is None and alpha == NU:
+            chi_Q_bridge = bounds.catching_chi(bounds.nu_recipe(kappa))
         if chi_Q_bridge is None:
             reason = "not i-uniform; supply a catching chi"
         else:
-            bridge_lower = bounds.bridge_lower_bound(spec.n, chi_Q_bridge, spec.g)
+            bridge_lower = bounds.bridge_lower_bound(n, chi_Q_bridge, g)
 
-    if spec.family == "S":
+    if family == "S":
         seifert = (tau.p, tau.q)
-        surgery = f"D({tau.p},{tau.q})-Seifert + {spec.g - 1} 1-handles"
+        surgery = f"D({tau.p},{tau.q})-Seifert + {g - 1} 1-handles"
     else:
         seifert = None
         surgery = "handlebody"
@@ -517,26 +541,24 @@ def reference_generate_family(
     chi_Q_bridge=None,
     chi_Q_nu=None,
 ) -> ReferenceCatalog:
-    """One KnotSpec and one certificate per (n, i), in sorted order; a row
-    whose spec or certificate raises carries the message.  A request whose
-    spec raises makes no statement."""
+    """One certificate per (n, i), in sorted order; a row whose request
+    check or certificate raises carries the message.  A rejected request
+    makes no statement."""
+    error = reference_request_error(g, family, kappa, alpha)
     rows = []
     for n in sorted(set(n_range)):
         for i in sorted(set(i_range)):
+            if error is not None:
+                rows.append(CatalogRow(n, i, None, error=error))
+                continue
             try:
-                spec = KnotSpec(g=g, family=family, kappa=kappa, alpha=alpha, n=n, i=i)
-                cert = reference_build_certificate(spec, chi_Q_bridge, chi_Q_nu)
+                cert = reference_certificate(g, family, kappa, alpha, n, i, chi_Q_bridge, chi_Q_nu)
                 rows.append(CatalogRow(n, i, cert))
             except (ValueError, ArithmeticError) as exc:
                 rows.append(CatalogRow(n, i, None, error=str(exc)))
     statements = ()
-    try:  # the spec checks read neither n nor i
-        KnotSpec(g=g, family=family, kappa=kappa, alpha=alpha, n=0, i=0)
-    except ValueError:
-        pass
-    else:
-        if alpha not in (MU, LAMBDA):
-            statements = ("distinctness: hbar_D lower bound unbounded in |i|",)
+    if error is None and alpha not in (MU, LAMBDA):
+        statements = ("distinctness: hbar_D lower bound unbounded in |i|",)
     return ReferenceCatalog(g, family, kappa, alpha, statements, tuple(rows))
 
 
@@ -611,4 +633,33 @@ def reference_render_txt(catalog) -> str:
             f"{name}={value}" for name, value in zip(_COLUMNS, values) if value != ""
         )
         lines.append(fields)
+    return "\n".join(lines) + "\n"
+
+
+def empty_curve(pd: PantsDecomposition) -> SeamedCurve:
+    """The multicurve with no arcs and no closed components."""
+    zero = (0, 0, 0)
+    return SeamedCurve(
+        seams=tuple(zero for _ in pd.pants),
+        parallels=tuple(zero for _ in pd.pants),
+        closed=tuple(0 for _ in pd.cuffs),
+    )
+
+
+def dump_seam_data(curve: SeamedCurve, pd: PantsDecomposition) -> str:
+    """Serialize seam data in the version-1 text format that
+    `pants.load_seam_data` reads."""
+    lines = ["seamcurve v1", f"genus {pd.genus}"]
+    lines.append(f"compatible {'true' if pd.compatible else 'false'}")
+    for c in pd.cuffs:
+        lines.append(f"cuff {c}")
+    for i, trip in enumerate(pd.pants):
+        lines.append(f"pants p{i} {trip[0]} {trip[1]} {trip[2]}")
+    for i in range(len(pd.pants)):
+        s = curve.seams[i]
+        p = curve.parallels[i]
+        lines.append(f"seams p{i} {s[0]} {s[1]} {s[2]}")
+        lines.append(f"parallels p{i} {p[0]} {p[1]} {p[2]}")
+    for j, c in enumerate(pd.cuffs):
+        lines.append(f"closed {c} {curve.closed[j]}")
     return "\n".join(lines) + "\n"

@@ -140,25 +140,23 @@ def test_criterion_7_certificate_soundness_audit():
         kappa, alpha = random_curve(), random_curve()
         if kappa == alpha:
             continue
-        spec = catalog.KnotSpec(
-            g=rng.randint(2, 6),
-            family=rng.choice("HS"),
-            kappa=kappa,
-            alpha=alpha,
-            n=rng.randint(-50, 50),
-            i=rng.randint(-5000, 5000),
-        )
+        g, family = rng.randint(2, 6), rng.choice("HS")
+        n, i = rng.randint(-50, 50), rng.randint(-5000, 5000)
         chi_b = rng.choice([None, -1, -2, -4, -6, -8])
         chi_nu = rng.choice([None, -1, -2, -4, -6, -8])
-        cert = catalog.build_certificate(spec, chi_b, chi_nu)
+        # one knot is the 1x1 catalog; its one row must be certified
+        knot = (g, family, kappa, alpha, [n], [i], chi_b, chi_nu)
+        (row,) = catalog.generate_family(*knot).rows
+        cert = row.certificate
+        assert row.error == "" and cert is not None
         # structural invariants (the Certificate guard re-checks most)
-        assert (cert.seifert is not None) == (spec.family == "S")
+        assert (cert.seifert is not None) == (family == "S")
         if cert.exterior_flags.all_true():
             assert cert.strong and not cert.exceptional
         if cert.bridge_lower is not None:
             assert cert.bridge_lower <= cert.bridge_upper_heuristic
         assert cert.hbar_D_lower >= 0 and cert.hbar_A_lower >= 0
-        assert catalog.build_certificate(spec, chi_b, chi_nu) == cert
+        assert catalog.generate_family(*knot).rows == (row,)
         audited += 1
 
     cat1 = catalog.generate_family(

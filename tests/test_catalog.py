@@ -10,16 +10,13 @@ from knotforge.catalog import (
     Certificate,
     CertificateError,
     ExteriorFlags,
-    KnotSpec,
     bridge_upper_heuristic,
-    build_certificate,
     generate_family,
     render_csv,
     render_txt,
 )
 from knotforge.torus import LAMBDA, MU, NU, TorusCurve, dehn_twist, normalize
 from oracles import (
-    reference_build_certificate,
     reference_generate_family,
     reference_render_csv,
     reference_render_txt,
@@ -33,14 +30,26 @@ class TestBridgeUpper:
         assert bridge_upper_heuristic(normalize(5, 3)) == 8
 
 
+def one_knot(g, family, kappa, alpha, n, i, chi_Q_bridge=None, chi_Q_nu=None) -> Certificate:
+    """The certificate of one knot: the one row of its 1x1 catalog, which
+    must not be an error row."""
+    (row,) = generate_family(g, family, kappa, alpha, [n], [i], chi_Q_bridge, chi_Q_nu).rows
+    assert row.error == ""
+    return row.certificate
+
+
 class TestKnotSpec:
+    """The request check, read from 1x1 catalogs: a rejected knot's row
+    holds the check's message and no certificate."""
+
     def test_validation(self):
-        with pytest.raises(CertificateError):
-            KnotSpec(1, "H", normalize(2, 1), NU, 1, 1)
-        with pytest.raises(CertificateError):
-            KnotSpec(2, "X", normalize(2, 1), NU, 1, 1)
-        with pytest.raises(CertificateError):
-            KnotSpec(2, "H", NU, NU, 1, 1)
+        for g, family, kappa, message in [
+            (1, "H", normalize(2, 1), "knot specs need g >= 2"),
+            (2, "X", normalize(2, 1), "family must be 'H' or 'S'"),
+            (2, "H", NU, "kappa and alpha must be distinct classes"),
+        ]:
+            (row,) = generate_family(g, family, kappa, NU, [1], [1]).rows
+            assert (row.certificate, row.error) == (None, message)
 
     @pytest.mark.parametrize(
         "kappa,alpha",
@@ -53,8 +62,9 @@ class TestKnotSpec:
     )
     def test_non_normal_form_curves_rejected(self, kappa, alpha):
         # twists of these would raise, or depend on the sign of the lift
-        with pytest.raises(CertificateError, match="not a primitive class in normal form"):
-            KnotSpec(2, "H", kappa, alpha, 0, 0)
+        (row,) = generate_family(2, "H", kappa, alpha, [0], [0]).rows
+        assert row.certificate is None
+        assert row.error.endswith("is not a primitive class in normal form")
         cat = generate_family(2, "H", kappa, alpha, [0, 1], [0, 5])
         assert cat.errored
         assert len(cat.rows) == 4
@@ -62,22 +72,22 @@ class TestKnotSpec:
 
 
 class TestBuildCertificate:
+    """Certificates of single knots, each the one row of a 1x1 catalog, and
+    the Certificate guards."""
+
     def test_twist_family(self):
-        spec = KnotSpec(2, "H", normalize(0, 1), NU, 4, 0)
-        cert = build_certificate(spec)
+        cert = one_knot(2, "H", normalize(0, 1), NU, 4, 0)
         assert (cert.tau.p, cert.tau.q) == (4, 5)
         assert cert.seifert is None
         assert cert.surgery == "handlebody"
 
     def test_zero_twist(self):
-        spec = KnotSpec(2, "H", normalize(5, 2), NU, 0, 0)
-        cert = build_certificate(spec)
+        cert = one_knot(2, "H", normalize(5, 2), NU, 0, 0)
         assert cert.tau == normalize(5, 2)
         assert cert.bridge_lower is None
 
     def test_seifert_family(self):
-        spec = KnotSpec(2, "S", normalize(2, 1), NU, 1, 2000)
-        cert = build_certificate(spec, chi_Q_nu=-6)
+        cert = one_knot(2, "S", normalize(2, 1), NU, 1, 2000, chi_Q_nu=-6)
         assert cert.seifert == (3, 2)
         assert cert.strong  # 2000 > 1296
         assert not cert.exceptional
@@ -86,8 +96,7 @@ class TestBuildCertificate:
         assert cert.surgery == "D(3,2)-Seifert + 1 1-handles"
 
     def test_weak_twisting_blocks_flags(self):
-        spec = KnotSpec(2, "S", normalize(2, 1), NU, 1, 10)
-        cert = build_certificate(spec, chi_Q_nu=-6)
+        cert = one_knot(2, "S", normalize(2, 1), NU, 1, 10, chi_Q_nu=-6)
         assert not cert.strong
         assert not cert.exterior_flags.all_true()
         assert not cert.unique_surgery
@@ -96,36 +105,32 @@ class TestBuildCertificate:
 
     def test_exceptional_blocks_flags(self):
         # tau stays exceptional: kappa=(0,1), alpha=(1,1), n=... tau=(n, n+1)
-        spec = KnotSpec(2, "H", normalize(0, 1), NU, 1, 10**6)
-        cert = build_certificate(spec, chi_Q_nu=-6)
+        cert = one_knot(2, "H", normalize(0, 1), NU, 1, 10**6, chi_Q_nu=-6)
         assert cert.tau == normalize(1, 2)
         assert cert.exceptional
         assert cert.strong
         assert not cert.exterior_flags.all_true()
 
     def test_product_disk_alpha_blocks_bridge(self):
-        spec = KnotSpec(2, "H", normalize(2, 1), MU, 50, 10**6)
-        cert = build_certificate(spec, chi_Q_nu=-6)
+        cert = one_knot(2, "H", normalize(2, 1), MU, 50, 10**6, chi_Q_nu=-6)
         assert cert.bridge_lower is None
         assert "product-disk" in cert.bridge_lower_reason
 
     def test_bridge_defaults_from_nu_recipe(self):
         # kappa=(2,1): chi = -2 - 1 = -3, so bound = n/216 - 2
-        spec = KnotSpec(2, "H", normalize(2, 1), NU, 2160, 10**6)
-        cert = build_certificate(spec, chi_Q_nu=-6)
+        cert = one_knot(2, "H", normalize(2, 1), NU, 2160, 10**6, chi_Q_nu=-6)
         assert cert.bridge_lower == Fraction(2160, 216) - 2
 
     def test_non_nu_alpha_needs_explicit_chi(self):
-        spec = KnotSpec(3, "H", normalize(5, 1), normalize(1, 2), 100, 10**6)
-        cert = build_certificate(spec, chi_Q_nu=-6)
+        knot = (3, "H", normalize(5, 1), normalize(1, 2), 100, 10**6)
+        cert = one_knot(*knot, chi_Q_nu=-6)
         assert cert.bridge_lower is None
         assert "i-uniform" in cert.bridge_lower_reason
-        cert = build_certificate(spec, chi_Q_bridge=-6, chi_Q_nu=-6)
+        cert = one_knot(*knot, chi_Q_bridge=-6, chi_Q_nu=-6)
         assert cert.bridge_lower is not None
 
     def test_hitting_bounds_default_chi(self):
-        spec = KnotSpec(2, "H", normalize(2, 1), NU, 1, 2592)
-        cert = build_certificate(spec, chi_Q_nu=-6)
+        cert = one_knot(2, "H", normalize(2, 1), NU, 1, 2592, chi_Q_nu=-6)
         assert cert.hbar_D_lower == 11
         assert cert.hbar_A_lower == 4
 
@@ -362,41 +367,6 @@ class TestColumnarCatalogMatchesRowOracle:
         assert len(errors) == 2
         assert all("exceeds the heuristic upper bound" in e for e in errors)
         assert cat.errored
-
-    @given(
-        st.integers(2, 5),
-        st.sampled_from(["H", "S"]),
-        RAW_CURVES,
-        RAW_CURVES,
-        st.integers(-1300, 1300),
-        st.integers(-3000, 3000),
-        CHIS,
-        CHIS,
-    )
-    @example(2, "S", normalize(1000, 999), NU, -1000, 300, -1, -1)
-    @settings(max_examples=300, deadline=None)
-    def test_build_certificate_is_the_one_cell_catalog(
-        self, g, family, kappa, alpha, n, i, chi_bridge, chi_nu
-    ):
-        chis = (chi_bridge, chi_nu)
-        (row,) = generate_family(g, family, kappa, alpha, [n], [i], *chis).rows
-        try:
-            spec = KnotSpec(g, family, kappa, alpha, n, i)
-        except CertificateError as exc:
-            assert str(exc) == row.error
-            assert row.certificate is None
-            return
-        try:
-            expected = reference_build_certificate(spec, *chis)
-        except (ValueError, ArithmeticError) as exc:
-            with pytest.raises(type(exc)) as info:
-                build_certificate(spec, *chis)
-            assert type(info.value) is type(exc)
-            assert str(info.value) == str(exc) == row.error
-            assert row.certificate is None
-        else:
-            assert build_certificate(spec, *chis) == expected == row.certificate
-            assert row.error == ""
 
     def test_errored_does_not_build_rows(self, monkeypatch):
         cat = generate_family(2, "H", normalize(2, 1), NU, range(50), range(50))

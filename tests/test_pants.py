@@ -12,13 +12,12 @@ from knotforge.pants import (
     PantsError,
     SeamedCurve,
     ShapeMismatch,
-    dump_seam_data,
-    empty_curve,
     gamma2,
     load_seam_data,
     seamed_level,
     validate,
 )
+from oracles import dump_seam_data, empty_curve
 
 
 def genus2_pd(compatible=True):

@@ -176,9 +176,12 @@ class TestPlumbErrors:
 
 def _public(pair):
     """The pair rebuilt through MarkedPair's public constructor, from a flat
-    tuple of its steps."""
+    Lineage of its steps."""
     return MarkedPair(
-        genus=pair.genus, components=pair.components, flags=pair.flags, lineage=tuple(pair.lineage)
+        genus=pair.genus,
+        components=pair.components,
+        flags=pair.flags,
+        lineage=Lineage(*pair.lineage),
     )
 
 
@@ -320,18 +323,20 @@ class TestMarkedPair:
         from knotforge.plumbing import Flags
 
         with pytest.raises(InvalidGenus):
-            MarkedPair(0, 1, Flags(True, True, True, True), ("base x",))
+            MarkedPair(0, 1, Flags(True, True, True, True), Lineage("base x"))
 
     def test_plain_tuple_lineage(self):
-        pair = MarkedPair(1, 1, eta1().flags, ("base eta1",))
-        assert isinstance(pair.lineage, Lineage)
+        # a lineage is a Lineage: a tuple of steps is not converted
+        with pytest.raises(TypeError, match="a lineage is a Lineage"):
+            MarkedPair(1, 1, eta1().flags, ("base eta1",))
+        pair = MarkedPair(1, 1, eta1().flags, Lineage("base eta1"))
         assert pair == eta1() and hash(pair) == hash(eta1())
-        assert pair.lineage == ("base eta1",)
+        assert tuple(pair.lineage) == ("base eta1",)
         assert replay(pair.trace()) == pair
 
     def test_str_lineage_rejected(self):
         # a str is a sequence of characters, not of steps
-        with pytest.raises(TypeError, match="sequence of steps"):
+        with pytest.raises(TypeError, match="a lineage is a Lineage"):
             MarkedPair(1, 1, eta1().flags, "base eta1")
 
 
@@ -349,7 +354,7 @@ class TestLineage:
 
         lineage = Lineage(Step("base eta1"), Step("base eta1x2"))
         assert [type(step) for step in lineage] == [str, str]
-        assert lineage == ("base eta1", "base eta1x2")
+        assert tuple(lineage) == ("base eta1", "base eta1x2")
 
     def test_flat_and_nested_agree(self):
         step = "plumb spans_a=0 spans_b=1 nonsep=1"
@@ -358,10 +363,10 @@ class TestLineage:
         assert len(flat) == 3 and list(flat) == ["base eta1", "base eta1x2", step]
         assert len(nested) == 3 and list(nested) == list(flat)
         assert nested == flat and hash(nested) == hash(flat)
-        assert flat == tuple(flat) and hash(flat) == hash(tuple(flat))
         doubled = Lineage._join(nested, flat, step)
         assert len(doubled) == 7 and tuple(doubled) == tuple(flat) * 2 + (step,)
-        assert doubled != flat and flat != list(flat)
+        # a Lineage equals only a Lineage
+        assert doubled != flat and flat != tuple(flat) and flat != list(flat)
 
     @given(TREE_OPS)
     def test_matches_flat_tuple_reference(self, ops):
@@ -390,9 +395,9 @@ class TestLineage:
             assert len(lineage) == len(ref)
             assert list(lineage) == list(ref)
             assert pair.trace() == "\n".join(ref) + "\n"
-            assert lineage == ref and lineage == Lineage(*ref)
-            assert hash(lineage) == hash(ref)
-            flat = MarkedPair(pair.genus, pair.components, pair.flags, ref)
+            assert tuple(lineage) == ref and lineage == Lineage(*ref)
+            assert hash(lineage) == hash(Lineage(*ref))
+            flat = MarkedPair(pair.genus, pair.components, pair.flags, Lineage(*ref))
             assert pair == flat and hash(pair) == hash(flat)
             again = replay(pair.trace())
             assert again == pair and hash(again) == hash(pair)
