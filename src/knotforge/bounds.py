@@ -12,7 +12,6 @@ returned as an exact Fraction; its consumers do their own rounding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .torus import NU, TorusCurve, intersection
@@ -26,62 +25,25 @@ class BadGenus(ValueError):
     """Genus outside the formula's range."""
 
 
-class BadRecipe(ValueError):
-    """Catching-surface recipe data is inconsistent or missing."""
-
-
-@dataclass(frozen=True)
-class CatchingStats:
-    """Boundary/Euler bookkeeping for a catching surface Q against a
-    properly embedded surface F.
-
-    f_K, f_L, f_M count boundary components of F on the three boundary
-    pieces; chi_F_hat is the Euler characteristic of F capped off.  The
-    primed quantities f'_K = max(f_K, 1), f'_M = max(f_M, 1) and
-    Delta'_K = max(Delta_K, 1) are derived, never stored.
-    """
-
-    chi_Q: int
-    f_K: int
-    f_L: int
-    f_M: int
-    chi_F_hat: int
-    Delta_K: int
-
-    def __post_init__(self):
-        if self.f_L < 1:
-            raise ValueError("f_L >= 1 is a standing assumption")
-        if min(self.f_K, self.f_M, self.Delta_K) < 0:
-            raise ValueError("boundary counts and distances are nonnegative")
-
-    @property
-    def f_K_prime(self) -> int:
-        return max(self.f_K, 1)
-
-    @property
-    def f_M_prime(self) -> int:
-        return max(self.f_M, 1)
-
-    @property
-    def Delta_K_prime(self) -> int:
-        return max(self.Delta_K, 1)
-
-
-def threshold(stats: CatchingStats) -> int:
+def threshold(chi_Q: int, f_K: int, f_L: int, f_M: int, chi_F_hat: int, Delta_K: int) -> int:
     """The distance threshold above which the dichotomy (Mobius band or
     spanning annulus) applies: 6 f'_M max(-6 chi(Q), 2)
     (f'_K Delta'_K + f_M - chi(F^) + 2).
+
+    f_K, f_L, f_M count boundary components of a properly embedded surface
+    F on the three boundary pieces, chi_F_hat is the Euler characteristic
+    of F capped off, and the primes are f'_K = max(f_K, 1),
+    f'_M = max(f_M, 1) and Delta'_K = max(Delta_K, 1).
     """
+    if f_L < 1:
+        raise ValueError("f_L >= 1 is a standing assumption")
+    if min(f_K, f_M, Delta_K) < 0:
+        raise ValueError("boundary counts and distances are nonnegative")
     return (
         6
-        * stats.f_M_prime
-        * max(-6 * stats.chi_Q, 2)
-        * (
-            stats.f_K_prime * stats.Delta_K_prime
-            + stats.f_M
-            - stats.chi_F_hat
-            + 2
-        )
+        * max(f_M, 1)
+        * max(-6 * chi_Q, 2)
+        * (max(f_K, 1) * max(Delta_K, 1) + f_M - chi_F_hat + 2)
     )
 
 
@@ -101,45 +63,25 @@ def parallel_edges_threshold(V: int, chi_S: int) -> int:
     return 3 * V * max(1 - chi_S, 1)
 
 
-@dataclass(frozen=True)
-class CatchingRecipe:
-    """Euler-characteristic recipe: a base surface, tube pairs joining
-    oppositely oriented intersections, and punctures from removed
-    neighborhoods."""
-
-    base_chi: int
-    tube_pairs: int
-    punctures: int
-
-    def __post_init__(self):
-        if self.tube_pairs < 0 or self.punctures < 0:
-            raise BadRecipe("tube and puncture counts are nonnegative")
+def catching_chi(base_chi: int, tube_pairs: int, punctures: int) -> int:
+    """Euler characteristic of a catching surface: a base surface, tube
+    pairs joining oppositely oriented intersections, and punctures from
+    removed neighborhoods; chi = base_chi - 2 * tube_pairs - punctures."""
+    return base_chi - 2 * tube_pairs - punctures
 
 
-def catching_chi(recipe: CatchingRecipe) -> int:
-    """chi = base_chi - 2 * tube_pairs - punctures."""
-    return recipe.base_chi - 2 * recipe.tube_pairs - recipe.punctures
+# The tubed meridian disk caught by the gamma_g curve: the curve meets the
+# disk 7 times but algebraically once, so 3 tube pairs and one remaining
+# puncture.
+GAMMA_DISK = catching_chi(1, 3, 1)  # -6
 
 
-def gamma_disk_recipe() -> CatchingRecipe:
-    """The tubed meridian disk caught by the gamma_g curve: the curve meets
-    the disk 7 times but algebraically once, so 3 tube pairs and one
-    remaining puncture."""
-    return CatchingRecipe(base_chi=1, tube_pairs=3, punctures=1)
-
-
-GAMMA_DISK = catching_chi(gamma_disk_recipe())  # -6
-
-
-def nu_recipe(kappa: TorusCurve) -> CatchingRecipe:
-    """Catching surface for twisting along the (1,1)-annulus: a 3-punctured
+def nu_chi(kappa: TorusCurve) -> int:
+    """Euler characteristic of the catching surface for twisting along the
+    (1,1)-annulus: a 3-punctured
     sphere pushed off the splitting, punctured once by the lower annulus
     boundary and once per crossing of the companion curve with (1,1)."""
-    return CatchingRecipe(
-        base_chi=-1,
-        tube_pairs=0,
-        punctures=1 + intersection(kappa, NU),
-    )
+    return catching_chi(-1, 0, 1 + intersection(kappa, NU))
 
 
 def _check_chi(chi_Q: int) -> int:

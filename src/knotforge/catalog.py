@@ -159,7 +159,7 @@ def _default_chis(
     """(chi_Q_bridge, chi_Q_nu) with the request's defaults filled in (see
     generate_family); chi_Q_bridge stays None when alpha is not the (1,1)
     class."""
-    nu_chi = bounds.catching_chi(bounds.nu_recipe(kappa))
+    nu_chi = bounds.nu_chi(kappa)
     if chi_Q_bridge is None and alpha == NU:
         chi_Q_bridge = nu_chi
     if chi_Q_nu is None:
@@ -342,9 +342,9 @@ def generate_family(
 
     The hitting bounds use the tubed meridian disk caught by the gamma_g
     curve, chi = GAMMA_DISK = -6; chi_Q_nu (the strong threshold) defaults
-    to the 3-punctured-sphere recipe for kappa; chi_Q_bridge defaults to
-    the same recipe when alpha is the (1,1) class and is otherwise required
-    explicitly (the catching surface depends on i there).
+    to the 3-punctured sphere's chi, bounds.nu_chi(kappa); chi_Q_bridge
+    defaults to the same chi when alpha is the (1,1) class and is otherwise
+    required explicitly (the catching surface depends on i there).
 
     The request (_check_request, chi defaults, n_strong) is checked once.
     By the verdict lemma in the module docstring, a rejected request gives

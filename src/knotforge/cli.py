@@ -126,9 +126,7 @@ _BOUNDS = {
     "n-strong": lambda a: bounds.n_strong(a.chi),
     "parallel-classes": lambda a: bounds.parallelism_class_bound(a.chi),
     "edges-threshold": lambda a: bounds.parallel_edges_threshold(a.vertices, a.chi),
-    "threshold": lambda a: bounds.threshold(
-        bounds.CatchingStats(a.chi, a.f_k, a.f_l, a.f_m, a.chi_f_hat, a.delta_k)
-    ),
+    "threshold": lambda a: bounds.threshold(a.chi, a.f_k, a.f_l, a.f_m, a.chi_f_hat, a.delta_k),
 }
 
 

@@ -37,13 +37,6 @@ budget.
 Both claims read the same monogon-free cells.  verify_graphs runs the two
 verifiers over one cell store, a dict that lives for that call only, so
 each cell is enumerated and face-traced once per call.
-
-No crossing-sign check is needed for torus curves.  Lemma: two oriented
-essential simple closed curves (p, q) and (r, s) on the torus, straightened
-to lines, cross |ps - qr| times, and every crossing has the sign of
-ps - qr.  So all crossings of coherently oriented curves have one sign,
-and a rule that asks each crossing to join parallel endpoint classes on
-one side and antiparallel ones on the other holds by construction.
 """
 
 from __future__ import annotations

@@ -91,14 +91,6 @@ class SeamedCurve:
         return contrib + 2 * self.parallels[pants_index][side]
 
 
-@dataclass(frozen=True)
-class BustingCertificate:
-    level: int
-    method: str  # "seamed", the one method made here
-    annulus_busting: bool
-    notes: str = ""
-
-
 def _check_shape(curve: SeamedCurve, pd: PantsDecomposition) -> None:
     if (
         len(curve.seams) != len(pd.pants)
@@ -153,9 +145,8 @@ def seamed_level(curve: SeamedCurve, pd: PantsDecomposition) -> int:
 # Transcribed from the defining picture: both pants see seam classes
 # (4, 4, 3); the curve meets the leftmost cuff disk 7 times (algebraically
 # once), the middle cuff 8 times (four bands from one side), and is
-# 3-seamed with minimum exactly 3.  The annulus-busting flag is carried as
-# an axiom (the attached 2-handle gives a hyperbolic knot exterior); it is
-# not recomputed here.
+# 3-seamed with minimum exactly 3.  gamma2() states annulus-busting as an
+# axiom.
 # ---------------------------------------------------------------------------
 
 GAMMA2_DATA = """\
@@ -269,19 +260,14 @@ def load_seam_data(text: str) -> tuple[SeamedCurve, PantsDecomposition]:
 
 
 @functools.cache
-def gamma2() -> tuple[SeamedCurve, PantsDecomposition, BustingCertificate]:
+def gamma2() -> tuple[SeamedCurve, PantsDecomposition]:
     """The built-in 3-seamed, annulus-busting curve on the genus-2 handlebody.
 
+    Its seamed level (at least 3) is checked; annulus-busting is an axiom,
+    not recomputed: the attached 2-handle gives a hyperbolic knot exterior.
     The shipped data is parsed and checked on the first call only; every
     call returns the same frozen values."""
     curve, pd = load_seam_data(GAMMA2_DATA)
-    level = seamed_level(curve, pd)
-    if level < 3:
+    if seamed_level(curve, pd) < 3:
         raise PantsError("built-in gamma_2 data is not 3-seamed")
-    cert = BustingCertificate(
-        level=level,
-        method="seamed",
-        annulus_busting=True,
-        notes="annulus-busting carried as an axiom (hyperbolic 2-handle attachment)",
-    )
-    return curve, pd, cert
+    return curve, pd

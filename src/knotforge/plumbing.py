@@ -217,9 +217,9 @@ def eta1_doubled() -> MarkedPair:
 
 
 def gamma2_pair() -> MarkedPair:
-    """The genus-2 pair built from the 3-seamed curve certificate, which
-    gamma2() checks when this module is imported and always certifies
-    annulus-busting."""
+    """The genus-2 pair on the 3-seamed gamma_2 curve, whose seam data
+    gamma2() checks when this module is imported; its annulus-busting flag
+    is the axiom that gamma2() states."""
     return _TRACE_LINES["base gamma2"]
 
 

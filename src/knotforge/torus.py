@@ -79,7 +79,16 @@ EXCEPTIONAL_SET = frozenset(
 
 
 def intersection(a: TorusCurve, b: TorusCurve) -> int:
-    """Geometric intersection number |a.p * b.q - a.q * b.p| (the distance)."""
+    """Geometric intersection number |a.p * b.q - a.q * b.p| (the distance).
+
+    No crossing-sign check is needed for torus curves.  Lemma: two oriented
+    essential simple closed curves (p, q) and (r, s) on the torus,
+    straightened to lines, cross |ps - qr| times, and every crossing has the
+    sign of ps - qr.  So all crossings of coherently oriented curves have
+    one sign, and a rule that asks each crossing to join parallel endpoint
+    classes on one side and antiparallel ones on the other holds by
+    construction.
+    """
     return abs(a.p * b.q - a.q * b.p)
 
 

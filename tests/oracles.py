@@ -40,7 +40,7 @@ from knotforge.maps import (
     trace_faces,
 )
 from knotforge.pants import PantsDecomposition, SeamedCurve
-from knotforge.torus import LAMBDA, MU, NU, TorusCurve, dehn_twist, is_exceptional
+from knotforge.torus import LAMBDA, MU, NU, TorusCurve, dehn_twist, intersection, is_exceptional
 
 
 def lattice_crossing_count(a, b) -> int:
@@ -77,7 +77,7 @@ class DiskBoundScan:
     """Incremental oracle for the disk hitting bound over increasing i.
 
     Inverts the threshold formula directly: a hitting number h is ruled
-    out when i exceeds threshold(stats with f_K = h, f_M = 1,
+    out when i exceeds threshold(chi_Q, f_K = h, f_L = 1, f_M = 1,
     chi_F_hat = 2, Delta_K = 0), and the certified lower bound is one more
     than the largest ruled-out h.  The bound is informative only once h=0
     is ruled out (the h=0 and h=1 rows coincide through f'_K).
@@ -90,10 +90,7 @@ class DiskBoundScan:
 
     def _threshold(self, h: int) -> int:
         if h not in self._thresholds:
-            stats = bounds.CatchingStats(
-                chi_Q=self.chi_Q, f_K=h, f_L=1, f_M=1, chi_F_hat=2, Delta_K=0
-            )
-            self._thresholds[h] = bounds.threshold(stats)
+            self._thresholds[h] = bounds.threshold(self.chi_Q, h, 1, 1, 2, 0)
         return self._thresholds[h]
 
     def value(self, i: int) -> int:
@@ -473,7 +470,8 @@ def reference_certificate(
     tau = dehn_twist(kappa, alpha, n)
     exceptional = is_exceptional(tau)
     if chi_Q_nu is None:
-        chi_Q_nu = bounds.catching_chi(bounds.nu_recipe(kappa))
+        # the 3-punctured sphere, punctured once more per crossing with (1,1)
+        chi_Q_nu = -2 - intersection(kappa, NU)
     strong = abs(i) > bounds.n_strong(chi_Q_nu)
     hbar_D = bounds.disk_hitting_lower_bound(i, bounds.GAMMA_DISK)
     hbar_A = bounds.annulus_hitting_lower_bound(i, bounds.GAMMA_DISK)
@@ -486,7 +484,7 @@ def reference_certificate(
         reason = "alpha must miss the product-disk classes"
     else:
         if chi_Q_bridge is None and alpha == NU:
-            chi_Q_bridge = bounds.catching_chi(bounds.nu_recipe(kappa))
+            chi_Q_bridge = -2 - intersection(kappa, NU)
         if chi_Q_bridge is None:
             reason = "not i-uniform; supply a catching chi"
         else:

@@ -66,7 +66,7 @@ def test_criterion_4_bound_engine_consistency():
         scan = DiskBoundScan(chi)
         for i in range(0, 10**5 + 1):
             assert bounds.disk_hitting_lower_bound(i, chi) == scan.value(i), (i, chi)
-    assert bounds.catching_chi(bounds.gamma_disk_recipe()) == -6
+    assert bounds.catching_chi(1, 3, 1) == -6
     assert bounds.GAMMA_DISK == -6
     assert bounds.n_strong(-6) == 1296 == n_strong_scan(-6)
     print(
@@ -115,7 +115,7 @@ def test_criterion_6_plumbing_recursion():
             replayed = plumbing.replay(pair.trace())
             assert replayed == pair
             assert replayed.trace() == pair.trace()
-    curve, pd, cert = pants.gamma2()
+    curve, pd = pants.gamma2()
     assert pants.validate(curve, pd)
     assert pants.seamed_level(curve, pd) == 3
     print(

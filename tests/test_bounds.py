@@ -9,26 +9,24 @@ from knotforge.torus import normalize
 from oracles import DiskBoundScan, n_strong_scan
 
 
-def stats(chi_Q, f_K=0, f_M=1, chi_F_hat=2, Delta_K=0, f_L=1):
-    return bounds.CatchingStats(
-        chi_Q=chi_Q, f_K=f_K, f_L=f_L, f_M=f_M, chi_F_hat=chi_F_hat, Delta_K=Delta_K
-    )
+def threshold(chi_Q, f_K=0, f_M=1, chi_F_hat=2, Delta_K=0, f_L=1):
+    return bounds.threshold(chi_Q, f_K, f_L, f_M, chi_F_hat, Delta_K)
 
 
 class TestThreshold:
     def test_examples(self):
-        assert bounds.threshold(stats(-6)) == 432
-        assert bounds.threshold(stats(0)) == 24
-        assert bounds.threshold(stats(-6, f_K=5, f_M=2)) == 3024
+        assert threshold(-6) == 432
+        assert threshold(0) == 24
+        assert threshold(-6, f_K=5, f_M=2) == 3024
 
     def test_f_L_floor(self):
-        with pytest.raises(ValueError):
-            stats(-6, f_L=0)
+        with pytest.raises(ValueError, match="f_L >= 1 is a standing assumption"):
+            threshold(-6, f_L=0)
 
     @pytest.mark.parametrize("field", ["f_K", "f_M", "Delta_K"])
     def test_negative_count_rejected(self, field):
         with pytest.raises(ValueError, match="boundary counts and distances are nonnegative"):
-            stats(-6, **{field: -1})
+            threshold(-6, **{field: -1})
 
     @given(
         st.integers(-10, 0),
@@ -39,22 +37,12 @@ class TestThreshold:
     )
     @settings(max_examples=200)
     def test_monotone(self, chi, f_K, f_M, chi_F_hat, Delta_K):
-        base = bounds.threshold(stats(chi, f_K, max(f_M, 1), chi_F_hat, Delta_K))
-        assert bounds.threshold(
-            stats(chi - 1, f_K, max(f_M, 1), chi_F_hat, Delta_K)
-        ) >= base
-        assert bounds.threshold(
-            stats(chi, f_K + 1, max(f_M, 1), chi_F_hat, Delta_K)
-        ) >= base
-        assert bounds.threshold(
-            stats(chi, f_K, max(f_M, 1) + 1, chi_F_hat, Delta_K)
-        ) >= base
-        assert bounds.threshold(
-            stats(chi, f_K, max(f_M, 1), chi_F_hat - 1, Delta_K)
-        ) >= base
-        assert bounds.threshold(
-            stats(chi, f_K, max(f_M, 1), chi_F_hat, Delta_K + 1)
-        ) >= base
+        base = threshold(chi, f_K, max(f_M, 1), chi_F_hat, Delta_K)
+        assert threshold(chi - 1, f_K, max(f_M, 1), chi_F_hat, Delta_K) >= base
+        assert threshold(chi, f_K + 1, max(f_M, 1), chi_F_hat, Delta_K) >= base
+        assert threshold(chi, f_K, max(f_M, 1) + 1, chi_F_hat, Delta_K) >= base
+        assert threshold(chi, f_K, max(f_M, 1), chi_F_hat - 1, Delta_K) >= base
+        assert threshold(chi, f_K, max(f_M, 1), chi_F_hat, Delta_K + 1) >= base
 
 
 class TestSmallFormulas:
@@ -75,23 +63,17 @@ class TestSmallFormulas:
 
 class TestRecipes:
     def test_gamma_disk(self):
-        recipe = bounds.gamma_disk_recipe()
-        assert bounds.catching_chi(recipe) == -6
+        assert bounds.catching_chi(1, 3, 1) == -6
         assert bounds.GAMMA_DISK == -6
 
     def test_plain_base(self):
-        assert bounds.catching_chi(bounds.CatchingRecipe(1, 0, 0)) == 1
+        assert bounds.catching_chi(1, 0, 0) == 1
 
     @pytest.mark.parametrize(
         "kappa,expected", [((1, 1), -2), ((2, 1), -3), ((5, 2), -5), ((0, 1), -3)]
     )
     def test_nu_recipe(self, kappa, expected):
-        recipe = bounds.nu_recipe(normalize(*kappa))
-        assert bounds.catching_chi(recipe) == expected
-
-    def test_negative_counts_rejected(self):
-        with pytest.raises(bounds.BadRecipe):
-            bounds.CatchingRecipe(1, -1, 0)
+        assert bounds.nu_chi(normalize(*kappa)) == expected
 
 
 class TestHittingBounds:
@@ -148,7 +130,7 @@ class TestHittingBounds:
     @settings(max_examples=300)
     def test_threshold_closed_form(self, f_K, chi):
         # with f_M=1, chi_F_hat=2, Delta_K=0 the threshold collapses
-        assert bounds.threshold(stats(chi, f_K=f_K)) == 36 * abs(chi) * (max(f_K, 1) + 1)
+        assert threshold(chi, f_K=f_K) == 36 * abs(chi) * (max(f_K, 1) + 1)
 
 
 class TestBridgeBound:

@@ -15,7 +15,7 @@ from knotforge.catalog import (
     render_csv,
     render_txt,
 )
-from knotforge.torus import LAMBDA, MU, NU, TorusCurve, dehn_twist, normalize
+from knotforge.torus import LAMBDA, MU, NU, TorusCurve, dehn_twist, intersection, normalize
 from oracles import (
     reference_generate_family,
     reference_render_csv,
@@ -390,7 +390,7 @@ class TestVerdictLemma:
             return
         kappa, chi_Q_nu = grid[2], grid[7]
         if chi_Q_nu is None:
-            chi_Q_nu = bounds.catching_chi(bounds.nu_recipe(kappa))
+            chi_Q_nu = -2 - intersection(kappa, NU)
         threshold = bounds.n_strong(chi_Q_nu)
         assert all(abs(row.i) > threshold for row in rows if row.error)
 

@@ -3,12 +3,14 @@ import contextlib
 import hashlib
 import io
 import pathlib
+import re
 from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import knotforge
 from knotforge.catalog import generate_family, render_csv, render_txt
 from knotforge.cli import build_parser, load_config, main, parse_curve, parse_range
 from knotforge.torus import normalize
@@ -122,6 +124,42 @@ CONTRACTS = (
         "w(kappa, alpha) < 0 and n < 0: dehn_twist is twist(kappa, alpha, s*n)"
         " with s the sign of w",
     ),
+    Contract(
+        "bounds-disk", "bounds disk --i 1000", 0,
+        "7de1555df0c2700329e815b93b32c571c3ea54dc967b89e81ab73b9972b72d1d",
+        "the disk bound at the default chi, GAMMA_DISK = -6: 4",
+    ),
+    Contract(
+        "bounds-annulus", "bounds annulus --i 5000 --chi -2", 0,
+        "19b8d5c59e421f037fe563007c7254eb8d98bc221b278c3db3e5fdbbfd52e273",
+        "the annulus bound past its threshold 216|chi| = 432: 33",
+    ),
+    Contract(
+        "bounds-bridge", "bounds bridge --n 2161 --chi -3 --genus 2", 0,
+        "aa99db4c051fc557659ea5f31b8f8ead16d62cbf0041222cf46e489b655daa1e",
+        "a bridge bound that is not an integer prints as a Fraction: 1729/216",
+    ),
+    Contract(
+        "bounds-n-strong", "bounds n-strong --chi -6", 0,
+        "a04b8779fae076e2078abac87ed405080395dc27b5bf3bd4693ebfb6ecf215eb",
+        "the strong threshold 216|chi|: 1296",
+    ),
+    Contract(
+        "bounds-parallel-classes", "bounds parallel-classes --chi -6", 0,
+        "7ee29791fc17e986b97128845622b077fb45e349fdb80523fac9dba879b4ad60",
+        "the parallelism class bound -3 chi: 18",
+    ),
+    Contract(
+        "bounds-edges-threshold", "bounds edges-threshold --vertices 2 --chi 0", 0,
+        "06e9d52c1720fca412803e3b07c4b228ff113e303f4c7ab94665319d832bbfb7",
+        "the parallel-edges threshold 3V max(1 - chi, 1): 6",
+    ),
+    Contract(
+        "bounds-threshold",
+        "bounds threshold --chi -6 --f-k 5 --f-l 2 --f-m 2 --chi-f-hat 0 --delta-k 3", 0,
+        "e4fa6ce80a34303b9dda7a6e66c7017b5b0bb55314df23f5e8f33378c419ec70",
+        "the distance threshold with every count set: 6*2*36*(5*3 + 2 - 0 + 2) = 8208",
+    ),
 )
 
 
@@ -131,6 +169,14 @@ def test_contract(row, tmp_path, capsys):
     captured = capsys.readouterr()
     assert (code, hashlib.sha256(captured.out.encode()).hexdigest()) == (row.code, row.digest)
     assert captured.err == ""
+
+
+def test_version_matches_pyproject():
+    # read with a regex: Python 3.10 has no tomllib
+    text = (pathlib.Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    project = re.search(r"^\[project\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S).group(1)
+    version = re.search(r'^version\s*=\s*"([^"]+)"', project, re.M).group(1)
+    assert knotforge.__version__ == version
 
 
 class TestParsers:
@@ -300,6 +346,19 @@ class TestBounds:
     def test_bad_chi_exit_code(self, capsys):
         assert main(["bounds", "disk", "--i", "10", "--chi", "0"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--f-l", "0"], "f_L >= 1 is a standing assumption"),
+            (["--f-k", "-1"], "boundary counts and distances are nonnegative"),
+            # the f_L check comes first
+            (["--f-m", "-1", "--f-l", "0"], "f_L >= 1 is a standing assumption"),
+        ],
+    )
+    def test_threshold_counts_rejected(self, capsys, flags, message):
+        assert main(["bounds", "threshold", *flags]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 class TestPlumb:

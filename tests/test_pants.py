@@ -17,6 +17,7 @@ from knotforge.pants import (
     seamed_level,
     validate,
 )
+from knotforge.plumbing import gamma2_pair
 from oracles import dump_seam_data, empty_curve
 
 
@@ -265,14 +266,15 @@ class TestSerialization:
 
 class TestGamma2:
     def test_certificate(self):
-        curve, pd, cert = gamma2()
-        assert cert.level == 3
-        assert cert.annulus_busting
-        assert cert.method == "seamed"
+        # the level is the seamed one; annulus-busting is the axiom that
+        # the gamma2 base pair carries
+        curve, pd = gamma2()
+        assert seamed_level(curve, pd) == 3
+        assert gamma2_pair().flags.annulus_busting
         assert pd.compatible
 
     def test_seam_minimum(self):
-        curve, _, _ = gamma2()
+        curve, _ = gamma2()
         assert min(min(t) for t in curve.seams) == 3
 
     def test_seam_data_parsed_once(self, monkeypatch):
@@ -292,3 +294,12 @@ class TestGamma2:
         assert parsed == [GAMMA2_DATA]
         assert first == second
         assert first is second
+
+    def test_level_below_three_rejected(self, monkeypatch):
+        monkeypatch.setattr(pants, "GAMMA2_DATA", GAMMA2_DATA.replace(" 4 4 3", " 4 4 2"))
+        gamma2.cache_clear()
+        try:
+            with pytest.raises(PantsError, match="built-in gamma_2 data is not 3-seamed"):
+                gamma2()
+        finally:
+            gamma2.cache_clear()
