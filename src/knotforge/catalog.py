@@ -23,6 +23,19 @@ strong flag, its bridge cell or that cell's error message.  A rejected
 request has an infinite strong threshold, so its i entries are all weak,
 and each n entry's weak cell is the request's error.
 
+Quoting lemma: csv output is `csv.QUOTE_MINIMAL` (RFC 4180 section 2),
+which quotes a field exactly when it contains `,`, `"`, `\r` or `\n`.
+The fields of fixed shape are n, i, the hbar_D_lower/hbar_A_lower pair and
+the fields fixed by n and the cell: tau, exceptional, seifert, surgery,
+bridge_lower and the heuristic.  Among them only the curve texts `(p,q)`
+(tau, and the S family's seifert) and the S family's surgery text contain
+such a character; each contains a comma and never a quote or a line
+break.  So those fields are always quoted and no other is, and none is
+empty (txt drops empty fields).  Each fixed-shape fragment of a row is
+therefore one format string per schema, and `csv.writer` formats only text
+whose shape is not fixed: the header, the three tails and the error cells,
+which carry arbitrary exception text.
+
 Guard lemma: the only Certificate guard that can fail on a catalog row is
 the bridge bound against the heuristic upper bound.  tau comes from
 `normalize`, so its Seifert data are coprime, and the hyperbolicity-
@@ -414,13 +427,23 @@ def _na(reason: str) -> str:
     return f"n/a({reason})"
 
 
-def _row_texts(catalog: Catalog, format_values, sep: str) -> Iterator[str]:
-    """Each row's line: fragments joined by sep, where format_values(start,
-    values) formats values of _COLUMNS[start:].  The three tails (strong
-    flag, exterior flags, unique_surgery and an empty error) and each n
-    entry, i entry and cell, error cells included, are formatted once; the
-    texts of the fields fixed by n are made once per n entry, not once per
-    cell."""
+def _row_texts(catalog: Catalog, format_values, sep: str, field: str, quoted: str) -> Iterator[str]:
+    """Each row's line: fragments joined by sep.  A fixed-shape fragment is
+    one %-format over _COLUMNS[start:stop] that writes a value of column
+    name as field.format(name), or as quoted.format(name) if the value holds
+    a comma (the quoting lemma in the module docstring).  format_values(start,
+    values) formats values of _COLUMNS[start:] for the text whose shape is
+    not fixed: the three tails (strong flag, exterior flags, unique_surgery
+    and an empty error) and the error cells.  Each n entry, i entry and cell
+    is formatted once."""
+    commas = ("tau", "seifert", "surgery") if catalog.family == "S" else ("tau",)
+
+    def fragment(start: int, stop: int) -> str:
+        names = _COLUMNS[start:stop]
+        return sep.join((quoted if name in commas else field).format(name) for name in names)
+
+    n_format, i_format, hbar_format = fragment(0, 1), sep + fragment(1, 2), fragment(_HBAR, _TAIL)
+    mid_format = f"{sep}{fragment(2, _HBAR)} (heuristic){sep}"
     na = [_na("row error")] * (len(_COLUMNS) - 3)
     # flags_all implies strong, so no tail has strong false and flags true
     tails = {}
@@ -428,15 +451,11 @@ def _row_texts(catalog: Catalog, format_values, sep: str) -> Iterator[str]:
         values = (str(strong).lower(), *[str(flags).lower()] * 5, "")
         tails[strong, flags] = f"{sep}{format_values(_TAIL, values)}\n"
     i_parts = [
-        (
-            e.strong,
-            f"{sep}{format_values(1, (str(e.i),))}",
-            format_values(_HBAR, (str(e.hbar_D_lower), str(e.hbar_A_lower))),
-        )
+        (e.strong, i_format % e.i, hbar_format % (e.hbar_D_lower, e.hbar_A_lower))
         for e in catalog.i_column
     ]
     for n_entry in catalog.n_column:
-        head = format_values(0, (str(n_entry.n),))
+        head = n_format % n_entry.n
         # per strong flag: the line after i, or the parts around the hbar fragment
         rests: list = [None, None]
         f = n_entry.fields
@@ -446,19 +465,12 @@ def _row_texts(catalog: Catalog, format_values, sep: str) -> Iterator[str]:
                 rests[strong] = f"{sep}{format_values(2, (*na, cell))}\n"
             elif cell is not None:
                 if fixed is None:
-                    fixed = (
-                        str(f.tau),
-                        str(f.exceptional).lower(),
-                        f"({f.seifert[0]},{f.seifert[1]})"
-                        if f.seifert
-                        else _na("handlebody family"),
-                        f.surgery,
-                    )
-                    heuristic = f"{f.bridge_upper_heuristic} (heuristic)"
+                    seifert = "(%d,%d)" % f.seifert if f.seifert else _na("handlebody family")
+                    fixed = (str(f.tau), str(f.exceptional).lower(), seifert, f.surgery)
                 bridge_lower, reason = cell
-                bridge = str(bridge_lower) if bridge_lower is not None else _na(reason)
-                mid = format_values(2, (*fixed, bridge, heuristic))
-                rests[strong] = (f"{sep}{mid}{sep}", tails[strong, f.flags_all(strong)])
+                bridge = _na(reason) if bridge_lower is None else bridge_lower
+                mid = mid_format % (*fixed, bridge, f.bridge_upper_heuristic)
+                rests[strong] = (mid, tails[strong, f.flags_all(strong)])
         for strong, i_text, hbar in i_parts:
             rest = rests[strong]
             if isinstance(rest, str):
@@ -487,7 +499,9 @@ def render_csv(catalog: Catalog) -> str:
         *(["statement", s] for s in catalog.statements),
         _COLUMNS,
     ]
-    rows = _row_texts(catalog, lambda start, values: writer.writerow(values)[:-1], ",")
+    rows = _row_texts(
+        catalog, lambda start, values: writer.writerow(values)[:-1], ",", "%s", '"%s"'
+    )
     return "".join(chain(map(writer.writerow, header), rows))
 
 
@@ -498,5 +512,5 @@ def render_txt(catalog: Catalog) -> str:
         f" kappa={catalog.kappa} alpha={catalog.alpha}",
         *(f"statement: {s}" for s in catalog.statements),
     ]
-    rows = _row_texts(catalog, _txt_values, " ")
+    rows = _row_texts(catalog, _txt_values, " ", "{}=%s", "{}=%s")
     return "".join(chain((f"{line}\n" for line in header), rows))

@@ -351,6 +351,18 @@ class TestColumnarCatalogMatchesRowOracle:
     @example((2, "H", normalize(2, 1), NU, [3, 1], [], None, 0))
     # rows that the spec check rejects
     @example((1, "H", normalize(2, 1), NU, [0, 1], [0, 5000], None, None))
+    # each fragment shape of the renderers' format strings, every run:
+    # an S family (quoted seifert and surgery) with n < 0 and a Fraction bridge
+    @example((3, "S", normalize(2, 1), NU, [-649, -652], [0, 649], None, None))
+    # an exceptional tau, (0,1) at n = -2, on a strong row
+    @example((2, "S", normalize(2, 1), NU, [-2, 1], [0, 700], None, None))
+    # a product-disk alpha
+    @example((2, "S", normalize(2, 1), MU, [1, 2], [5000], None, None))
+    # an "other" alpha without chi_Q_bridge: not i-uniform
+    @example((3, "H", normalize(3, 1), normalize(1, 2), [0, 1], [0, 5000], None, None))
+    # error cells that csv.writer must quote (a comma) and that hold quotes
+    @example((2, "H", TorusCurve(2, 4), NU, [0, 1], [0, 5000], None, None))
+    @example((2, "X", normalize(2, 1), NU, [0, 1], [0, 5000], None, None))
     @settings(max_examples=400, deadline=None)
     def test_rows_errored_and_renderings(self, grid):
         cat = generate_family(*grid)

@@ -114,6 +114,28 @@ CONTRACTS = (
         "the mixed-verdict request in csv",
     ),
     Contract(
+        "s-exceptional-csv",
+        "family --genus 2 --type S --kappa 2,1 --alpha 1,1 --n-range=-2:1 --i-range 0,700"
+        " --format csv", 0,
+        "52c34761663f6d6a429ad443f0e656a1bd67fc7aa4fa0b5a35d03877bb624c3a",
+        "the S family's quoted seifert and surgery, and exceptional=true on strong rows"
+        " at n = -2, -1, 0",
+    ),
+    Contract(
+        "not-i-uniform-txt",
+        "family --genus 3 --type H --kappa 3,1 --alpha 1,2 --n-range 0:2 --i-range 0,5000"
+        " --format txt", 0,
+        "2706bbb6ccfff4f6e7cacfee25ff044e37081d582c373ad4012efa498b6578e5",
+        "an alpha other than (1,1) with no --chi-bridge: the not i-uniform reason",
+    ),
+    Contract(
+        "product-disk-csv",
+        "family --genus 2 --type S --kappa 2,1 --alpha 1,0 --n-range 1:2 --i-range 5000"
+        " --format csv", 0,
+        "0d01bb22f024bf29e5b447bb6ff54bdf2f7fd81e4e1e97b49eb837e8a0cd4a53",
+        "a product-disk alpha: its reason, and no statement line",
+    ),
+    Contract(
         "twist", "twist --kappa -3,2 --alpha 1,1", 0,
         "58e5f32a625b2c76df6a9b72cd25027de9948ff191d74f2a025d30ed5716ff69",
         "a negative first coordinate, given as its own argument, is a value",

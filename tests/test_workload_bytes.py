@@ -8,6 +8,8 @@ for the `catalog` and `lineage` workloads at seeds 0-5.  Tier-1 checks seed
 
     PYTHONPATH=src:tests python -c "import test_workload_bytes as t; t.main()"
 
+which needs no pytest.
+
 A change that moves any of these bytes is a behaviour change and must be
 argued on its own; a change to the workloads themselves re-takes the table.
 """
@@ -18,8 +20,6 @@ import importlib.util
 import io
 import pathlib
 import sys
-
-import pytest
 
 from knotforge.cli import main as cli_main
 
@@ -62,7 +62,12 @@ def workload_digest(workload: str, seed: int) -> tuple[str, str]:
     return digest.hexdigest(), err.getvalue()
 
 
-@pytest.mark.parametrize("workload", ["catalog", "lineage"])
+def pytest_generate_tests(metafunc):
+    # the pytest hook, not its parametrize mark, so that main() runs where
+    # pytest is not installed
+    metafunc.parametrize("workload", ["catalog", "lineage"])
+
+
 def test_seed_0_bytes(workload):
     assert workload_digest(workload, 0) == (WORKLOAD_DIGESTS[workload, 0], "")
 
