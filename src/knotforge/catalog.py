@@ -435,7 +435,7 @@ def _row_texts(catalog: Catalog, format_values, sep: str, field: str, quoted: st
     values) formats values of _COLUMNS[start:] for the text whose shape is
     not fixed: the three tails (strong flag, exterior flags, unique_surgery
     and an empty error) and the error cells.  Each n entry, i entry and cell
-    is formatted once."""
+    is formatted once, and each error text once per render."""
     commas = ("tau", "seifert", "surgery") if catalog.family == "S" else ("tau",)
 
     def fragment(start: int, stop: int) -> str:
@@ -450,6 +450,9 @@ def _row_texts(catalog: Catalog, format_values, sep: str, field: str, quoted: st
     for strong, flags in ((False, False), (True, False), (True, True)):
         values = (str(strong).lower(), *[str(flags).lower()] * 5, "")
         tails[strong, flags] = f"{sep}{format_values(_TAIL, values)}\n"
+    # an errored row's line after its i, by error text: a rejected request
+    # gives every n entry the same one
+    errors: dict[str, str] = {}
     i_parts = [
         (e.strong, i_format % e.i, hbar_format % (e.hbar_D_lower, e.hbar_A_lower))
         for e in catalog.i_column
@@ -461,8 +464,10 @@ def _row_texts(catalog: Catalog, format_values, sep: str, field: str, quoted: st
         f = n_entry.fields
         fixed = None  # the texts of the fields fixed by n, made once
         for strong, cell in zip((False, True), n_entry.cells):
-            if isinstance(cell, str):  # an errored row's line after its i
-                rests[strong] = f"{sep}{format_values(2, (*na, cell))}\n"
+            if isinstance(cell, str):
+                if cell not in errors:
+                    errors[cell] = f"{sep}{format_values(2, (*na, cell))}\n"
+                rests[strong] = errors[cell]
             elif cell is not None:
                 if fixed is None:
                     seifert = "(%d,%d)" % f.seifert if f.seifert else _na("handlebody family")

@@ -26,7 +26,6 @@ count line for an undeclared id are rejected.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 
@@ -259,14 +258,13 @@ def load_seam_data(text: str) -> tuple[SeamedCurve, PantsDecomposition]:
     return curve, pd
 
 
-@functools.cache
 def gamma2() -> tuple[SeamedCurve, PantsDecomposition]:
     """The built-in 3-seamed, annulus-busting curve on the genus-2 handlebody.
 
     Its seamed level (at least 3) is checked; annulus-busting is an axiom,
     not recomputed: the attached 2-handle gives a hyperbolic knot exterior.
-    The shipped data is parsed and checked on the first call only; every
-    call returns the same frozen values."""
+    Each call parses and checks the shipped data; the plumbing module calls
+    it once, at import."""
     curve, pd = load_seam_data(GAMMA2_DATA)
     if seamed_level(curve, pd) < 3:
         raise PantsError("built-in gamma_2 data is not 3-seamed")

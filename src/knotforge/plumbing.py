@@ -2,11 +2,13 @@
 calculus, and the recursive eta_g / gamma_g constructions.
 
 A MarkedPair tracks genus, component count, and certified flags only; no
-embedding is stored.  Plumbing two pairs along nontrivial bands adds the
-genera, keeps 3-disk-busting, and keeps annulus-busting when both inputs
-have it.  Component bookkeeping: the glued bands merge the curve
-components they touch into one, so the count drops by one per band that
-spans two components of its host system, plus one for the join itself.
+embedding is stored.  Plumbing is along nontrivial bands by definition;
+a plumb step records only whether each band spans two components of its
+host system and whether a nonseparating witness is certified, the three
+bits of its trace line.  Plumbing two pairs adds the genera, keeps
+3-disk-busting, and keeps annulus-busting when both inputs have it.  The
+glued bands merge the curve components they touch into one, so the count
+drops by one per spanning band, plus one for the join itself.
 
 Every construction records a lineage: a postfix trace (base pairs pushed,
 plumb steps popping two) that can be serialized and replayed.  Lineages
@@ -44,26 +46,12 @@ class PlumbingError(ValueError):
     """Base class for invalid plumbing operations."""
 
 
-class TrivialBand(PlumbingError):
-    """Plumbing bands must be nontrivial."""
-
-
 class MissingPrecondition(PlumbingError):
     """An input pair lacks a certified flag the operation needs."""
 
 
 class InvalidGenus(PlumbingError):
     """Genus outside the construction's range."""
-
-
-@dataclass(frozen=True)
-class PlumbingBand:
-    host: str
-    nontrivial: bool
-    # True when the band's two attachments lie on distinct components of
-    # the host curve system (e.g. the band joining the two copies of the
-    # doubled core curve); the plumb then merges one extra component.
-    spans_two_components: bool = False
 
 
 @dataclass(frozen=True)
@@ -195,15 +183,12 @@ gamma2()
 
 # What replay does with each of the eleven trace lines: a base line pushes
 # its pair, a frozen value built once here; a plumb line plumbs the top two
-# pairs with its bands and witness.
+# pairs with the three bits of its _PLUMB_STEPS key.
 _TRACE_LINES = {
     f"base {name}": MarkedPair(genus, components, _ALL_FLAGS, Lineage(f"base {name}"))
     for name, genus, components in (("eta1", 1, 1), ("eta1x2", 1, 2), ("gamma2", 2, 1))
 }
-_TRACE_LINES.update(
-    (line, (PlumbingBand("a", True, spans_a), PlumbingBand("b", True, spans_b), nonsep))
-    for (spans_a, spans_b, nonsep), line in _PLUMB_STEPS.items()
-)
+_TRACE_LINES.update((line, key) for key, line in _PLUMB_STEPS.items())
 
 
 def eta1() -> MarkedPair:
@@ -226,23 +211,22 @@ def gamma2_pair() -> MarkedPair:
 def plumb(
     a: MarkedPair,
     b: MarkedPair,
-    band_a: PlumbingBand,
-    band_b: PlumbingBand,
+    spans_a: bool = False,
+    spans_b: bool = False,
     nonseparating_witness: bool = False,
 ) -> MarkedPair:
     """Boundary-plumb two certified pairs along nontrivial bands.
 
-    The result is 3-disk-busting with essential components; it is
-    annulus-busting iff both inputs are.  The nonseparating flag is only
-    set when the caller certifies a witness (the built-in recursions do).
-    The checks run in this order: band a, band b, the first pair's flags,
-    the second pair's flags, the component count.  The step is O(1) by the
-    per-step invariant in the module docstring.
+    spans_a (spans_b) is true when the band's two attachments lie on
+    distinct components of a's (b's) curve system, e.g. the band joining
+    the two copies of the doubled core curve; the plumb then merges one
+    extra component.  The result is 3-disk-busting with essential
+    components; it is annulus-busting iff both inputs are.  The
+    nonseparating flag is only set when the caller certifies a witness (the
+    built-in recursions do).  The checks run in this order: the first
+    pair's flags, the second pair's flags, the component count.  The step
+    is O(1) by the per-step invariant in the module docstring.
     """
-    if not band_a.nontrivial:
-        raise TrivialBand(f"band on {band_a.host!r} is trivial")
-    if not band_b.nontrivial:
-        raise TrivialBand(f"band on {band_b.host!r} is trivial")
     flags_a, flags_b = a.flags, b.flags
     if not flags_a.three_disk_busting:
         raise MissingPrecondition("first pair is not certified 3-disk-busting")
@@ -252,8 +236,8 @@ def plumb(
         raise MissingPrecondition("second pair is not certified 3-disk-busting")
     if not flags_b.essential_components:
         raise MissingPrecondition("second pair lacks essential components")
-    spans_a = bool(band_a.spans_two_components)
-    spans_b = bool(band_b.spans_two_components)
+    spans_a = bool(spans_a)
+    spans_b = bool(spans_b)
     components = a.components + b.components - 1 - spans_a - spans_b
     if components < 1:
         raise PlumbingError("band data merges more components than exist")
@@ -270,14 +254,6 @@ def plumb(
     return pair
 
 
-def _self_band(host: str) -> PlumbingBand:
-    return PlumbingBand(host=host, nontrivial=True)
-
-
-def _joining_band(host: str) -> PlumbingBand:
-    return PlumbingBand(host=host, nontrivial=True, spans_two_components=True)
-
-
 def eta(g: int) -> MarkedPair:
     """Nonseparating 3-disk-busting, annulus-busting curve on genus g >= 1.
 
@@ -287,11 +263,11 @@ def eta(g: int) -> MarkedPair:
     """
     if g < 1:
         raise InvalidGenus("eta needs g >= 1")
-    # the pair and bands of every step are frozen values, built once
-    doubled, band_a, band_b = eta1_doubled(), _self_band("a"), _joining_band("b")
+    # the pair plumbed on at every step is a frozen value, built once
+    doubled = eta1_doubled()
     pair = eta1()
     for _ in range(g - 1):
-        pair = plumb(pair, doubled, band_a, band_b, True)
+        pair = plumb(pair, doubled, False, True, True)
     return pair
 
 
@@ -301,13 +277,7 @@ def gamma(g: int) -> MarkedPair:
         raise InvalidGenus("gamma needs g >= 2")
     if g == 2:
         return gamma2_pair()
-    return plumb(
-        eta(g - 2),
-        gamma2_pair(),
-        _self_band("a"),
-        _self_band("b"),
-        nonseparating_witness=True,
-    )
+    return plumb(eta(g - 2), gamma2_pair(), nonseparating_witness=True)
 
 
 def replay(trace: str) -> MarkedPair:

@@ -363,6 +363,8 @@ class TestColumnarCatalogMatchesRowOracle:
     # error cells that csv.writer must quote (a comma) and that hold quotes
     @example((2, "H", TorusCurve(2, 4), NU, [0, 1], [0, 5000], None, None))
     @example((2, "X", normalize(2, 1), NU, [0, 1], [0, 5000], None, None))
+    # a rejected request with several n values: one error text on every line
+    @example((2, "H", normalize(2, 1), NU, [0, 3, -1, 7], [0, 5000], None, 0))
     @settings(max_examples=400, deadline=None)
     def test_rows_errored_and_renderings(self, grid):
         cat = generate_family(*grid)

@@ -2,8 +2,12 @@ import argparse
 import contextlib
 import hashlib
 import io
+import os
 import pathlib
 import re
+import subprocess
+import sys
+import tempfile
 from typing import NamedTuple
 
 import pytest
@@ -12,7 +16,8 @@ from hypothesis import strategies as st
 
 import knotforge
 from knotforge.catalog import generate_family, render_csv, render_txt
-from knotforge.cli import build_parser, load_config, main, parse_curve, parse_range
+from knotforge.cli import build_parser, load_config, parse_curve, parse_range
+from knotforge.cli import main as cli_main
 from knotforge.torus import normalize
 
 
@@ -187,7 +192,7 @@ CONTRACTS = (
 
 @pytest.mark.parametrize("row", CONTRACTS, ids=lambda row: row.name)
 def test_contract(row, tmp_path, capsys):
-    code = main(row.argv(tmp_path))
+    code = cli_main(row.argv(tmp_path))
     captured = capsys.readouterr()
     assert (code, hashlib.sha256(captured.out.encode()).hexdigest()) == (row.code, row.digest)
     assert captured.err == ""
@@ -221,7 +226,7 @@ class TestParsers:
         [("1:2:3:4", "bad range '1:2:3:4'"), ("1:5:0", "range step must be positive")],
     )
     def test_malformed_range_exit_code(self, text, message, capsys):
-        assert main(["family", "--kappa", "2,1", "--alpha", "1,1", "--n-range", text]) == 2
+        assert cli_main(["family", "--kappa", "2,1", "--alpha", "1,1", "--n-range", text]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_load_config(self, tmp_path):
@@ -232,7 +237,7 @@ class TestParsers:
 
 class TestTwist:
     def test_output(self, capsys):
-        code = main(["twist", "--kappa", "0,1", "--alpha", "1,1", "--n", "4"])
+        code = cli_main(["twist", "--kappa", "0,1", "--alpha", "1,1", "--n", "4"])
         out = capsys.readouterr().out
         assert code == 0
         assert "tau = (4,5)" in out
@@ -240,7 +245,7 @@ class TestTwist:
     def test_config_preload_and_override(self, tmp_path, capsys):
         conf = tmp_path / "c"
         conf.write_text("kappa = 0,1\nalpha = 1,1\nn = 4\n")
-        code = main(["--config", str(conf), "twist", "--n", "1"])
+        code = cli_main(["--config", str(conf), "twist", "--n", "1"])
         out = capsys.readouterr().out
         assert code == 0
         assert "tau = (1,2)" in out  # flag n=1 overrides config n=4
@@ -250,7 +255,7 @@ class TestTwist:
         conf = tmp_path / "c"
         if text is not None:
             conf.write_text(text)
-        assert main(["--config", str(conf), "twist", "--kappa", "0,1"]) == 2
+        assert cli_main(["--config", str(conf), "twist", "--kappa", "0,1"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "Traceback" not in err
@@ -265,7 +270,7 @@ class TestTwist:
         ],
     )
     def test_missing_or_bad_curve_exit_code(self, argv, capsys):
-        assert main(argv) == 2
+        assert cli_main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "Traceback" not in err
@@ -288,16 +293,16 @@ class TestNegativeValues:
     def test_separate_value_parses_like_equals_form(self, argv, flag, capsys):
         at = argv.index(flag)
         joined = argv[:at] + [f"{flag}={argv[at + 1]}"] + argv[at + 2 :]
-        assert main(joined) == 0
+        assert cli_main(joined) == 0
         expected = capsys.readouterr().out
-        assert main(argv) == 0
+        assert cli_main(argv) == 0
         captured = capsys.readouterr()
         assert captured.out == expected
         assert captured.err == ""
 
     def test_other_dash_tokens_stay_options(self, capsys):
         with pytest.raises(SystemExit):
-            main(["twist", "--kappa", "-x", "--alpha", "1,1"])
+            cli_main(["twist", "--kappa", "-x", "--alpha", "1,1"])
         assert "expected one argument" in capsys.readouterr().err
 
 
@@ -319,7 +324,7 @@ class TestConfigValidation:
     def test_bad_key_or_value_exit_code(self, text, argv, tmp_path, capsys):
         conf = tmp_path / "c"
         conf.write_text(text)
-        assert main(["--config", str(conf), *argv]) == 2
+        assert cli_main(["--config", str(conf), *argv]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error:")
         assert captured.out == ""
@@ -327,7 +332,7 @@ class TestConfigValidation:
     def test_valid_choice_accepted(self, tmp_path, capsys):
         conf = tmp_path / "c"
         conf.write_text("type = S\nformat = csv\nn-range = 1:2\n")
-        assert main(["--config", str(conf), *self.FAMILY]) == 0
+        assert cli_main(["--config", str(conf), *self.FAMILY]) == 0
         out = capsys.readouterr().out.splitlines()
         assert out[0] == "knotforge-catalog v1"
         assert out[1].startswith("g=2,family=S,")
@@ -336,11 +341,11 @@ class TestConfigValidation:
         # the parser is built once per process; no call may change it
         conf = tmp_path / "c"
         conf.write_text("format = csv\n")
-        assert main([*self.FAMILY, "--format", "csv"]) == 0
+        assert cli_main([*self.FAMILY, "--format", "csv"]) == 0
         csv_out = capsys.readouterr().out
-        assert main(["--config", str(conf), *self.FAMILY]) == 0
+        assert cli_main(["--config", str(conf), *self.FAMILY]) == 0
         assert capsys.readouterr().out == csv_out
-        assert main(self.FAMILY) == 0
+        assert cli_main(self.FAMILY) == 0
         txt_out = capsys.readouterr().out
         assert txt_out != csv_out
         assert txt_out == render_txt(
@@ -350,23 +355,23 @@ class TestConfigValidation:
 
 class TestBounds:
     def test_disk(self, capsys):
-        assert main(["bounds", "disk", "--i", "1000", "--chi", "-6"]) == 0
+        assert cli_main(["bounds", "disk", "--i", "1000", "--chi", "-6"]) == 0
         assert capsys.readouterr().out.strip() == "4"
 
     def test_n_strong(self, capsys):
-        assert main(["bounds", "n-strong", "--chi", "-6"]) == 0
+        assert cli_main(["bounds", "n-strong", "--chi", "-6"]) == 0
         assert capsys.readouterr().out.strip() == "1296"
 
     def test_bridge(self, capsys):
-        assert main(["bounds", "bridge", "--n", "4320", "--chi", "-6", "--genus", "2"]) == 0
+        assert cli_main(["bounds", "bridge", "--n", "4320", "--chi", "-6", "--genus", "2"]) == 0
         assert capsys.readouterr().out.strip() == "8"
 
     def test_threshold(self, capsys):
-        assert main(["bounds", "threshold", "--chi", "-6"]) == 0
+        assert cli_main(["bounds", "threshold", "--chi", "-6"]) == 0
         assert capsys.readouterr().out.strip() == "432"
 
     def test_bad_chi_exit_code(self, capsys):
-        assert main(["bounds", "disk", "--i", "10", "--chi", "0"]) == 2
+        assert cli_main(["bounds", "disk", "--i", "10", "--chi", "0"]) == 2
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
@@ -379,26 +384,26 @@ class TestBounds:
         ],
     )
     def test_threshold_counts_rejected(self, capsys, flags, message):
-        assert main(["bounds", "threshold", *flags]) == 2
+        assert cli_main(["bounds", "threshold", *flags]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 class TestPlumb:
     def test_gamma_trace(self, capsys):
-        assert main(["plumb", "--construction", "gamma", "--genus", "4"]) == 0
+        assert cli_main(["plumb", "--construction", "gamma", "--genus", "4"]) == 0
         out = capsys.readouterr().out
         assert "genus=4" in out
         assert "base gamma2" in out
 
     def test_eta(self, capsys):
-        assert main(["plumb", "--construction", "eta", "--genus", "3"]) == 0
+        assert cli_main(["plumb", "--construction", "eta", "--genus", "3"]) == 0
         out = capsys.readouterr().out
         assert "components=1" in out
 
 
 class TestFamily:
     def test_stdout_txt(self, capsys):
-        code = main(
+        code = cli_main(
             [
                 "family",
                 "--genus", "2",
@@ -417,7 +422,7 @@ class TestFamily:
 
     def test_csv_to_file(self, tmp_path, capsys):
         out_path = tmp_path / "fam.csv"
-        code = main(
+        code = cli_main(
             [
                 "family",
                 "--genus", "2",
@@ -434,7 +439,7 @@ class TestFamily:
         assert out_path.read_text().startswith("knotforge-catalog v1")
 
     def test_errored_rows_set_exit_code(self, capsys):
-        code = main(
+        code = cli_main(
             [
                 "family",
                 "--genus", "2",
@@ -456,7 +461,7 @@ class TestFamily:
         ],
     )
     def test_rejected_request_prints_no_statement(self, capsys, request_args):
-        code = main(["family", *request_args, "--n-range", "1", "--i-range", "1"])
+        code = cli_main(["family", *request_args, "--n-range", "1", "--i-range", "1"])
         out = capsys.readouterr().out
         assert code == 1
         assert "error=" in out
@@ -467,7 +472,7 @@ class TestFamily:
         # an accepted request whose bridge chi is >= 0: only the strong rows
         # (i = 5000 > 216 * 3) err, the weak ones are certified; its bytes
         # are pinned in CONTRACTS
-        assert main([*MIXED.split(), "--format", fmt]) == 1
+        assert cli_main([*MIXED.split(), "--format", fmt]) == 1
         rows = capsys.readouterr().out.splitlines()[-4:]
         erred = [row for row in rows if "a catching surface with chi(Q) < 0 is required" in row]
         assert len(erred) == 2
@@ -478,14 +483,14 @@ class TestFamily:
     def test_empty_grid_exit_code(self, capsys, flag, text):
         argv = ["family", "--kappa", "2,1", "--alpha", "1,1", "--n-range", "1:2", "--i-range", "0:0"]
         argv[argv.index(flag) + 1] = text
-        assert main(argv) == 2
+        assert cli_main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: empty range")
         assert captured.out == ""
 
     def test_desk_demo_catalog(self, capsys):
         # the hitting chi is bounds.GAMMA_DISK = -6, as in the demo
-        code = main(
+        code = cli_main(
             [
                 "family",
                 "--genus", "2",
@@ -515,7 +520,7 @@ class TestFamily:
 
 class TestVerifyGraphs:
     def test_small_run(self, capsys):
-        code = main(
+        code = cli_main(
             ["verify-graphs", "--v-max", "1", "--e-budget", "4", "--chi-min", "-2"]
         )
         out = capsys.readouterr().out
@@ -524,28 +529,28 @@ class TestVerifyGraphs:
         assert "arc-class bound" in out
 
     def test_empty_range_exit_code(self, capsys):
-        assert main(["verify-graphs", "--v-max", "0", "--e-budget", "0"]) == 2
+        assert cli_main(["verify-graphs", "--v-max", "0", "--e-budget", "0"]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error:")
         assert captured.out == ""
 
     def test_chi_above_the_sphere_exit_code(self, capsys):
         argv = ["verify-graphs", "--v-max", "1", "--e-budget", "2", "--chi-min", "5"]
-        assert main(argv) == 2
+        assert cli_main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error:")
         assert captured.out == ""
 
     def test_negative_work_budget_exit_code(self, capsys):
         argv = ["verify-graphs", "--v-max", "1", "--e-budget", "2", "--work-budget", "-5"]
-        assert main(argv) == 2
+        assert cli_main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: work_budget")
         assert captured.out == ""
 
     def test_zero_work_budget_is_valid(self, capsys):
         argv = ["verify-graphs", "--v-max", "1", "--e-budget", "2", "--work-budget", "0"]
-        assert main(argv) == 0
+        assert cli_main(argv) == 0
         out = capsys.readouterr().out
         assert "[degree-count]" in out and "[enumerated]" not in out
 
@@ -650,7 +655,7 @@ def _run_exits_0_1_or_2(config_path, argv, config):
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         try:
-            code = main(argv)
+            code = cli_main(argv)
         except SystemExit as exc:  # argparse: usage errors and -h
             code = exc.code
     assert code in (0, 1, 2), (argv, config, err.getvalue())
@@ -677,7 +682,7 @@ class TestFuzz:
     )
     def test_option_given_only_a_double_dash_exit_code(self, argv, capsys):
         # argparse parses "--genus=--" as an empty list, not a string
-        assert main(argv) == 2
+        assert cli_main(argv) == 2
         assert capsys.readouterr().err.startswith("error: --")
 
 
@@ -743,7 +748,7 @@ def _run_captured(argv, out_path):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = main(argv)
+            code = cli_main(argv)
         except SystemExit as exc:
             code = exc.code
     written = out_path.read_text() if out_path.exists() else None
@@ -787,10 +792,10 @@ class TestEveryGivenOptionIsParsed:
         for command, flag in _options():
             if command != "bounds":
                 continue
-            assert main(["bounds", op, f"{flag}=x"]) == 2
+            assert cli_main(["bounds", op, f"{flag}=x"]) == 2
             assert capsys.readouterr().err.startswith("error: invalid literal for int()")
             conf.write_text(f"{flag[2:]} = x\n")
-            assert main(["--config", str(conf), "bounds", op]) == 2
+            assert cli_main(["--config", str(conf), "bounds", op]) == 2
             assert capsys.readouterr().err.startswith("error: invalid literal for int()")
 
     @pytest.mark.parametrize("command", ["twist", "family"])
@@ -798,7 +803,27 @@ class TestEveryGivenOptionIsParsed:
         conf = tmp_path / "knotforge.conf"
         conf.write_text("alpha = 1,1\n")
         for argv in ([command, "--alpha", "1,1"], ["--config", str(conf), command]):
-            assert main(argv) == 2
+            assert cli_main(argv) == 2
             captured = capsys.readouterr()
             assert captured.err == "error: --kappa is required (as a flag or a config key)\n"
             assert captured.out == ""
+
+
+def main() -> None:
+    """Run every CONTRACTS row through the installed knotforge console
+    script, with warnings turned into errors, as test_contract runs it in
+    process: each must exit with its code, print its pinned bytes and
+    print nothing to stderr.  Exit 1 if any row differs.  Run it with
+
+        PYTHONPATH=tests python -c "import test_cli as t; t.main()"
+    """
+    failed = 0
+    env = {**os.environ, "PYTHONWARNINGS": "error"}
+    with tempfile.TemporaryDirectory() as tmp:
+        for row in CONTRACTS:
+            run = subprocess.run(["knotforge", *row.argv(tmp)], capture_output=True, env=env)
+            digest = hashlib.sha256(run.stdout).hexdigest()
+            ok = (run.returncode, digest, run.stderr) == (row.code, row.digest, b"")
+            print("ok  " if ok else "FAIL", run.returncode, digest, row.name)
+            failed += not ok
+    sys.exit(1 if failed else 0)

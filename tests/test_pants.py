@@ -277,29 +277,7 @@ class TestGamma2:
         curve, _ = gamma2()
         assert min(min(t) for t in curve.seams) == 3
 
-    def test_seam_data_parsed_once(self, monkeypatch):
-        parsed = []
-
-        def counting_load(text):
-            parsed.append(text)
-            return load_seam_data(text)
-
-        monkeypatch.setattr(pants, "load_seam_data", counting_load)
-        gamma2.cache_clear()
-        try:
-            first = gamma2()
-            second = gamma2()
-        finally:
-            gamma2.cache_clear()
-        assert parsed == [GAMMA2_DATA]
-        assert first == second
-        assert first is second
-
     def test_level_below_three_rejected(self, monkeypatch):
         monkeypatch.setattr(pants, "GAMMA2_DATA", GAMMA2_DATA.replace(" 4 4 3", " 4 4 2"))
-        gamma2.cache_clear()
-        try:
-            with pytest.raises(PantsError, match="built-in gamma_2 data is not 3-seamed"):
-                gamma2()
-        finally:
-            gamma2.cache_clear()
+        with pytest.raises(PantsError, match="built-in gamma_2 data is not 3-seamed"):
+            gamma2()

@@ -11,9 +11,8 @@ from knotforge.plumbing import (
     Lineage,
     MarkedPair,
     MissingPrecondition,
-    PlumbingBand,
     PlumbingError,
-    TrivialBand,
+    _PLUMB_STEPS,
     eta,
     eta1,
     eta1_doubled,
@@ -37,10 +36,6 @@ TRACES = st.one_of(
 )
 
 
-def band(nontrivial=True, spans=False):
-    return PlumbingBand(host="x", nontrivial=nontrivial, spans_two_components=spans)
-
-
 BASES = {"eta1": eta1, "eta1x2": eta1_doubled, "gamma2": gamma2_pair}
 # a plumb tree in postfix: push a base pair, plumb the top two, or push the
 # top again, so that one lineage is shared by several nodes
@@ -60,19 +55,15 @@ def reference_step(spans_a, spans_b, nonsep):
 
 class TestPlumb:
     def test_genus_additive(self):
-        out = plumb(eta1(), gamma2_pair(), band(), band())
+        out = plumb(eta1(), gamma2_pair())
         assert out.genus == 3
 
     def test_eta1_with_doubled_copy(self):
-        out = plumb(eta1(), eta1_doubled(), band(), band(spans=True))
+        out = plumb(eta1(), eta1_doubled(), spans_b=True)
         assert out.genus == 2
         assert out.components == 1
         assert out.flags.three_disk_busting
         assert out.flags.annulus_busting
-
-    def test_trivial_band_rejected(self):
-        with pytest.raises(TrivialBand):
-            plumb(eta1(), eta1(), band(nontrivial=False), band())
 
     def test_missing_flag_rejected(self):
         import dataclasses
@@ -82,7 +73,7 @@ class TestPlumb:
             weak, flags=dataclasses.replace(weak.flags, three_disk_busting=False)
         )
         with pytest.raises(MissingPrecondition):
-            plumb(weak, eta1(), band(), band())
+            plumb(weak, eta1())
 
     def test_annulus_busting_needs_both(self):
         import dataclasses
@@ -91,18 +82,47 @@ class TestPlumb:
         soft = dataclasses.replace(
             soft, flags=dataclasses.replace(soft.flags, annulus_busting=False)
         )
-        out = plumb(soft, eta1(), band(), band())
+        out = plumb(soft, eta1())
         assert not out.flags.annulus_busting
 
     def test_component_counting(self):
-        out = plumb(eta1_doubled(), eta1_doubled(), band(), band())
+        out = plumb(eta1_doubled(), eta1_doubled())
         assert out.components == 3
-        out = plumb(eta1_doubled(), eta1_doubled(), band(spans=True), band(spans=True))
+        out = plumb(eta1_doubled(), eta1_doubled(), spans_a=True, spans_b=True)
         assert out.components == 1
 
     def test_over_merging_rejected(self):
         with pytest.raises(PlumbingError):
-            plumb(eta1(), eta1(), band(spans=True), band(spans=True))
+            plumb(eta1(), eta1(), spans_a=True, spans_b=True)
+
+    @pytest.mark.parametrize("key", sorted(_PLUMB_STEPS), ids="%d%d%d".__mod__)
+    def test_every_step_traces_and_replays(self, key):
+        # each band that spans two components is plumbed onto the doubled
+        # pair, which has two
+        spans_a, spans_b, nonsep = key
+        a = eta1_doubled() if spans_a else eta1()
+        b = eta1_doubled() if spans_b else gamma2_pair()
+        out = plumb(a, b, *key)
+        assert out.components == a.components + b.components - 1 - spans_a - spans_b
+        assert out.flags.nonseparating is nonsep
+        assert out.trace() == a.trace() + b.trace() + reference_step(*key) + "\n"
+        assert replay(out.trace()) == out
+
+    @pytest.mark.parametrize(
+        "bits, key",
+        [
+            ((0, 1, 1), (False, True, True)),
+            ((1, 0, 0), (True, False, False)),
+            ((2, "", [1]), (True, False, True)),
+            ((None, "x", 0.0), (False, True, False)),
+        ],
+    )
+    def test_bits_read_by_truth_value(self, bits, key):
+        a, b = eta1_doubled(), eta1_doubled()
+        out, ref = plumb(a, b, *bits), plumb(a, b, *key)
+        assert out == ref and out.lineage == ref.lineage
+        assert all(type(flag) is bool for flag in vars(out.flags).values())
+        assert out.trace() == ref.trace()
 
 
 def _weaken(pair, **flags):
@@ -110,18 +130,8 @@ def _weaken(pair, **flags):
 
 
 # the faults plumb detects, in the order it checks them: each takes the
-# arguments (a, b, band_a, band_b) and returns them with the fault added
+# arguments (a, b, spans_a, spans_b) and returns them with the fault added
 PLUMB_FAULTS = [
-    (
-        lambda a, b, x, y: (a, b, dataclasses.replace(x, nontrivial=False), y),
-        TrivialBand,
-        "band on 'a' is trivial",
-    ),
-    (
-        lambda a, b, x, y: (a, b, x, dataclasses.replace(y, nontrivial=False)),
-        TrivialBand,
-        "band on 'b' is trivial",
-    ),
     (
         lambda a, b, x, y: (_weaken(a, three_disk_busting=False), b, x, y),
         MissingPrecondition,
@@ -143,12 +153,7 @@ PLUMB_FAULTS = [
         "second pair lacks essential components",
     ),
     (
-        lambda a, b, x, y: (
-            a,
-            b,
-            dataclasses.replace(x, spans_two_components=True),
-            dataclasses.replace(y, spans_two_components=True),
-        ),
+        lambda a, b, x, y: (a, b, True, True),
         PlumbingError,
         "band data merges more components than exist",
     ),
@@ -160,7 +165,7 @@ class TestPlumbErrors:
     def test_first_fault_in_check_order_wins(self, first):
         # fault `first` and every fault checked after it: plumb must report
         # `first`, with its exact type and message
-        args = (eta1(), eta1(), PlumbingBand("a", True), PlumbingBand("b", True))
+        args = (eta1(), eta1(), False, False)
         for add_fault, _, _ in PLUMB_FAULTS[first:]:
             args = add_fault(*args)
         _, error, message = PLUMB_FAULTS[first]
@@ -170,8 +175,7 @@ class TestPlumbErrors:
         assert str(caught.value) == message
 
     def test_fault_free_arguments_plumb(self):
-        args = (eta1(), eta1(), PlumbingBand("a", True), PlumbingBand("b", True))
-        assert plumb(*args).components == 1
+        assert plumb(eta1(), eta1(), False, False).components == 1
 
 
 def _public(pair):
@@ -186,8 +190,8 @@ def _public(pair):
 
 
 BUILT_PAIRS = {
-    "plumb-doubled": lambda: plumb(eta1(), eta1_doubled(), band(), band(spans=True), True),
-    "plumb-gamma2": lambda: plumb(eta1(), gamma2_pair(), band(), band()),
+    "plumb-doubled": lambda: plumb(eta1(), eta1_doubled(), False, True, True),
+    "plumb-gamma2": lambda: plumb(eta1(), gamma2_pair()),
     **{f"eta{g}": lambda g=g: eta(g) for g in (1, 2, 5)},
     **{f"gamma{g}": lambda g=g: gamma(g) for g in (2, 3, 6)},
     "replay-eta4": lambda: replay(eta(4).trace()),
@@ -383,7 +387,7 @@ class TestLineage:
             elif len(stack) >= 2:
                 (b, ref_b), (a, ref_a) = stack.pop(), stack.pop()
                 _, spans_a, spans_b, nonsep = op
-                args = (a, b, band(spans=spans_a), band(spans=spans_b), nonsep)
+                args = (a, b, spans_a, spans_b, nonsep)
                 if a.components + b.components - 1 - spans_a - spans_b < 1:
                     with pytest.raises(PlumbingError):
                         plumb(*args)
