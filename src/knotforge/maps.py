@@ -16,8 +16,10 @@ when its vertices, the cycles of sigma, are joined up by its edges, so
 connectivity is a walk over the vertex partition of sigma, which a map
 computes once and caches; with two vertices the walk is one scan of the
 first vertex's darts.  A monogon is a degree-1 face, that is a fixed
-point of phi, so enumeration rejects monogons with an O(E) scan of alpha
-against sigma and traces faces only on the representatives it yields.
+point of phi.  The involution walk carries each pairing's edge set as an
+int mask, so enumeration rejects monogons with one AND against the edges
+{d, sigma(d)} of the cycle type, and traces faces only on the
+representatives it yields.
 
 Enumeration is orderly: it keeps no set of seen maps and computes no
 canonical form, but yields a candidate only when its pairing is least
@@ -44,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations, product
-from operator import eq, index
+from operator import index
 
 from .bounds import parallel_edges_threshold, parallelism_class_bound
 
@@ -246,19 +248,22 @@ def _standard_sigma(cycle_lengths: tuple[int, ...]) -> tuple[int, ...]:
 
 def _involutions(n: int):
     """Every fixed-point-free involution of the darts 0..n-1, as a tuple,
-    in lexicographic order.
+    in lexicographic order, each with its edge mask: the int with bit
+    f * n + p set for each pair f < p.
 
     Iterative backtracking: level k pairs the smallest dart still unpaired
     with each unpaired larger dart in increasing order.  The darts before
     it are already fixed, so the tuples come out in increasing order.
+    Level k ORs its pair's bit into the mask of the levels before it.
     """
     if n == 0:
-        yield ()
+        yield (), 0
         return
     alpha = [-1] * n
     last = n // 2 - 1
     first = [0] * (last + 1)
     partner = [0] * (last + 1)  # partner[k] == first[k]: none tried yet
+    masks = [0] * (last + 1)  # masks[k]: the pairs of the levels below k
     k = 0
     while k >= 0:
         f, p = first[k], partner[k]
@@ -273,14 +278,28 @@ def _involutions(n: int):
             continue
         alpha[f], alpha[p] = p, f
         partner[k] = p
+        mask = masks[k] | (1 << (f * n + p))
         if k == last:
-            yield tuple(alpha)
+            yield tuple(alpha), mask
             continue
         f += 1
         while alpha[f] >= 0:
             f += 1
         k += 1
         first[k] = partner[k] = f
+        masks[k] = mask
+
+
+def monogon_edges(sigma: tuple[int, ...]) -> int:
+    """The edge mask of the pairs {d, sigma(d)} with sigma(d) != d: a
+    pairing alpha has a monogon exactly when its edge mask meets this one
+    (the monogon lemma in enumerate_maps)."""
+    n = len(sigma)
+    mask = 0
+    for d, s in enumerate(sigma):
+        if s != d:
+            mask |= 1 << (min(d, s) * n + max(d, s))
+    return mask
 
 
 def _sigma_symmetries(cycle_lengths: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -330,14 +349,17 @@ def _least_in_orbit(alpha: tuple[int, ...], conjugators) -> bool:
     tau(alpha(d)), so its value at d is tau(alpha(tau^-1(d))); the first
     position where it differs from alpha decides."""
     n = len(alpha)
+    first = alpha[0]
     for tau, tau_inv in conjugators:
-        for d in range(n):
-            b = tau[alpha[tau_inv[d]]]
-            a = alpha[d]
-            if b != a:
-                if b < a:
-                    return False
-                break
+        # position 0 decides for most conjugators; a tie there scans on
+        b, a = tau[alpha[tau_inv[0]]], first
+        if b == a:
+            for d in range(1, n):
+                b, a = tau[alpha[tau_inv[d]]], alpha[d]
+                if b != a:
+                    break
+        if b < a:
+            return False
     return True
 
 
@@ -377,9 +399,12 @@ def enumerate_maps(V: int, E: int, monogon_free: bool = False):
     is a fixed point of phi = sigma alpha, and sigma(alpha(d)) = d exactly
     when alpha(d) = sigma^-1(d); alpha is an involution, so that holds at
     some dart d exactly when alpha(e) = sigma(e) at some dart, e = alpha(d).
-    So with monogon_free a candidate is dropped when alpha and sigma_lambda
-    agree at some dart.  Each candidate is tested for connectivity, then
-    for monogons, and only then for orbit-leastness.
+    There sigma(e) = alpha(e) != e, so alpha has a monogon exactly when
+    some pair {e, sigma(e)} with sigma(e) != e is an edge of alpha, that is
+    when the edge mask _involutions yields with alpha meets
+    monogon_edges(sigma_lambda).  So with monogon_free a candidate is
+    dropped when the two masks share a bit.  Each candidate is tested for
+    connectivity, then for monogons, and only then for orbit-leastness.
 
     The vertex partition is computed once per cycle type.  Lemma (shared
     partition): the candidates of one cycle type share the sigma_lambda
@@ -407,8 +432,8 @@ def enumerate_maps(V: int, E: int, monogon_free: bool = False):
         raise MapError("V >= 1 and E >= 1 required")
     if V > V_MAX or E > E_MAX:
         raise LimitExceeded(f"cell V={V}, E={E} exceeds limits {V_MAX}, {E_MAX}")
-    # per cycle type: the probe, its fields, sigma, the conjugators and
-    # the held survivors
+    # per cycle type: the probe, its fields, the edge mask of its monogons
+    # (empty unless monogon_free), the conjugators and the held survivors
     types = []
     for cycle_lengths in _partitions_into(2 * E, V):
         probe = CombinatorialMap(_standard_sigma(cycle_lengths), standard_involution(E))
@@ -416,15 +441,16 @@ def enumerate_maps(V: int, E: int, monogon_free: bool = False):
             (tau, tuple(sorted(range(2 * E), key=tau.__getitem__)))
             for tau in _sigma_symmetries(cycle_lengths)[1:]
         ]
-        types.append((probe, probe.__dict__, probe.sigma, conjugators, []))
+        monogons = monogon_edges(probe.sigma) if monogon_free else 0
+        types.append((probe, probe.__dict__, monogons, conjugators, []))
     # read at call time, so that a wrapper installed on the class is called
     new, is_connected = object.__new__, CombinatorialMap.is_connected
-    for alpha in _involutions(2 * E):
-        for probe, fields, sigma, conjugators, held in types:
+    for alpha, edges in _involutions(2 * E):
+        for probe, fields, monogons, conjugators, held in types:
             fields["alpha"] = alpha
             if not is_connected(probe):
                 continue
-            if monogon_free and any(map(eq, alpha, sigma)):
+            if edges & monogons:
                 continue
             if _least_in_orbit(alpha, conjugators):
                 m = new(CombinatorialMap)

@@ -426,7 +426,7 @@ def rooted_map_census(V: int, E: int) -> dict[int, int]:
     for cycle_lengths in _partitions_into(2 * E, V):
         sigma = _standard_sigma(cycle_lengths)
         by_genus: dict[int, int] = {}
-        for alpha in _involutions(2 * E):
+        for alpha, _ in _involutions(2 * E):
             m = CombinatorialMap(sigma, alpha)
             if dart_graph_connected(m):
                 g = (2 - trace_faces(m).euler_characteristic) // 2

@@ -1,7 +1,7 @@
 import math
 import random
 from collections import Counter
-from itertools import permutations
+from itertools import islice, permutations
 
 import pytest
 from hypothesis import assume, given, settings
@@ -77,7 +77,7 @@ def labeled_candidates(V, E):
     """Every connected map the enumerator builds for the (V, E) cell."""
     for cycle_lengths in maps._partitions_into(2 * E, V):
         sigma = maps._standard_sigma(cycle_lengths)
-        for alpha in maps._involutions(2 * E):
+        for alpha, _ in maps._involutions(2 * E):
             m = CombinatorialMap(sigma, alpha)
             if m.is_connected():
                 yield m
@@ -327,7 +327,7 @@ class TestEnumeration:
         raw = [
             (maps._standard_sigma(cycle_lengths), alpha)
             for cycle_lengths in maps._partitions_into(2 * E, V)
-            for alpha in maps._involutions(2 * E)
+            for alpha, _ in maps._involutions(2 * E)
         ]
         assert sorted(tested) == sorted(raw)
         assert len(set(raw)) == len(raw)
@@ -408,11 +408,50 @@ class TestOrderlyGeneration:
     @pytest.mark.parametrize("E", range(0, 7))
     def test_involutions_in_strictly_increasing_order(self, E):
         n = 2 * E
-        out = list(maps._involutions(n))
+        out = [alpha for alpha, _ in maps._involutions(n)]
         assert len(out) == math.prod(range(1, n, 2))  # (n - 1)!!
         assert all(a < b for a, b in zip(out, out[1:]))
         for alpha in out:
             assert all(alpha[d] != d and alpha[alpha[d]] == d for d in range(n))
+
+    @pytest.mark.parametrize("E, pairings", [(E, None) for E in range(1, 6)] + [(maps.E_MAX, 1000)])
+    def test_edge_masks_and_the_monogon_lemma(self, E, pairings):
+        # the mask the walk yields is alpha's edge set, and it meets the
+        # cycle type's monogon edges exactly when the map has a monogon;
+        # at E_MAX the masks are far wider than 64 bits
+        n = 2 * E
+        sigmas = [
+            maps._standard_sigma(cycle_lengths)
+            for V in (1, 2, 3)
+            for cycle_lengths in maps._partitions_into(n, V)
+        ]
+        monogons = [maps.monogon_edges(sigma) for sigma in sigmas]
+        widest = 0
+        for alpha, mask in islice(maps._involutions(n), pairings):
+            assert mask == sum(1 << (d * n + a) for d, a in enumerate(alpha) if d < a)
+            widest = max(widest, mask.bit_length())
+            for sigma, edges in zip(sigmas, monogons):
+                assert bool(mask & edges) == has_monogon(CombinatorialMap(sigma, alpha))
+        if E == maps.E_MAX:
+            assert widest > 64
+
+    @pytest.mark.parametrize("V, E", [(V, E) for V in (1, 2, 3) for E in range(1, 5)])
+    def test_orbit_test_matches_the_least_conjugate(self, V, E):
+        # against every conjugate built as a full tuple, the identity included
+        late_ties = 0
+        for cycle_lengths in maps._partitions_into(2 * E, V):
+            group = maps._sigma_symmetries(cycle_lengths)
+            conjugators = [
+                (tau, tuple(sorted(range(2 * E), key=tau.__getitem__))) for tau in group
+            ]
+            for alpha, _ in maps._involutions(2 * E):
+                conjugates = [conjugate(alpha, tau) for tau in group]
+                assert maps._least_in_orbit(alpha, conjugators) == (alpha <= min(conjugates))
+                # a tie at position 0 that a later position decides against
+                # alpha: the fast path must not take such a tie as a pass
+                late_ties += any(c[0] == alpha[0] and c < alpha for c in conjugates)
+        if E >= 3:
+            assert late_ties
 
     @pytest.mark.parametrize("E", range(1, 7))
     def test_symmetries_fix_sigma_up_to_inversion(self, E):
@@ -494,7 +533,7 @@ class TestOrderlyGeneration:
         sigma = maps._standard_sigma((2 * E,))
         genera = Counter(
             (2 - trace_faces(CombinatorialMap(sigma, alpha)).euler_characteristic) // 2
-            for alpha in maps._involutions(2 * E)
+            for alpha, _ in maps._involutions(2 * E)
         )
         assert dict(genera) == harer_zagier(E)[E]
 
