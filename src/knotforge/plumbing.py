@@ -12,8 +12,8 @@ drops by one per spanning band, plus one for the join itself.
 
 Every construction records a lineage: a postfix trace (base pairs pushed,
 plumb steps popping two) that can be serialized and replayed.  Lineages
-are immutable shared postfix trees, and `trace` and `replay` are O(g) for
-a genus-g construction.
+are immutable shared postfix trees of plain tuples, and `trace` and
+`replay` are O(g) for a genus-g construction.
 
 The trace language has exactly eleven lines: `base eta1`, `base eta1x2`,
 `base gamma2`, and the eight `plumb spans_a=A spans_b=B nonsep=N` with A,
@@ -28,9 +28,13 @@ has checked the shipped seam data.
 Per-step invariant: every MarkedPair has genus >= 1 and holds a Lineage
 (its constructor accepts nothing else).  So a plumb step checks no genus,
 since its genus is the sum of two genera >= 1, converts nothing and scans
-no parts: its lineage is one node (a, b, step) that shares both input
-lineages and has length len(a) + len(b) + 1, and its result is filled in
-field by field.  Each step is O(1).
+no parts.  It looks its three bits up once in _PLUMB_BANDS, which gives
+its trace line, the components it merges and its flags.  Its lineage
+wraps one new tuple (a, b, step) of the two input trees, shared, and has
+length len(a) + len(b) + 1; its result is filled in field by field.  Each
+step is O(1).  Of what a step allocates, only that tuple lives as long as
+the tree: the Lineage wrapper dies with its pair, and a tuple of plain
+tuples and strs is one the collector untracks.
 """
 
 from __future__ import annotations
@@ -73,35 +77,39 @@ class Flags:
 class Lineage:
     """The steps of a construction in postfix order, as an immutable tree.
 
-    `Lineage(*steps)` is a leaf that holds its step strings; a plumb step
-    makes its node with `_join`, which shares both input lineages rather
-    than copying them.  A Lineage acts as the flat sequence of its steps:
-    len() is O(1), iteration yields the steps in order without recursion,
-    and equality and hashing go by content.
+    The tree `_tree` is built of plain values only: a str for a one-step
+    leaf, a tuple of step strings for any other leaf `Lineage(*steps)`, and
+    the 3-tuple (a._tree, b._tree, step) for the node of a plumb step,
+    which `_join` makes by sharing both input trees rather than copying
+    them.  A tuple's entries are walked alike whether it is a leaf or a
+    node.  No Lineage sits inside a tree, so a Lineage dies with its pair.
+    A Lineage acts as the flat sequence of its steps: len() is O(1),
+    iteration yields the steps in order without recursion, and equality
+    and hashing go by content.
     """
 
-    __slots__ = ("_parts", "_len", "_hash")
+    __slots__ = ("_tree", "_len", "_hash")
 
     def __init__(self, *steps: str):
         for step in steps:
             if not isinstance(step, str):
                 raise TypeError(f"lineage steps are strings, got {step!r}")
         # a step is kept as a plain str, which is what _steps tests for
-        self._parts = tuple(map(str, steps))
+        self._tree = str(steps[0]) if len(steps) == 1 else tuple(map(str, steps))
         self._len = len(steps)
         self._hash = None
 
     def _steps(self) -> list[str]:
         # walks the tree last step first, then puts the steps in order
         steps: list[str] = []
-        stack: list[str | Lineage] = [self]
+        stack: list[str | tuple] = [self._tree]
         pop, extend, append = stack.pop, stack.extend, steps.append
         while stack:
             node = pop()
             if type(node) is str:
                 append(node)
             else:
-                extend(node._parts)
+                extend(node)
         steps.reverse()
         return steps
 
@@ -133,9 +141,9 @@ class Lineage:
     @staticmethod
     def _join(a: Lineage, b: Lineage, step: str) -> Lineage:
         """The node of one plumb step: the steps of a, then those of b, then
-        the plain str step, with a and b shared."""
+        the plain str step, with the trees of a and b shared."""
         node = _new(Lineage)
-        node._parts = (a, b, step)
+        node._tree = (a._tree, b._tree, step)
         node._len = a._len + b._len + 1
         node._hash = None
         return node
@@ -190,6 +198,13 @@ _TRACE_LINES = {
 }
 _TRACE_LINES.update((line, key) for key, line in _PLUMB_STEPS.items())
 
+# What plumb reads from its three bits: the trace line, the components the
+# bands merge, and the plumbed flags without and with annulus-busting
+_PLUMB_BANDS = {
+    key: (line, 1 + key[0] + key[1], _PLUMBED_FLAGS[False, key[2]], _PLUMBED_FLAGS[True, key[2]])
+    for key, line in _PLUMB_STEPS.items()
+}
+
 
 def eta1() -> MarkedPair:
     """Solid torus with a winding-number-3 boundary curve (axiom flags)."""
@@ -236,21 +251,29 @@ def plumb(
         raise MissingPrecondition("second pair is not certified 3-disk-busting")
     if not flags_b.essential_components:
         raise MissingPrecondition("second pair lacks essential components")
-    spans_a = bool(spans_a)
-    spans_b = bool(spans_b)
-    components = a.components + b.components - 1 - spans_a - spans_b
+    try:
+        line, merged, plain, busting = _PLUMB_BANDS[spans_a, spans_b, nonseparating_witness]
+    except (KeyError, TypeError):
+        # bits other than bools and 0/1 ints, unhashable ones included, are
+        # read by their truth value
+        line, merged, plain, busting = _PLUMB_BANDS[
+            bool(spans_a), bool(spans_b), bool(nonseparating_witness)
+        ]
+    components = a.components + b.components - merged
     if components < 1:
         raise PlumbingError("band data merges more components than exist")
-    nonsep = bool(nonseparating_witness)
-    annulus = bool(flags_a.annulus_busting and flags_b.annulus_busting)
+    lineage_a, lineage_b = a.lineage, b.lineage
+    # Lineage._join, inlined: the call costs 7-9% of lineage throughput
+    lineage = _new(Lineage)
+    lineage._tree = (lineage_a._tree, lineage_b._tree, line)
+    lineage._len = lineage_a._len + lineage_b._len + 1
+    lineage._hash = None
     pair = _new(MarkedPair)
     fields = pair.__dict__  # in field order, as __init__ fills it
     fields["genus"] = a.genus + b.genus
     fields["components"] = components
-    fields["flags"] = _PLUMBED_FLAGS[annulus, nonsep]
-    fields["lineage"] = Lineage._join(
-        a.lineage, b.lineage, _PLUMB_STEPS[spans_a, spans_b, nonsep]
-    )
+    fields["flags"] = busting if flags_a.annulus_busting and flags_b.annulus_busting else plain
+    fields["lineage"] = lineage
     return pair
 
 

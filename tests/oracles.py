@@ -11,7 +11,8 @@ rooted-map census of a (V, E) cell, the closed-form count of the connected
 pairings of a cycle type, the row-by-row catalog (its own request
 checks, then one certificate built and rendered per (n, i)), and the
 empty multicurve and the seam-data writer that the seam-data reader is
-tested against.  Pure integer arithmetic throughout.
+tested against, and the plumb step computed from the truth values of its
+bits, with a flat lineage.  Pure integer arithmetic throughout.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from knotforge.maps import (
     trace_faces,
 )
 from knotforge.pants import PantsDecomposition, SeamedCurve
+from knotforge.plumbing import Flags, Lineage, MarkedPair
 from knotforge.torus import LAMBDA, MU, NU, TorusCurve, dehn_twist, intersection, is_exceptional
 
 
@@ -661,3 +663,23 @@ def dump_seam_data(curve: SeamedCurve, pd: PantsDecomposition) -> str:
     for j, c in enumerate(pd.cuffs):
         lines.append(f"closed {c} {curve.closed[j]}")
     return "\n".join(lines) + "\n"
+
+
+def reference_step(spans_a, spans_b, nonsep) -> str:
+    """The trace line of a plumb step, from the truth values of its bits."""
+    spans_a, spans_b, nonsep = bool(spans_a), bool(spans_b), bool(nonsep)
+    return f"plumb spans_a={int(spans_a)} spans_b={int(spans_b)} nonsep={int(nonsep)}"
+
+
+def reference_plumb(a: MarkedPair, b: MarkedPair, spans_a, spans_b, nonsep) -> MarkedPair:
+    """The pair that plumbs a and b, by the rules in the plumbing docstring:
+    genera add, each spanning band merges one more component, the result is
+    annulus-busting iff both inputs are, and the lineage is the flat steps
+    of a, then of b, then the step's line."""
+    annulus = bool(a.flags.annulus_busting and b.flags.annulus_busting)
+    return MarkedPair(
+        genus=a.genus + b.genus,
+        components=a.components + b.components - 1 - bool(spans_a) - bool(spans_b),
+        flags=Flags(True, annulus, bool(nonsep), True),
+        lineage=Lineage(*a.lineage, *b.lineage, reference_step(spans_a, spans_b, nonsep)),
+    )

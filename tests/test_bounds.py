@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knotforge import bounds
+from knotforge.pants import gamma2
 from knotforge.torus import normalize
 from oracles import DiskBoundScan, n_strong_scan
 
@@ -65,6 +66,15 @@ class TestRecipes:
     def test_gamma_disk(self):
         assert bounds.catching_chi(1, 3, 1) == -6
         assert bounds.GAMMA_DISK == -6
+
+    def test_gamma_disk_from_shipped_gamma2_data(self):
+        # the gamma_2 curve meets the disk that cuff c0 bounds at the arc
+        # endpoints on side 0 of pants p0, 4 + 3 of them; all but one pair
+        # off into tubes.  The algebraic count 1 stays an axiom.
+        curve, _ = gamma2()
+        meets = curve.side_endpoints(0, 0)
+        assert meets == 7
+        assert bounds.catching_chi(1, (meets - 1) // 2, 1) == bounds.GAMMA_DISK
 
     def test_plain_base(self):
         assert bounds.catching_chi(1, 0, 0) == 1

@@ -21,6 +21,7 @@ from knotforge.plumbing import (
     plumb,
     replay,
 )
+from oracles import reference_plumb, reference_step
 
 
 # two pairs that a well-formed plumb step joins
@@ -47,10 +48,6 @@ TREE_OPS = st.lists(
     ),
     max_size=40,
 )
-
-
-def reference_step(spans_a, spans_b, nonsep):
-    return f"plumb spans_a={int(spans_a)} spans_b={int(spans_b)} nonsep={int(nonsep)}"
 
 
 class TestPlumb:
@@ -115,14 +112,18 @@ class TestPlumb:
             ((1, 0, 0), (True, False, False)),
             ((2, "", [1]), (True, False, True)),
             ((None, "x", 0.0), (False, True, False)),
+            # every step's three bools, then their 0/1 int spellings
+            *((key, key) for key in sorted(_PLUMB_STEPS)),
+            *((tuple(map(int, key)), key) for key in sorted(_PLUMB_STEPS)),
         ],
     )
     def test_bits_read_by_truth_value(self, bits, key):
-        a, b = eta1_doubled(), eta1_doubled()
-        out, ref = plumb(a, b, *bits), plumb(a, b, *key)
-        assert out == ref and out.lineage == ref.lineage
-        assert all(type(flag) is bool for flag in vars(out.flags).values())
-        assert out.trace() == ref.trace()
+        for annulus in (False, True):
+            a, b = _weaken(eta1_doubled(), annulus_busting=annulus), eta1_doubled()
+            out, ref = plumb(a, b, *bits), reference_plumb(a, b, *key)
+            assert out == ref and out.lineage == ref.lineage
+            assert all(type(flag) is bool for flag in vars(out.flags).values())
+            assert out.trace() == ref.trace()
 
 
 def _weaken(pair, **flags):
@@ -351,6 +352,25 @@ class TestLineage:
             Lineage("base eta1", 3)
         with pytest.raises(TypeError):
             Lineage("base eta1", Lineage("base eta1x2"))
+
+    @pytest.mark.parametrize("build", [eta, gamma])
+    def test_tree_holds_only_plain_tuples_and_strs(self, build):
+        # no Lineage or MarkedPair sits inside a tree, so a Lineage dies
+        # with its pair
+        stack = [build(64).lineage._tree]
+        while stack:
+            node = stack.pop()
+            assert type(node) in (tuple, str)
+            if type(node) is tuple:
+                stack.extend(node)
+
+    def test_one_step_leaf_is_a_plain_str(self):
+        for pair in (eta1(), eta1_doubled(), gamma2_pair()):
+            lineage = pair.lineage
+            assert type(lineage._tree) is str and len(lineage) == 1
+            steps = tuple(lineage)
+            assert lineage == Lineage(*steps) and hash(lineage) == hash(Lineage(*steps))
+        assert type(Lineage()._tree) is tuple and type(Lineage("a", "b")._tree) is tuple
 
     def test_str_subclass_steps_are_plain_steps(self):
         class Step(str):
