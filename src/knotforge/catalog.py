@@ -36,13 +36,17 @@ therefore one format string per schema, and `csv.writer` formats only text
 whose shape is not fixed: the header, the three tails and the error cells,
 which carry arbitrary exception text.
 
-Guard lemma: the only Certificate guard that can fail on a catalog row is
-the bridge bound against the heuristic upper bound.  tau comes from
-`normalize`, so its Seifert data are coprime, and the hyperbolicity-
-precondition flags and unique_surgery are all `strong and not exceptional`
-(they hold exactly for strong twisting of a non-exceptional tau).  The
-bridge guard is an integer cross-multiplication: a bound a/b (b > 0) passes
-a heuristic h exactly when a > h*b.
+Row lemma: every certified row already holds what a guard on its
+Certificate would check, so Certificate is a plain record whose
+constructor checks nothing.  tau comes from `normalize`, so its Seifert
+data are coprime.  The four exterior flags are equal, and they and
+unique_surgery are all `strong and not exceptional` (the hyperbolicity
+preconditions hold exactly for strong twisting of a non-exceptional tau).
+The bridge lower bound is at most the heuristic upper bound: `_cell`
+checks that once per (n, strong) cell, and a cell that fails it is an
+error cell, which certifies no row.  That bridge guard is an integer
+cross-multiplication: a bound a/b (b > 0) fails a heuristic h exactly
+when a > h*b.
 
 Verdict lemma: the request's own errors read neither n nor i, so a request
 either fails on every row with one error or fails on no row.  The request
@@ -50,7 +54,7 @@ check (_check_request) reads g, family, kappa and alpha, and n_strong fails
 only on chi_Q_nu.  The hitting bounds read the constant GAMMA_DISK < 0, so
 their _check_chi cannot fail.  Once the request passes, no twist raises
 (the lemma in `torus.twist`), the chi defaults are negative, and a weak row
-cannot fail: its bridge bound is None, which the guard accepts.  A strong
+cannot fail: it has no bridge bound, so no bridge guard runs.  A strong
 row fails only through its n's strong cell: the bridge bound's chi check
 (its genus check is the request check's g >= 2) or the bridge guard.  All
 of this arithmetic is on exact integers, and every divisor is 36|chi| or
@@ -62,7 +66,6 @@ from __future__ import annotations
 import csv
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd
@@ -74,7 +77,7 @@ from .torus import LAMBDA, MU, NU, TorusCurve, dehn_twist, is_exceptional, norma
 
 
 class CertificateError(ValueError):
-    """A certificate failed its internal consistency guards."""
+    """A request check or the bridge guard failed."""
 
 
 def _check_request(g: int, family: str, kappa: TorusCurve, alpha: TorusCurve) -> None:
@@ -92,26 +95,21 @@ def _check_request(g: int, family: str, kappa: TorusCurve, alpha: TorusCurve) ->
         raise CertificateError("kappa and alpha must be distinct classes")
 
 
-@dataclass(frozen=True)
-class ExteriorFlags:
+class ExteriorFlags(NamedTuple):
     irreducible: bool
     boundary_irreducible: bool
     atoroidal: bool
     anannular: bool
 
     def all_true(self) -> bool:
-        return (
-            self.irreducible
-            and self.boundary_irreducible
-            and self.atoroidal
-            and self.anannular
-        )
+        return all(self)
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Certified data for one knot.  Optional fields are None with a
-    reason string when not certified; reasons render as "n/a(reason)"."""
+    reason string when not certified; reasons render as "n/a(reason)".
+    A plain record: the row lemma in the module docstring is what makes
+    a catalog row's fields consistent."""
 
     tau: TorusCurve
     exceptional: bool
@@ -125,30 +123,6 @@ class Certificate:
     strong: bool
     exterior_flags: ExteriorFlags
     unique_surgery: bool
-
-    def __post_init__(self):
-        if self.seifert is not None:
-            p, q = self.seifert
-            if gcd(abs(p), abs(q)) != 1:
-                raise CertificateError(f"seifert data {self.seifert} not coprime")
-        flags_all = self.exterior_flags.all_true()
-        if flags_all and not (self.strong and not self.exceptional):
-            raise CertificateError("exterior flags require strong and non-exceptional")
-        if self.unique_surgery != flags_all:
-            raise CertificateError("unique surgery must track the exterior flags")
-        _check_bridge(self.bridge_lower, self.bridge_upper_heuristic)
-
-
-def _check_bridge(bridge_lower: Fraction | None, bridge_upper_heuristic: int) -> None:
-    # an int or a Fraction, whose denominator is positive: cross-multiply
-    if (
-        bridge_lower is not None
-        and bridge_lower.numerator > bridge_upper_heuristic * bridge_lower.denominator
-    ):
-        raise CertificateError(
-            f"bridge lower bound {bridge_lower} exceeds the"
-            f" heuristic upper bound {bridge_upper_heuristic}"
-        )
 
 
 def bridge_upper_heuristic(tau: TorusCurve) -> int:
@@ -191,7 +165,7 @@ class _Twisted(NamedTuple):
 
     def flags_all(self, strong: bool) -> bool:
         """Each exterior flag, and unique_surgery, of a row with this strong
-        flag (see the guard lemma)."""
+        flag (see the row lemma)."""
         return strong and not self.exceptional
 
 
@@ -210,9 +184,8 @@ def _cell(
     fields: _Twisted, g: int, alpha: TorusCurve, n: int, strong: bool, chi_Q_bridge: int | None
 ) -> tuple[Fraction | None, str]:
     """(bridge_lower, bridge_lower_reason) of n's rows whose i has this
-    strong flag, after the bridge guard, the one Certificate guard that can
-    fail on those rows (the guard lemma in the module docstring).  Raises
-    the bridge bound's or the guard's error."""
+    strong flag, after the bridge guard (the row lemma in the module
+    docstring).  Raises the bridge bound's or the guard's error."""
     bridge_lower = None
     reason = ""
     if not strong:
@@ -223,7 +196,12 @@ def _cell(
         reason = "not i-uniform; supply a catching chi"
     else:
         bridge_lower = bounds.bridge_lower_bound(n, chi_Q_bridge, g)
-    _check_bridge(bridge_lower, fields.bridge_upper_heuristic)
+        heuristic = fields.bridge_upper_heuristic
+        if bridge_lower.numerator > heuristic * bridge_lower.denominator:
+            raise CertificateError(
+                f"bridge lower bound {bridge_lower} exceeds the"
+                f" heuristic upper bound {heuristic}"
+            )
     return bridge_lower, reason
 
 
@@ -273,16 +251,14 @@ def _certificate(
     )
 
 
-@dataclass(frozen=True)
-class CatalogRow:
+class CatalogRow(NamedTuple):
     n: int
     i: int
     certificate: Certificate | None
     error: str = ""
 
 
-@dataclass(frozen=True)
-class Catalog:
+class Catalog(NamedTuple):
     """A family catalog held as its n column and its i column; its rows
     are their outer product, sorted by n, then i.  A row whose n entry's
     cell for its strong flag is a message is an error row; a rejected
@@ -299,7 +275,8 @@ class Catalog:
 
     @property
     def rows(self) -> tuple[CatalogRow, ...]:
-        """The rows, built from the columns on every access."""
+        """The rows as plain CatalogRow/Certificate records, built from the
+        columns on every access."""
         return tuple(
             CatalogRow(n_entry.n, i_entry.i, None, error=cell)
             if isinstance(cell, str)

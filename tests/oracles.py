@@ -9,10 +9,11 @@ chord diagrams, the parallel-class count of a map by breadth-first search
 over its bigons, the Harer-Zagier recurrence for one-vertex maps, the
 rooted-map census of a (V, E) cell, the closed-form count of the connected
 pairings of a cycle type, the row-by-row catalog (its own request
-checks, then one certificate built and rendered per (n, i)), and the
-empty multicurve and the seam-data writer that the seam-data reader is
-tested against, and the plumb step computed from the truth values of its
-bits, with a flat lineage.  Pure integer arithmetic throughout.
+checks and bridge guard, then one certificate built and rendered per
+(n, i)), the empty multicurve and the seam-data writer that the seam-data
+reader is tested against, and the plumb step computed from the truth
+values of its bits, with a flat lineage.  Pure integer arithmetic
+throughout.
 """
 
 from __future__ import annotations
@@ -468,7 +469,8 @@ def reference_certificate(
     chi_Q_nu: int | None = None,
 ) -> Certificate:
     """The certificate of one knot of an accepted request, every field
-    computed for it alone."""
+    computed for it alone; raises the bridge guard's error when the bridge
+    lower bound exceeds the heuristic upper bound."""
     tau = dehn_twist(kappa, alpha, n)
     exceptional = is_exceptional(tau)
     if chi_Q_nu is None:
@@ -491,6 +493,12 @@ def reference_certificate(
             reason = "not i-uniform; supply a catching chi"
         else:
             bridge_lower = bounds.bridge_lower_bound(n, chi_Q_bridge, g)
+            heuristic = bridge_upper_heuristic(tau)
+            if bridge_lower > heuristic:
+                raise ValueError(
+                    f"bridge lower bound {bridge_lower} exceeds the"
+                    f" heuristic upper bound {heuristic}"
+                )
 
     if family == "S":
         seifert = (tau.p, tau.q)

@@ -1,5 +1,8 @@
+import re
+import textwrap
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -8,8 +11,6 @@ from hypothesis import strategies as st
 from knotforge import bounds, catalog
 from knotforge.catalog import (
     Certificate,
-    CertificateError,
-    ExteriorFlags,
     bridge_upper_heuristic,
     generate_family,
     render_csv,
@@ -73,7 +74,7 @@ class TestKnotSpec:
 
 class TestBuildCertificate:
     """Certificates of single knots, each the one row of a 1x1 catalog, and
-    the Certificate guards."""
+    the bridge guard at its boundary."""
 
     def test_twist_family(self):
         cert = one_knot(2, "H", normalize(0, 1), NU, 4, 0)
@@ -134,80 +135,33 @@ class TestBuildCertificate:
         assert cert.hbar_D_lower == 11
         assert cert.hbar_A_lower == 4
 
-    def test_inconsistent_certificate_rejected(self):
-        with pytest.raises(CertificateError):
-            Certificate(
-                tau=normalize(1, 0),
-                exceptional=True,
-                seifert=None,
-                surgery="handlebody",
-                bridge_lower=Fraction(5),
-                bridge_lower_reason="",
-                bridge_upper_heuristic=1,
-                hbar_D_lower=0,
-                hbar_A_lower=0,
-                strong=False,
-                exterior_flags=ExteriorFlags(False, False, False, False),
-                unique_surgery=False,
-            )
-
-    # a valid certificate whose bridge lower bound meets its heuristic upper bound
-    FIELDS = dict(
-        tau=normalize(5, 3),
-        exceptional=False,
-        seifert=None,
-        surgery="handlebody",
-        bridge_lower=8,
-        bridge_lower_reason="",
-        bridge_upper_heuristic=8,
-        hbar_D_lower=0,
-        hbar_A_lower=0,
-        strong=False,
-        exterior_flags=ExteriorFlags(False, False, False, False),
-        unique_surgery=False,
-    )
-
     @pytest.mark.parametrize(
-        "excess, rejected",
-        [(Fraction(0), False), (Fraction(1, 2), True), (Fraction(1, 432), True), (0, False)],
+        "excess, rejected", [(Fraction(0), False), (Fraction(1, 2), True), (Fraction(1, 72), True)]
     )
     def test_bridge_guard_at_its_boundary(self, excess, rejected):
         # the bridge lower bound may reach the heuristic upper bound, not pass
-        # it; an int bound is compared like a Fraction
-        fields = {**self.FIELDS, "bridge_lower": 8 + excess}
+        # it: tau = (N, N-1) - N (1,1) = (0,1) has heuristic 1, and with
+        # chi = -1 the bound at n = -N is (N - 144)/72 = 1 + excess
+        N = 216 + int(72 * excess)
+        cat = generate_family(2, "H", normalize(N, N - 1), NU, [-N], [10**6], -1, -1)
+        (row,) = cat.rows
         if rejected:
-            with pytest.raises(CertificateError, match="exceeds the heuristic upper bound"):
-                Certificate(**fields)
-        else:
-            assert Certificate(**fields).bridge_lower == 8
-
-    def test_flag_implication_guarded(self):
-        with pytest.raises(CertificateError):
-            Certificate(
-                tau=normalize(1, 0),
-                exceptional=True,
-                seifert=None,
-                surgery="handlebody",
-                bridge_lower=None,
-                bridge_lower_reason="x",
-                bridge_upper_heuristic=1,
-                hbar_D_lower=0,
-                hbar_A_lower=0,
-                strong=True,
-                exterior_flags=ExteriorFlags(True, True, True, True),
-                unique_surgery=True,
+            assert row.certificate is None
+            assert row.error == (
+                f"bridge lower bound {1 + excess} exceeds the heuristic upper bound 1"
             )
+        else:
+            assert row.error == ""
+            assert row.certificate.bridge_lower == 1 == row.certificate.bridge_upper_heuristic
 
-    @pytest.mark.parametrize(
-        "change, message",
-        [
-            ({"seifert": (4, 2)}, r"seifert data \(4, 2\) not coprime"),
-            ({"unique_surgery": True}, "unique surgery must track the exterior flags"),
-        ],
-    )
-    def test_inconsistent_field_rejected(self, change, message):
-        with pytest.raises(CertificateError, match=message):
-            Certificate(**{**self.FIELDS, **change})
+
+def test_readme_example():
+    # README's python block runs as printed, through the public rows view
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text("utf-8")
+    (block,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    namespace = {}
+    exec(textwrap.dedent(block), namespace)
+    assert namespace["row"].certificate.seifert == (3, 2)
 
 
 class TestGenerateFamily:
