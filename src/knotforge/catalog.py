@@ -6,9 +6,10 @@ tau = T_alpha^n(kappa) sits on the boundary of a genus-g handlebody
 twists along the annulus neighborhood of the gamma_g curve.
 `generate_family` certifies one knot per (n, i) of its grid; one knot is
 the 1x1 catalog `generate_family(g, family, kappa, alpha, [n], [i])`, whose
-one row holds its Certificate or its error message.  A Certificate collects
-everything the bound engine can certify about its knot, with every
-uncertified field carrying an explicit reason instead of a silent default.
+one rendered row holds its certificate or its error message.  A
+certificate collects everything the bound engine can certify about its
+knot, with every uncertified field carrying an explicit reason instead of
+a silent default.
 
 Catalogs are deterministic: identical inputs give byte-identical csv/txt
 output (schema "knotforge-catalog v1").
@@ -36,15 +37,15 @@ therefore one format string per schema, and `csv.writer` formats only text
 whose shape is not fixed: the header, the three tails and the error cells,
 which carry arbitrary exception text.
 
-Row lemma: every certified row already holds what a guard on its
-Certificate would check, so Certificate is a plain record whose
-constructor checks nothing.  tau comes from `normalize`, so its Seifert
-data are coprime.  The four exterior flags are equal, and they and
-unique_surgery are all `strong and not exceptional` (the hyperbolicity
-preconditions hold exactly for strong twisting of a non-exceptional tau).
-The bridge lower bound is at most the heuristic upper bound: `_cell`
-checks that once per (n, strong) cell, and a cell that fails it is an
-error cell, which certifies no row.  That bridge guard is an integer
+Row lemma: every certified row that the renderers emit already holds
+what a per-row guard would check, so no such guard runs.  tau comes from
+`normalize`, so its Seifert data are coprime.  The four exterior flag
+columns are equal, and they and unique_surgery all read `strong and not
+exceptional` (the hyperbolicity preconditions hold exactly for strong
+twisting of a non-exceptional tau); this is why `_row_texts` has exactly
+three tails.  The bridge lower bound is at most the heuristic upper bound:
+`_cell` checks that once per (n, strong) cell, and a cell that fails it is
+an error cell, which certifies no row.  That bridge guard is an integer
 cross-multiplication: a bound a/b (b > 0) fails a heuristic h exactly
 when a > h*b.
 
@@ -93,36 +94,6 @@ def _check_request(g: int, family: str, kappa: TorusCurve, alpha: TorusCurve) ->
             raise CertificateError(f"{name} {curve} is not a primitive class in normal form")
     if kappa == alpha:
         raise CertificateError("kappa and alpha must be distinct classes")
-
-
-class ExteriorFlags(NamedTuple):
-    irreducible: bool
-    boundary_irreducible: bool
-    atoroidal: bool
-    anannular: bool
-
-    def all_true(self) -> bool:
-        return all(self)
-
-
-class Certificate(NamedTuple):
-    """Certified data for one knot.  Optional fields are None with a
-    reason string when not certified; reasons render as "n/a(reason)".
-    A plain record: the row lemma in the module docstring is what makes
-    a catalog row's fields consistent."""
-
-    tau: TorusCurve
-    exceptional: bool
-    seifert: tuple[int, int] | None
-    surgery: str
-    bridge_lower: Fraction | None
-    bridge_lower_reason: str
-    bridge_upper_heuristic: int
-    hbar_D_lower: int
-    hbar_A_lower: int
-    strong: bool
-    exterior_flags: ExteriorFlags
-    unique_surgery: bool
 
 
 def bridge_upper_heuristic(tau: TorusCurve) -> int:
@@ -234,36 +205,12 @@ def _i_entry(i: int, threshold: float) -> _IEntry:
     )
 
 
-def _certificate(
-    fields: _Twisted, cell: tuple[Fraction | None, str], i_entry: _IEntry
-) -> Certificate:
-    flags_all = fields.flags_all(i_entry.strong)
-    bridge_lower, reason = cell
-    return Certificate(
-        **fields._asdict(),
-        bridge_lower=bridge_lower,
-        bridge_lower_reason=reason,
-        hbar_D_lower=i_entry.hbar_D_lower,
-        hbar_A_lower=i_entry.hbar_A_lower,
-        strong=i_entry.strong,
-        exterior_flags=ExteriorFlags(flags_all, flags_all, flags_all, flags_all),
-        unique_surgery=flags_all,
-    )
-
-
-class CatalogRow(NamedTuple):
-    n: int
-    i: int
-    certificate: Certificate | None
-    error: str = ""
-
-
 class Catalog(NamedTuple):
-    """A family catalog held as its n column and its i column; its rows
-    are their outer product, sorted by n, then i.  A row whose n entry's
-    cell for its strong flag is a message is an error row; a rejected
-    request makes every row one (the column model in the module
-    docstring)."""
+    """A family catalog held as its n column and its i column; the
+    renderers emit its rows, their outer product, sorted by n, then i.  A
+    row whose n entry's cell for its strong flag is a message is an error
+    row; a rejected request makes every row one (the column model in the
+    module docstring)."""
 
     g: int
     family: str
@@ -272,19 +219,6 @@ class Catalog(NamedTuple):
     statements: tuple[str, ...]
     n_column: tuple[_NEntry, ...]
     i_column: tuple[_IEntry, ...]
-
-    @property
-    def rows(self) -> tuple[CatalogRow, ...]:
-        """The rows as plain CatalogRow/Certificate records, built from the
-        columns on every access."""
-        return tuple(
-            CatalogRow(n_entry.n, i_entry.i, None, error=cell)
-            if isinstance(cell, str)
-            else CatalogRow(n_entry.n, i_entry.i, _certificate(n_entry.fields, cell, i_entry))
-            for n_entry in self.n_column
-            for i_entry in self.i_column
-            for cell in (n_entry.cells[i_entry.strong],)
-        )
 
     @property
     def errored(self) -> bool:

@@ -64,7 +64,10 @@ def load_config(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise ValueError(f"config line without '=': {raw.strip()!r}")
             key, value = line.split("=", 1)
-            config[key.strip().replace("-", "_")] = value.strip()
+            key = key.strip().replace("-", "_")
+            if key in config:
+                raise ValueError(f"config key {key!r} is given twice")
+            config[key] = value.strip()
     return config
 
 

@@ -80,7 +80,7 @@ class Lineage:
     The tree `_tree` is built of plain values only: a str for a one-step
     leaf, a tuple of step strings for any other leaf `Lineage(*steps)`, and
     the 3-tuple (a._tree, b._tree, step) for the node of a plumb step,
-    which `_join` makes by sharing both input trees rather than copying
+    which `plumb` makes by sharing both input trees rather than copying
     them.  A tuple's entries are walked alike whether it is a leaf or a
     node.  No Lineage sits inside a tree, so a Lineage dies with its pair.
     A Lineage acts as the flat sequence of its steps: len() is O(1),
@@ -137,16 +137,6 @@ class Lineage:
     def __reduce__(self):
         # pickle and copy the flat steps: the tree is as deep as the genus
         return Lineage, tuple(self._steps())
-
-    @staticmethod
-    def _join(a: Lineage, b: Lineage, step: str) -> Lineage:
-        """The node of one plumb step: the steps of a, then those of b, then
-        the plain str step, with the trees of a and b shared."""
-        node = _new(Lineage)
-        node._tree = (a._tree, b._tree, step)
-        node._len = a._len + b._len + 1
-        node._hash = None
-        return node
 
 
 @dataclass(frozen=True)
@@ -263,7 +253,8 @@ def plumb(
     if components < 1:
         raise PlumbingError("band data merges more components than exist")
     lineage_a, lineage_b = a.lineage, b.lineage
-    # Lineage._join, inlined: the call costs 7-9% of lineage throughput
+    # the node of this step, sharing both input trees; built here, not by a
+    # Lineage helper, because the call costs 7-9% of lineage throughput
     lineage = _new(Lineage)
     lineage._tree = (lineage_a._tree, lineage_b._tree, line)
     lineage._len = lineage_a._len + lineage_b._len + 1

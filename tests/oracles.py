@@ -9,8 +9,9 @@ chord diagrams, the parallel-class count of a map by breadth-first search
 over its bigons, the Harer-Zagier recurrence for one-vertex maps, the
 rooted-map census of a (V, E) cell, the closed-form count of the connected
 pairings of a cycle type, the row-by-row catalog (its own request
-checks and bridge guard, then one certificate built and rendered per
-(n, i)), the empty multicurve and the seam-data writer that the seam-data
+checks, bridge guard and certificate records, then one certificate built
+and rendered per (n, i)), a csv catalog read back by column name, the
+empty multicurve and the seam-data writer that the seam-data
 reader is tested against, and the plumb step computed from the truth
 values of its bits, with a flat lineage.  Pure integer arithmetic
 throughout.
@@ -23,16 +24,11 @@ import functools
 import io
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from typing import NamedTuple
 
 from knotforge import bounds
-from knotforge.catalog import (
-    _COLUMNS,
-    SCHEMA,
-    CatalogRow,
-    Certificate,
-    ExteriorFlags,
-    bridge_upper_heuristic,
-)
+from knotforge.catalog import _COLUMNS, SCHEMA, bridge_upper_heuristic
 from knotforge.maps import (
     CombinatorialMap,
     MapError,
@@ -458,6 +454,42 @@ def reference_request_error(g, family, kappa, alpha) -> str | None:
     return None
 
 
+class ExteriorFlags(NamedTuple):
+    irreducible: bool
+    boundary_irreducible: bool
+    atoroidal: bool
+    anannular: bool
+
+    def all_true(self) -> bool:
+        return all(self)
+
+
+class Certificate(NamedTuple):
+    """Certified data for one knot, as the row oracle computes it.
+    Optional fields are None with a reason string when not certified;
+    reasons render as "n/a(reason)"."""
+
+    tau: TorusCurve
+    exceptional: bool
+    seifert: tuple[int, int] | None
+    surgery: str
+    bridge_lower: Fraction | None
+    bridge_lower_reason: str
+    bridge_upper_heuristic: int
+    hbar_D_lower: int
+    hbar_A_lower: int
+    strong: bool
+    exterior_flags: ExteriorFlags
+    unique_surgery: bool
+
+
+class CatalogRow(NamedTuple):
+    n: int
+    i: int
+    certificate: Certificate | None
+    error: str = ""
+
+
 def reference_certificate(
     g: int,
     family: str,
@@ -642,6 +674,14 @@ def reference_render_txt(catalog) -> str:
         )
         lines.append(fields)
     return "\n".join(lines) + "\n"
+
+
+def read_catalog_csv(text: str) -> list[dict[str, str]]:
+    """The rows of a rendered csv catalog, each a dict from column name to
+    the text of its field."""
+    lines = text.splitlines(keepends=True)
+    header = lines.index(",".join(_COLUMNS) + "\n")
+    return list(csv.DictReader(lines[header:]))
 
 
 def empty_curve(pd: PantsDecomposition) -> SeamedCurve:

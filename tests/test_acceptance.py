@@ -4,13 +4,14 @@ Each test covers one headline criterion and prints a single PASS line on
 success (run with -s to see them); any failure is a hard assert.
 """
 
+from fractions import Fraction
 from math import gcd
 
 import pytest
 
 from knotforge import bounds, catalog, maps, pants, plumbing
 from knotforge.torus import TorusCurve, dehn_twist, intersection, normalize
-from oracles import DiskBoundScan, lattice_crossing_count, n_strong_scan
+from oracles import DiskBoundScan, lattice_crossing_count, n_strong_scan, read_catalog_csv
 
 
 def _normal_forms(bound):
@@ -124,6 +125,22 @@ def test_criterion_6_plumbing_recursion():
     )
 
 
+def _assert_row_lemma(row, family):
+    """The row lemma in the catalog docstring, on one rendered csv row of
+    a certified knot."""
+    assert row["error"] == ""
+    assert row["seifert"] == (row["tau"] if family == "S" else "n/a(handlebody family)")
+    if family == "S":
+        assert gcd(*map(int, row["seifert"].strip("()").split(","))) == 1
+    flags = {row[c] for c in ("irreducible", "boundary_irreducible", "atoroidal", "anannular")}
+    strong_not_exceptional = row["strong"] == "true" and row["exceptional"] == "false"
+    assert flags == {row["unique_surgery"]} == {str(strong_not_exceptional).lower()}
+    heuristic = int(row["bridge_upper_heuristic"].removesuffix(" (heuristic)"))
+    if not row["bridge_lower"].startswith("n/a("):
+        assert Fraction(row["bridge_lower"]) <= heuristic
+    assert int(row["hbar_D_lower"]) >= 0 and int(row["hbar_A_lower"]) >= 0
+
+
 def test_criterion_7_certificate_soundness_audit():
     import random
 
@@ -144,22 +161,13 @@ def test_criterion_7_certificate_soundness_audit():
         n, i = rng.randint(-50, 50), rng.randint(-5000, 5000)
         chi_b = rng.choice([None, -1, -2, -4, -6, -8])
         chi_nu = rng.choice([None, -1, -2, -4, -6, -8])
-        # one knot is the 1x1 catalog; its one row must be certified
+        # one knot is the 1x1 catalog; its one rendered row must be certified
         knot = (g, family, kappa, alpha, [n], [i], chi_b, chi_nu)
-        (row,) = catalog.generate_family(*knot).rows
-        cert = row.certificate
-        assert row.error == "" and cert is not None
-        # the row lemma in the catalog docstring, which no constructor checks
-        assert (cert.seifert is not None) == (family == "S")
-        if cert.seifert is not None:
-            assert gcd(*cert.seifert) == 1
-        flags = cert.exterior_flags
-        assert len(set(flags)) == 1
-        assert cert.unique_surgery == flags.all_true() == (cert.strong and not cert.exceptional)
-        if cert.bridge_lower is not None:
-            assert cert.bridge_lower <= cert.bridge_upper_heuristic
-        assert cert.hbar_D_lower >= 0 and cert.hbar_A_lower >= 0
-        assert catalog.generate_family(*knot).rows == (row,)
+        text = catalog.render_csv(catalog.generate_family(*knot))
+        (row,) = read_catalog_csv(text)
+        assert (int(row["n"]), int(row["i"])) == (n, i)
+        _assert_row_lemma(row, family)
+        assert catalog.render_csv(catalog.generate_family(*knot)) == text
         audited += 1
 
     cat1 = catalog.generate_family(
@@ -170,6 +178,10 @@ def test_criterion_7_certificate_soundness_audit():
     )
     assert catalog.render_csv(cat1) == catalog.render_csv(cat2)
     assert catalog.render_txt(cat1) == catalog.render_txt(cat2)
+    rows = read_catalog_csv(catalog.render_csv(cat1))
+    assert len(rows) == 5 * 8
+    for row in rows:
+        _assert_row_lemma(row, "S")
     print(
         "criterion 7 PASS: 1000 randomized certificates satisfy the row"
         " lemma; catalogs regenerate byte-identically"
@@ -191,10 +203,11 @@ def test_criterion_8_desk_demo():
     )
     assert not cat.errored
     by_n = {}
-    for row in cat.rows:
-        cert = row.certificate
-        assert cert.bridge_lower is not None and cert.bridge_lower >= 5, row
-        by_n.setdefault(row.n, []).append(cert.hbar_D_lower)
+    rows = read_catalog_csv(catalog.render_csv(cat))
+    assert len(rows) == 4 * 3
+    for row in rows:
+        assert row["error"] == "" and Fraction(row["bridge_lower"]) >= 5, row
+        by_n.setdefault(int(row["n"]), []).append(int(row["hbar_D_lower"]))
     for n, hbars in by_n.items():
         assert hbars == sorted(hbars) and len(set(hbars)) == len(hbars), (n, hbars)
     assert by_n[4752][0] >= 1  # hitting bound informative at i = 2592

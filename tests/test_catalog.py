@@ -9,15 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from knotforge import bounds, catalog
-from knotforge.catalog import (
-    Certificate,
-    bridge_upper_heuristic,
-    generate_family,
-    render_csv,
-    render_txt,
-)
+from knotforge.catalog import bridge_upper_heuristic, generate_family, render_csv, render_txt
 from knotforge.torus import LAMBDA, MU, NU, TorusCurve, dehn_twist, intersection, normalize
 from oracles import (
+    read_catalog_csv,
     reference_generate_family,
     reference_render_csv,
     reference_render_txt,
@@ -31,12 +26,19 @@ class TestBridgeUpper:
         assert bridge_upper_heuristic(normalize(5, 3)) == 8
 
 
-def one_knot(g, family, kappa, alpha, n, i, chi_Q_bridge=None, chi_Q_nu=None) -> Certificate:
-    """The certificate of one knot: the one row of its 1x1 catalog, which
-    must not be an error row."""
-    (row,) = generate_family(g, family, kappa, alpha, [n], [i], chi_Q_bridge, chi_Q_nu).rows
-    assert row.error == ""
-    return row.certificate
+FLAGS = ("irreducible", "boundary_irreducible", "atoroidal", "anannular")
+
+
+def csv_rows(cat) -> list[dict[str, str]]:
+    return read_catalog_csv(render_csv(cat))
+
+
+def one_knot(g, family, kappa, alpha, n, i, chi_Q_bridge=None, chi_Q_nu=None) -> dict[str, str]:
+    """The certificate of one knot: the one rendered csv row of its 1x1
+    catalog, which must not be an error row."""
+    (row,) = csv_rows(generate_family(g, family, kappa, alpha, [n], [i], chi_Q_bridge, chi_Q_nu))
+    assert row["error"] == ""
+    return row
 
 
 class TestKnotSpec:
@@ -49,8 +51,8 @@ class TestKnotSpec:
             (2, "X", normalize(2, 1), "family must be 'H' or 'S'"),
             (2, "H", NU, "kappa and alpha must be distinct classes"),
         ]:
-            (row,) = generate_family(g, family, kappa, NU, [1], [1]).rows
-            assert (row.certificate, row.error) == (None, message)
+            (row,) = csv_rows(generate_family(g, family, kappa, NU, [1], [1]))
+            assert (row["tau"], row["error"]) == ("n/a(row error)", message)
 
     @pytest.mark.parametrize(
         "kappa,alpha",
@@ -63,13 +65,14 @@ class TestKnotSpec:
     )
     def test_non_normal_form_curves_rejected(self, kappa, alpha):
         # twists of these would raise, or depend on the sign of the lift
-        (row,) = generate_family(2, "H", kappa, alpha, [0], [0]).rows
-        assert row.certificate is None
-        assert row.error.endswith("is not a primitive class in normal form")
+        (row,) = csv_rows(generate_family(2, "H", kappa, alpha, [0], [0]))
+        assert row["tau"] == "n/a(row error)"
+        assert row["error"].endswith("is not a primitive class in normal form")
         cat = generate_family(2, "H", kappa, alpha, [0, 1], [0, 5])
         assert cat.errored
-        assert len(cat.rows) == 4
-        assert all(r.certificate is None and "normal form" in r.error for r in cat.rows)
+        rows = csv_rows(cat)
+        assert len(rows) == 4
+        assert all(r["tau"] == "n/a(row error)" and "normal form" in r["error"] for r in rows)
 
 
 class TestBuildCertificate:
@@ -78,62 +81,62 @@ class TestBuildCertificate:
 
     def test_twist_family(self):
         cert = one_knot(2, "H", normalize(0, 1), NU, 4, 0)
-        assert (cert.tau.p, cert.tau.q) == (4, 5)
-        assert cert.seifert is None
-        assert cert.surgery == "handlebody"
+        assert cert["tau"] == "(4,5)"
+        assert cert["seifert"] == "n/a(handlebody family)"
+        assert cert["surgery"] == "handlebody"
 
     def test_zero_twist(self):
         cert = one_knot(2, "H", normalize(5, 2), NU, 0, 0)
-        assert cert.tau == normalize(5, 2)
-        assert cert.bridge_lower is None
+        assert cert["tau"] == str(normalize(5, 2))
+        assert cert["bridge_lower"].startswith("n/a(")
 
     def test_seifert_family(self):
         cert = one_knot(2, "S", normalize(2, 1), NU, 1, 2000, chi_Q_nu=-6)
-        assert cert.seifert == (3, 2)
-        assert cert.strong  # 2000 > 1296
-        assert not cert.exceptional
-        assert cert.exterior_flags.all_true()
-        assert cert.unique_surgery
-        assert cert.surgery == "D(3,2)-Seifert + 1 1-handles"
+        assert cert["seifert"] == "(3,2)"
+        assert cert["strong"] == "true"  # 2000 > 1296
+        assert cert["exceptional"] == "false"
+        assert all(cert[flag] == "true" for flag in FLAGS)
+        assert cert["unique_surgery"] == "true"
+        assert cert["surgery"] == "D(3,2)-Seifert + 1 1-handles"
 
     def test_weak_twisting_blocks_flags(self):
         cert = one_knot(2, "S", normalize(2, 1), NU, 1, 10, chi_Q_nu=-6)
-        assert not cert.strong
-        assert not cert.exterior_flags.all_true()
-        assert not cert.unique_surgery
-        assert cert.bridge_lower is None
-        assert "strong" in cert.bridge_lower_reason
+        assert cert["strong"] == "false"
+        assert not all(cert[flag] == "true" for flag in FLAGS)
+        assert cert["unique_surgery"] == "false"
+        assert cert["bridge_lower"].startswith("n/a(")
+        assert "strong" in cert["bridge_lower"]
 
     def test_exceptional_blocks_flags(self):
         # tau stays exceptional: kappa=(0,1), alpha=(1,1), n=... tau=(n, n+1)
         cert = one_knot(2, "H", normalize(0, 1), NU, 1, 10**6, chi_Q_nu=-6)
-        assert cert.tau == normalize(1, 2)
-        assert cert.exceptional
-        assert cert.strong
-        assert not cert.exterior_flags.all_true()
+        assert cert["tau"] == str(normalize(1, 2))
+        assert cert["exceptional"] == "true"
+        assert cert["strong"] == "true"
+        assert not all(cert[flag] == "true" for flag in FLAGS)
 
     def test_product_disk_alpha_blocks_bridge(self):
         cert = one_knot(2, "H", normalize(2, 1), MU, 50, 10**6, chi_Q_nu=-6)
-        assert cert.bridge_lower is None
-        assert "product-disk" in cert.bridge_lower_reason
+        assert cert["bridge_lower"].startswith("n/a(")
+        assert "product-disk" in cert["bridge_lower"]
 
     def test_bridge_defaults_from_nu_recipe(self):
         # kappa=(2,1): chi = -2 - 1 = -3, so bound = n/216 - 2
         cert = one_knot(2, "H", normalize(2, 1), NU, 2160, 10**6, chi_Q_nu=-6)
-        assert cert.bridge_lower == Fraction(2160, 216) - 2
+        assert Fraction(cert["bridge_lower"]) == Fraction(2160, 216) - 2
 
     def test_non_nu_alpha_needs_explicit_chi(self):
         knot = (3, "H", normalize(5, 1), normalize(1, 2), 100, 10**6)
         cert = one_knot(*knot, chi_Q_nu=-6)
-        assert cert.bridge_lower is None
-        assert "i-uniform" in cert.bridge_lower_reason
+        assert cert["bridge_lower"].startswith("n/a(")
+        assert "i-uniform" in cert["bridge_lower"]
         cert = one_knot(*knot, chi_Q_bridge=-6, chi_Q_nu=-6)
-        assert cert.bridge_lower is not None
+        assert not cert["bridge_lower"].startswith("n/a(")
 
     def test_hitting_bounds_default_chi(self):
         cert = one_knot(2, "H", normalize(2, 1), NU, 1, 2592, chi_Q_nu=-6)
-        assert cert.hbar_D_lower == 11
-        assert cert.hbar_A_lower == 4
+        assert cert["hbar_D_lower"] == "11"
+        assert cert["hbar_A_lower"] == "4"
 
     @pytest.mark.parametrize(
         "excess, rejected", [(Fraction(0), False), (Fraction(1, 2), True), (Fraction(1, 72), True)]
@@ -144,24 +147,25 @@ class TestBuildCertificate:
         # chi = -1 the bound at n = -N is (N - 144)/72 = 1 + excess
         N = 216 + int(72 * excess)
         cat = generate_family(2, "H", normalize(N, N - 1), NU, [-N], [10**6], -1, -1)
-        (row,) = cat.rows
+        (row,) = csv_rows(cat)
         if rejected:
-            assert row.certificate is None
-            assert row.error == (
+            assert row["tau"] == "n/a(row error)"
+            assert row["error"] == (
                 f"bridge lower bound {1 + excess} exceeds the heuristic upper bound 1"
             )
         else:
-            assert row.error == ""
-            assert row.certificate.bridge_lower == 1 == row.certificate.bridge_upper_heuristic
+            assert row["error"] == ""
+            assert (row["bridge_lower"], row["bridge_upper_heuristic"]) == ("1", "1 (heuristic)")
 
 
 def test_readme_example():
-    # README's python block runs as printed, through the public rows view
+    # README's python block runs as printed and renders the knot's row
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text("utf-8")
     (block,) = re.findall(r"```python\n(.*?)```", readme, re.S)
     namespace = {}
     exec(textwrap.dedent(block), namespace)
-    assert namespace["row"].certificate.seifert == (3, 2)
+    (row,) = [line for line in namespace["text"].splitlines() if line.startswith("n=")]
+    assert "seifert=(3,2)" in row.split()
 
 
 class TestGenerateFamily:
@@ -169,7 +173,7 @@ class TestGenerateFamily:
         cat = generate_family(
             2, "H", normalize(2, 1), NU, n_range=[3, 1, 2], i_range=[10, 5]
         )
-        assert [(r.n, r.i) for r in cat.rows] == [
+        assert [(int(r["n"]), int(r["i"])) for r in csv_rows(cat)] == [
             (1, 5),
             (1, 10),
             (2, 5),
@@ -181,7 +185,8 @@ class TestGenerateFamily:
 
     def test_empty_range(self):
         cat = generate_family(2, "H", normalize(2, 1), NU, [], [])
-        assert cat.rows == ()
+        assert cat.n_column == cat.i_column == ()
+        assert csv_rows(cat) == []
 
     def test_distinctness_statement(self):
         cat = generate_family(2, "H", normalize(2, 1), NU, [1], [1])
@@ -200,22 +205,23 @@ class TestGenerateFamily:
     def test_rejected_request_makes_no_statement(self, g, kappa, alpha):
         cat = generate_family(g, "H", kappa, alpha, [1], [1])
         assert cat.errored
-        assert all(r.certificate is None for r in cat.rows)
+        assert all(r["tau"] == "n/a(row error)" and r["error"] for r in csv_rows(cat))
         assert cat.statements == ()
         assert "statement" not in render_txt(cat) + render_csv(cat)
 
     def test_error_rows_kept(self):
         # n = 0 with kappa = alpha-translate... use kappa equal to alpha to error
         cat = generate_family(2, "H", NU, NU, [0], [1, 2])
-        assert len(cat.rows) == 2
+        rows = csv_rows(cat)
+        assert len(rows) == 2
         assert cat.errored
-        assert all(r.certificate is None and r.error for r in cat.rows)
+        assert all(r["tau"] == "n/a(row error)" and r["error"] for r in rows)
 
     def test_hbar_monotone_in_i(self):
         cat = generate_family(
             2, "H", normalize(2, 1), NU, [1], [0, 500, 5000, 50000], chi_Q_nu=-6
         )
-        values = [r.certificate.hbar_D_lower for r in cat.rows]
+        values = [int(r["hbar_D_lower"]) for r in csv_rows(cat)]
         assert values == sorted(values)
 
 
@@ -239,7 +245,7 @@ class TestRendering:
     def test_txt_has_all_rows(self):
         cat = self._catalog()
         text = render_txt(cat)
-        assert text.count("tau=") == len(cat.rows)
+        assert text.count("tau=") == len(cat.n_column) * len(cat.i_column) == 4
 
     def test_error_row_rendering(self):
         cat = generate_family(2, "H", NU, NU, [0], [1])
@@ -323,7 +329,6 @@ class TestColumnarCatalogMatchesRowOracle:
     def test_rows_errored_and_renderings(self, grid):
         cat = generate_family(*grid)
         ref = reference_generate_family(*grid)
-        assert cat.rows == ref.rows
         assert cat.errored == ref.errored
         assert cat.statements == ref.statements
         assert render_csv(cat) == reference_render_csv(ref)
@@ -331,16 +336,10 @@ class TestColumnarCatalogMatchesRowOracle:
 
     def test_guard_grid_fires(self):
         cat = generate_family(*GUARD_GRID)
-        errors = [row.error for row in cat.rows if row.error]
+        errors = [row["error"] for row in csv_rows(cat) if row["error"]]
         assert len(errors) == 2
         assert all("exceeds the heuristic upper bound" in e for e in errors)
         assert cat.errored
-
-    def test_errored_does_not_build_rows(self, monkeypatch):
-        cat = generate_family(2, "H", normalize(2, 1), NU, range(50), range(50))
-        monkeypatch.setattr(catalog, "CatalogRow", None)
-        monkeypatch.setattr(catalog, "Certificate", None)
-        assert not cat.errored
 
 
 class TestVerdictLemma:
@@ -373,8 +372,9 @@ class TestVerdictLemma:
         monkeypatch.setattr(catalog, "dehn_twist", counted)
         cat = generate_family(2, "H", normalize(2, 1), NU, range(100), range(50), *chis)
         assert calls == []
-        assert len(cat.rows) == 5000
-        assert {(row.certificate, row.error) for row in cat.rows} == {
-            (None, "a catching surface with chi(Q) < 0 is required")
+        rows = csv_rows(cat)
+        assert len(rows) == 5000
+        assert {(row["tau"], row["error"]) for row in rows} == {
+            ("n/a(row error)", "a catching surface with chi(Q) < 0 is required")
         }
         assert cat.errored

@@ -250,15 +250,21 @@ class TestTwist:
         assert code == 0
         assert "tau = (1,2)" in out  # flag n=1 overrides config n=4
 
-    @pytest.mark.parametrize("text", [None, "kappa 0,1\nalpha = 1,1\n"])
+    # a repeated key, also one spelled once with '-' and once with '_', is
+    # an error that names it, not the last value silently
+    REPEATED = {"n = 3\nn = 5\n": "n", "n-range = 0:1\nn_range = 0:2\n": "n_range"}
+
+    @pytest.mark.parametrize("text", [None, "kappa 0,1\nalpha = 1,1\n", *REPEATED])
     def test_missing_or_malformed_config_exit_code(self, text, tmp_path, capsys):
         conf = tmp_path / "c"
         if text is not None:
             conf.write_text(text)
         assert cli_main(["--config", str(conf), "twist", "--kappa", "0,1"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:")
+        assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
+        if text in self.REPEATED:
+            assert f"config key {self.REPEATED[text]!r} is given twice" in err
 
     @pytest.mark.parametrize(
         "argv",

@@ -347,7 +347,7 @@ class TestMarkedPair:
 
 class TestLineage:
     def test_parts_are_steps_or_lineages(self):
-        # Lineage(*steps) is a flat leaf: only _join nests lineages
+        # Lineage(*steps) is a flat leaf: only plumb nests lineages
         with pytest.raises(TypeError):
             Lineage("base eta1", 3)
         with pytest.raises(TypeError):
@@ -383,11 +383,14 @@ class TestLineage:
     def test_flat_and_nested_agree(self):
         step = "plumb spans_a=0 spans_b=1 nonsep=1"
         flat = Lineage("base eta1", "base eta1x2", step)
-        nested = Lineage._join(Lineage("base eta1"), Lineage("base eta1x2"), step)
+        pair = plumb(eta1(), eta1_doubled(), False, True, True)
+        nested = pair.lineage
         assert len(flat) == 3 and list(flat) == ["base eta1", "base eta1x2", step]
         assert len(nested) == 3 and list(nested) == list(flat)
         assert nested == flat and hash(nested) == hash(flat)
-        doubled = Lineage._join(nested, flat, step)
+        # plumb the result again, onto a pair whose lineage is the flat leaf
+        flat_pair = MarkedPair(1, 2, eta1_doubled().flags, flat)
+        doubled = plumb(pair, flat_pair, False, True, True).lineage
         assert len(doubled) == 7 and tuple(doubled) == tuple(flat) * 2 + (step,)
         # a Lineage equals only a Lineage
         assert doubled != flat and flat != tuple(flat) and flat != list(flat)
