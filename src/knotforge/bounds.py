@@ -71,8 +71,8 @@ def catching_chi(base_chi: int, tube_pairs: int, punctures: int) -> int:
 
 
 # The tubed meridian disk caught by the gamma_g curve: the curve meets the
-# disk 7 times but algebraically once, so 3 tube pairs and one remaining
-# puncture.
+# disk 7 times but algebraically once (an axiom of pants.gamma2), so 3 tube
+# pairs and one remaining puncture.
 GAMMA_DISK = catching_chi(1, 3, 1)  # -6
 
 

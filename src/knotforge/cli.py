@@ -11,16 +11,22 @@ Each option takes its flag's value, else its config key's, else its
 default (flag > config > default).  Every option that is given, as a flag
 or as a config key, is parsed, also when the chosen bounds op does not read
 it, so a malformed value never passes silently.
+
+Imports: at module level this module imports only the standard library and
+torus, which the package imports anyway.  Each command function imports the
+modules it reads, and a default held by another module is named here by
+module and attribute (_Default) and read only for the chosen subcommand.
+So a command pays at start-up for its own modules only.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import re
 import sys
 
-from . import bounds, catalog, maps, plumbing
 from .torus import dehn_twist, intersection, is_exceptional, normalize
 
 
@@ -82,10 +88,23 @@ def _flag(args, key: str) -> str | None:
 _REQUIRED = object()  # the default of an option that must be given
 
 
+class _Default:
+    """The default held by attribute `name` of knotforge module `module`,
+    read when the options are parsed, so that building the parser imports
+    no module and the default keeps one source."""
+
+    def __init__(self, module: str, name: str):
+        self.module, self.name = module, name
+
+    def value(self):
+        return getattr(importlib.import_module(f".{self.module}", __package__), self.name)
+
+
 def _option(p: argparse.ArgumentParser, flag: str, parse=int, default=None, **kwargs) -> None:
     """Declare option `flag` of subcommand `p` with the function that parses
-    its value and its default: a value that `parse` reads, None for an
-    option the command can go without, or _REQUIRED."""
+    its value and its default: a value that `parse` reads, a _Default
+    holding one, None for an option the command can go without, or
+    _REQUIRED."""
     p.add_argument(flag, **kwargs).spec = (parse, default)
 
 
@@ -109,6 +128,8 @@ def _parse_options(args, config: dict[str, str]) -> None:
             text = config.get(key, default)
         if text is _REQUIRED:
             raise ValueError(f"{action.option_strings[0]} is required (as a flag or a config key)")
+        if isinstance(text, _Default):
+            text = text.value()
         setattr(args, key, None if text is None else parse(text))
 
 
@@ -121,24 +142,29 @@ def _cmd_twist(args) -> int:
     return 0
 
 
-# each bounds op and the formula it prints, on the parsed options
+# each bounds op: the bounds function it prints and the options it passes
 _BOUNDS = {
-    "disk": lambda a: bounds.disk_hitting_lower_bound(a.i, a.chi),
-    "annulus": lambda a: bounds.annulus_hitting_lower_bound(a.i, a.chi),
-    "bridge": lambda a: bounds.bridge_lower_bound(a.n, a.chi, a.genus),
-    "n-strong": lambda a: bounds.n_strong(a.chi),
-    "parallel-classes": lambda a: bounds.parallelism_class_bound(a.chi),
-    "edges-threshold": lambda a: bounds.parallel_edges_threshold(a.vertices, a.chi),
-    "threshold": lambda a: bounds.threshold(a.chi, a.f_k, a.f_l, a.f_m, a.chi_f_hat, a.delta_k),
+    "disk": ("disk_hitting_lower_bound", "i", "chi"),
+    "annulus": ("annulus_hitting_lower_bound", "i", "chi"),
+    "bridge": ("bridge_lower_bound", "n", "chi", "genus"),
+    "n-strong": ("n_strong", "chi"),
+    "parallel-classes": ("parallelism_class_bound", "chi"),
+    "edges-threshold": ("parallel_edges_threshold", "vertices", "chi"),
+    "threshold": ("threshold", "chi", "f_k", "f_l", "f_m", "chi_f_hat", "delta_k"),
 }
 
 
 def _cmd_bounds(args) -> int:
-    print(_BOUNDS[args.op](args))
+    from . import bounds
+
+    name, *keys = _BOUNDS[args.op]
+    print(getattr(bounds, name)(*(getattr(args, key) for key in keys)))
     return 0
 
 
 def _cmd_plumb(args) -> int:
+    from . import plumbing
+
     construction, g = args.construction, args.genus
     pair = plumbing.eta(g) if construction == "eta" else plumbing.gamma(g)
     print(f"{construction}_{g}: genus={pair.genus} components={pair.components}")
@@ -155,6 +181,8 @@ def _cmd_plumb(args) -> int:
 
 
 def _cmd_family(args) -> int:
+    from . import catalog
+
     cat = catalog.generate_family(
         args.genus,
         args.type,
@@ -175,6 +203,8 @@ def _cmd_family(args) -> int:
 
 
 def _cmd_verify_graphs(args) -> int:
+    from . import maps
+
     report, tri = maps.verify_graphs(args.v_max, args.e_budget, args.chi_min, args.work_budget)
     sys.stdout.write(report.render())
     sys.stdout.write(tri.render())
@@ -195,7 +225,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="bound formulas")
     p.add_argument("op", choices=tuple(_BOUNDS))
     _option(p, "--i", default=0, help="twist count")
-    _option(p, "--chi", default=bounds.GAMMA_DISK, help="catching surface Euler characteristic")
+    _option(
+        p, "--chi", default=_Default("bounds", "GAMMA_DISK"),
+        help="catching surface Euler characteristic",
+    )
     _option(p, "--n", default=0, help="annulus twist count (bridge)")
     _option(p, "--genus", default=2, help="splitting genus (bridge)")
     _option(p, "--vertices", default=1, help="vertex count (edges-threshold)")
@@ -225,10 +258,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_family, subparser=p)
 
     p = sub.add_parser("verify-graphs", help="combinatorial map verification")
-    _option(p, "--v-max", default=maps.V_MAX)
-    _option(p, "--e-budget", default=maps.E_MAX)
-    _option(p, "--chi-min", default=maps.CHI_MIN)
-    _option(p, "--work-budget", default=maps.WORK_BUDGET)
+    _option(p, "--v-max", default=_Default("maps", "V_DEFAULT"))
+    _option(p, "--e-budget", default=_Default("maps", "E_MAX"))
+    _option(p, "--chi-min", default=_Default("maps", "CHI_MIN"))
+    _option(p, "--work-budget", default=_Default("maps", "WORK_BUDGET"))
     p.set_defaults(func=_cmd_verify_graphs, subparser=p)
 
     # no option starts with -<digit>, so such a token (--kappa -3,2) is a value

@@ -524,9 +524,11 @@ class ParallelEdgeReport:
         return "\n".join(lines) + "\n"
 
 
-# Defaults of a verification run: every surface from the sphere down to
+# Defaults of a verification run: every vertex count up to 3 (the CLI's
+# --v-max; V_MAX is the cap), every surface from the sphere down to
 # chi = -2, and exhaustive enumeration of the cells with at most this many
 # raw candidates.
+V_DEFAULT = 3
 CHI_MIN = -2
 WORK_BUDGET = 150_000
 

@@ -261,8 +261,15 @@ def load_seam_data(text: str) -> tuple[SeamedCurve, PantsDecomposition]:
 def gamma2() -> tuple[SeamedCurve, PantsDecomposition]:
     """The built-in 3-seamed, annulus-busting curve on the genus-2 handlebody.
 
-    Its seamed level (at least 3) is checked; annulus-busting is an axiom,
-    not recomputed: the attached 2-handle gives a hyperbolic knot exterior.
+    Its seamed level (at least 3) is checked.  Two facts are axioms, not
+    recomputed:
+    * annulus-busting: the attached 2-handle gives a hyperbolic knot
+      exterior;
+    * algebraic count 1: the curve meets the disk that cuff c0 bounds
+      7 times (side_endpoints(0, 0)) but algebraically once, so all but
+      one meet pair off into 3 tubes.  bounds.GAMMA_DISK reads this, and
+      tests/test_bounds.py::TestRecipes::test_gamma_disk_from_shipped_gamma2_data
+      derives GAMMA_DISK from the 7 meets.
     Each call parses and checks the shipped data; the plumbing module calls
     it once, at import."""
     curve, pd = load_seam_data(GAMMA2_DATA)

@@ -206,6 +206,41 @@ def test_version_matches_pyproject():
     assert knotforge.__version__ == version
 
 
+# the knotforge modules that `import knotforge.cli` and then main(args)
+# leave imported; the empty args stand for the import alone
+IMPORTS = {
+    "": {"cli", "torus"},
+    "twist --kappa 2,1 --alpha 1,1": {"cli", "torus"},
+    "bounds disk": {"bounds", "cli", "torus"},
+    "plumb": {"cli", "pants", "plumbing", "torus"},
+    "family --kappa 2,1 --alpha 1,1": {"bounds", "catalog", "cli", "torus"},
+    "verify-graphs --v-max 1 --e-budget 1": {"bounds", "cli", "maps", "torus"},
+}
+# run in a fresh interpreter: prints to stderr the exit code and the modules
+# imported, then what two attribute lookups on the package give
+IMPORT_PROBE = """
+import sys
+import knotforge.cli
+code = knotforge.cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+names = sorted(m.removeprefix("knotforge.") for m in sys.modules if m.startswith("knotforge."))
+print(code, *names, file=sys.stderr)
+print(knotforge.maps.__name__, hasattr(knotforge, "nope"), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("args", IMPORTS, ids=lambda args: args.split(" ")[0] or "import")
+def test_command_imports_only_what_it_reads(args):
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(knotforge.__file__).parents[1])}
+    run = subprocess.run(
+        [sys.executable, "-W", "error", "-c", IMPORT_PROBE, *args.split()],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    imported, lookups = run.stderr.splitlines()
+    assert imported.split() == ["0", *sorted(IMPORTS[args])]
+    # knotforge.maps is imported on first access, and any other name is an error
+    assert lookups == "knotforge.maps False"
+
+
 class TestParsers:
     def test_parse_curve(self):
         assert parse_curve("-3,2").p == 3
