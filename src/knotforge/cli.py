@@ -39,9 +39,14 @@ def parse_curve(text: str):
     return normalize(p, q)
 
 
+# the most rows a family catalog may have, checked on each column and on
+# their product before any row is built; one row costs a few hundred bytes
+ROW_LIMIT = 1_000_000
+
+
 def parse_range(text: str) -> list[int]:
     """Parse 'a:b' (inclusive), 'a:b:step', or a comma list of integers;
-    a range with no values is an error."""
+    a range with no values, or with more than ROW_LIMIT, is an error."""
     if ":" in text:
         parts = [int(x) for x in text.split(":")]
         if len(parts) == 2:
@@ -52,12 +57,16 @@ def parse_range(text: str) -> list[int]:
             raise argparse.ArgumentTypeError(f"bad range {text!r}")
         if step <= 0:
             raise argparse.ArgumentTypeError("range step must be positive")
-        values = list(range(a, b + 1, step))
+        values = range(a, b + 1, step)
     else:
         values = [int(x) for x in text.split(",")]
     if not values:
         raise argparse.ArgumentTypeError(f"empty range {text!r}")
-    return values
+    if values[ROW_LIMIT:]:  # a slice: len() of a range past sys.maxsize overflows
+        raise argparse.ArgumentTypeError(
+            f"range {text!r} has more values than the row limit {ROW_LIMIT}"
+        )
+    return list(values)
 
 
 def load_config(path: str) -> dict[str, str]:
@@ -183,6 +192,9 @@ def _cmd_plumb(args) -> int:
 def _cmd_family(args) -> int:
     from . import catalog
 
+    rows = len(args.n_range) * len(args.i_range)
+    if rows > ROW_LIMIT:
+        raise ValueError(f"the catalog has {rows} rows, above the row limit {ROW_LIMIT}")
     cat = catalog.generate_family(
         args.genus,
         args.type,

@@ -6,16 +6,17 @@ A curve class is a primitive integer vector (p, q) in the homology basis
 (p, q) = (0, 1).  All arithmetic is exact (Python integers).
 
 `normalize` is the one checked constructor of curves: it rejects (0, 0) and
-non-primitive vectors and flips the sign into normal form.  The dataclass
-constructor `TorusCurve(p, q)` checks nothing.
+non-primitive vectors and flips the sign into normal form.  A curve is a
+NamedTuple of (p, q), so it equals, hashes and sorts like that tuple, and
+its constructor `TorusCurve(p, q)` checks nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
-_new = object.__new__
+_new = tuple.__new__
 
 
 class CurveError(ValueError):
@@ -30,8 +31,7 @@ class NonPrimitive(CurveError):
     """gcd(|p|, |q|) > 1: the class is a multiple of a simple curve."""
 
 
-@dataclass(frozen=True, order=True)
-class TorusCurve:
+class TorusCurve(NamedTuple):
     """Normal-form slope (p, q).  Construct via :func:`normalize`."""
 
     p: int
@@ -52,11 +52,7 @@ def normalize(p: int, q: int) -> TorusCurve:
         raise NonPrimitive(f"({p}, {q}) is not primitive")
     if p < 0 or (p == 0 and q < 0):
         p, q = -p, -q
-    curve = _new(TorusCurve)
-    fields = curve.__dict__  # in field order, as __init__ fills it
-    fields["p"] = p
-    fields["q"] = q
-    return curve
+    return _new(TorusCurve, (p, q))
 
 
 MU = normalize(1, 0)

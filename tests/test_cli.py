@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import knotforge
 from knotforge.catalog import generate_family, render_csv, render_txt
-from knotforge.cli import build_parser, load_config, parse_curve, parse_range
+from knotforge.cli import ROW_LIMIT, build_parser, load_config, parse_curve, parse_range
 from knotforge.cli import main as cli_main
 from knotforge.torus import normalize
 
@@ -216,14 +216,21 @@ IMPORTS = {
     "family --kappa 2,1 --alpha 1,1": {"bounds", "catalog", "cli", "torus"},
     "verify-graphs --v-max 1 --e-budget 1": {"bounds", "cli", "maps", "torus"},
 }
+# the commands whose modules declare no dataclass: after them neither
+# dataclasses nor inspect (which it imports) is loaded
+NO_DATACLASSES = {
+    "", "twist --kappa 2,1 --alpha 1,1", "bounds disk", "family --kappa 2,1 --alpha 1,1"
+}
 # run in a fresh interpreter: prints to stderr the exit code and the modules
-# imported, then what two attribute lookups on the package give
+# imported, then which of dataclasses and inspect are loaded, then what two
+# attribute lookups on the package give
 IMPORT_PROBE = """
 import sys
 import knotforge.cli
 code = knotforge.cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
 names = sorted(m.removeprefix("knotforge.") for m in sys.modules if m.startswith("knotforge."))
 print(code, *names, file=sys.stderr)
+print(*(m for m in ("dataclasses", "inspect") if m in sys.modules), file=sys.stderr)
 print(knotforge.maps.__name__, hasattr(knotforge, "nope"), file=sys.stderr)
 """
 
@@ -235,8 +242,10 @@ def test_command_imports_only_what_it_reads(args):
         [sys.executable, "-W", "error", "-c", IMPORT_PROBE, *args.split()],
         capture_output=True, text=True, env=env, check=True,
     )
-    imported, lookups = run.stderr.splitlines()
+    imported, dataclass_modules, lookups = run.stderr.splitlines()
     assert imported.split() == ["0", *sorted(IMPORTS[args])]
+    if args in NO_DATACLASSES:
+        assert dataclass_modules == ""
     # knotforge.maps is imported on first access, and any other name is an error
     assert lookups == "knotforge.maps False"
 
@@ -262,6 +271,39 @@ class TestParsers:
     )
     def test_malformed_range_exit_code(self, text, message, capsys):
         assert cli_main(["family", "--kappa", "2,1", "--alpha", "1,1", "--n-range", text]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_range_above_the_row_limit(self):
+        assert len(parse_range(f"2:{2 * ROW_LIMIT}:2")) == ROW_LIMIT
+        for text in (f"0:{2 * ROW_LIMIT}:2", f"0:{10**30}"):  # the second has no len()
+            with pytest.raises(argparse.ArgumentTypeError, match="than the row limit"):
+                parse_range(text)
+
+    def test_huge_range_exits_2_before_allocating(self):
+        # the child limits its own address space, so a parse that built the
+        # list would die with MemoryError (exit 1) before it took much memory
+        code = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (600 << 20, 600 << 20))\n"
+            "from knotforge.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        argv = ["family", "--kappa", "2,1", "--alpha", "1,1", "--n-range", "0:10000000000"]
+        env = {**os.environ, "PYTHONPATH": str(pathlib.Path(knotforge.__file__).parents[1])}
+        run = subprocess.run(
+            [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env
+        )
+        message = f"range '0:10000000000' has more values than the row limit {ROW_LIMIT}"
+        assert (run.returncode, run.stdout, run.stderr) == (2, "", f"error: {message}\n")
+
+    def test_catalog_above_the_row_limit_exits_2(self, monkeypatch, capsys):
+        # both columns pass, their product does not: no row is built
+        import knotforge.catalog
+
+        monkeypatch.setattr(knotforge.catalog, "generate_family", None)
+        argv = ["family", "--kappa", "2,1", "--alpha", "1,1", "--n-range", "0:999"]
+        assert cli_main([*argv, "--i-range", "0:1000"]) == 2
+        message = f"the catalog has 1001000 rows, above the row limit {ROW_LIMIT}"
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_load_config(self, tmp_path):
