@@ -42,6 +42,9 @@ def parse_curve(text: str):
 # the most rows a family catalog may have, checked on each column and on
 # their product before any row is built; one row costs a few hundred bytes
 ROW_LIMIT = 1_000_000
+# the largest genus plumb builds, checked before any step; the eta build at
+# this genus peaks at about 165 MB, most of it the lineage tree and the trace
+GENUS_LIMIT = 1_000_000
 
 
 def parse_range(text: str) -> list[int]:
@@ -172,9 +175,11 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_plumb(args) -> int:
+    construction, g = args.construction, args.genus
+    if g > GENUS_LIMIT:
+        raise ValueError(f"genus {g} is above the genus limit {GENUS_LIMIT}")
     from . import plumbing
 
-    construction, g = args.construction, args.genus
     pair = plumbing.eta(g) if construction == "eta" else plumbing.gamma(g)
     print(f"{construction}_{g}: genus={pair.genus} components={pair.components}")
     print(

@@ -26,7 +26,7 @@ count line for an undeclared id are rejected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class PantsError(ValueError):
@@ -41,23 +41,30 @@ class IncompatibleDecomposition(PantsError):
     """The seamed criterion needs every cuff to bound a disk."""
 
 
-@dataclass(frozen=True)
-class PantsDecomposition:
+class _Decomposition(NamedTuple):
     genus: int
     cuffs: tuple[str, ...]
     pants: tuple[tuple[str, str, str], ...]
     compatible: bool
 
-    def __post_init__(self):
-        g = self.genus
-        if g < 2:
+
+class PantsDecomposition(_Decomposition):
+    """Cuff ids and the three cuffs of each pants, equal to the plain tuple
+    (genus, cuffs, pants, compatible).  The constructor checks the shape
+    (3g-3 cuffs, 2g-2 pants, two pants-sides per cuff), and so do _make
+    and _replace, which build through it."""
+
+    __slots__ = ()
+
+    def __new__(cls, genus, cuffs, pants, compatible):
+        if genus < 2:
             raise PantsError("pants decompositions need genus >= 2")
-        if len(self.cuffs) != 3 * g - 3:
-            raise PantsError(f"expected {3 * g - 3} cuffs, got {len(self.cuffs)}")
-        if len(self.pants) != 2 * g - 2:
-            raise PantsError(f"expected {2 * g - 2} pants, got {len(self.pants)}")
-        sides: dict[str, int] = {c: 0 for c in self.cuffs}
-        for trip in self.pants:
+        if len(cuffs) != 3 * genus - 3:
+            raise PantsError(f"expected {3 * genus - 3} cuffs, got {len(cuffs)}")
+        if len(pants) != 2 * genus - 2:
+            raise PantsError(f"expected {2 * genus - 2} pants, got {len(pants)}")
+        sides: dict[str, int] = {c: 0 for c in cuffs}
+        for trip in pants:
             for c in trip:
                 if c not in sides:
                     raise PantsError(f"unknown cuff {c!r}")
@@ -65,15 +72,20 @@ class PantsDecomposition:
         bad = [c for c, k in sides.items() if k != 2]
         if bad:
             raise PantsError(f"cuffs without exactly two pants-sides: {bad}")
+        return super().__new__(cls, genus, cuffs, pants, compatible)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 # Seam class -> the two side indices it joins.
 SEAM_SIDES = ((0, 1), (1, 2), (0, 2))
 
 
-@dataclass(frozen=True)
-class SeamedCurve:
-    """Per-pants arc counts plus closed components per cuff.
+class SeamedCurve(NamedTuple):
+    """Per-pants arc counts plus closed components per cuff, equal to the
+    plain tuple (seams, parallels, closed); validate checks the shape.
 
     seams[i] and parallels[i] belong to pants i of the decomposition;
     closed[j] to cuff j.

@@ -26,20 +26,25 @@ three base pairs are frozen values built once, at import, after gamma2()
 has checked the shipped seam data.
 
 Per-step invariant: every MarkedPair has genus >= 1 and holds a Lineage
-(its constructor accepts nothing else).  So a plumb step checks no genus,
-since its genus is the sum of two genera >= 1, converts nothing and scans
-no parts.  It looks its three bits up once in _PLUMB_BANDS, which gives
-its trace line, the components it merges and its flags.  Its lineage
-wraps one new tuple (a, b, step) of the two input trees, shared, and has
-length len(a) + len(b) + 1; its result is filled in field by field.  Each
-step is O(1).  Of what a step allocates, only that tuple lives as long as
-the tree: the Lineage wrapper dies with its pair, and a tuple of plain
-tuples and strs is one the collector untracks.
+(its constructor accepts nothing else, and its public fields are read-only
+properties over private slots).  So a plumb step checks no genus, since
+its genus is the sum of two genera >= 1, converts nothing and scans no
+parts.  It looks its three bits up once in _PLUMB_BANDS, which gives its
+trace line, the components it merges and its flags.  Its lineage wraps
+one new tuple (a, b, step) of the two input trees, shared, and has length
+len(a) + len(b) + 1; plumb reads its inputs' slots and fills its result's
+slots directly.  Each step is O(1).  Of what a step allocates, only that
+tuple lives as long as the tree: the Lineage wrapper dies with its pair,
+and a tuple of plain tuples and strs is one the collector untracks.
+
+replay keeps the top pair of its stack in a local and only the pairs
+under it on the stack, so a base line is one push and a plumb line one
+pop and one plumb call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .pants import gamma2
 
@@ -58,8 +63,11 @@ class InvalidGenus(PlumbingError):
     """Genus outside the construction's range."""
 
 
-@dataclass(frozen=True)
-class Flags:
+class Flags(NamedTuple):
+    """The certified flags of a marked pair, equal to the plain 4-tuple of
+    its bools.  The benchmark's lineage check (perfbench/checks.py) reads
+    all_true."""
+
     three_disk_busting: bool
     annulus_busting: bool
     nonseparating: bool
@@ -100,12 +108,20 @@ class Lineage:
         self._hash = None
 
     def _steps(self) -> list[str]:
-        # walks the tree last step first, then puts the steps in order
+        # walks the tree last step first, then puts the steps in order.  A
+        # 3-tuple whose middle entry is a step is a plumb node whose right
+        # input is one step (each node of eta and gamma), or a flat leaf of
+        # three steps: its last two entries are steps, so both go straight
+        # to `steps` and the walk descends into its first entry.
         steps: list[str] = []
         stack: list[str | tuple] = [self._tree]
         pop, extend, append = stack.pop, stack.extend, steps.append
         while stack:
             node = pop()
+            while type(node) is tuple and len(node) == 3 and type(node[1]) is str:
+                append(node[2])
+                append(node[1])
+                node = node[0]
             if type(node) is str:
                 append(node)
             else:
@@ -139,22 +155,63 @@ class Lineage:
         return Lineage, tuple(self._steps())
 
 
-@dataclass(frozen=True)
 class MarkedPair:
-    genus: int
-    components: int
-    flags: Flags
-    lineage: Lineage
+    """A (handlebody, curve system) pair: genus, curve components, certified
+    flags and lineage, each a read-only property.  The constructor checks
+    genus >= 1 and that the lineage is a Lineage; pairs equal, hash, print
+    and pickle as the tuple of their four fields."""
 
-    def __post_init__(self):
-        if self.genus < 1:
+    __slots__ = ("_genus", "_components", "_flags", "_lineage")
+
+    def __init__(self, genus: int, components: int, flags: Flags, lineage: Lineage):
+        if genus < 1:
             raise InvalidGenus("marked pairs need genus >= 1")
-        if not isinstance(self.lineage, Lineage):
-            raise TypeError(f"a lineage is a Lineage, got {self.lineage!r}")
+        if not isinstance(lineage, Lineage):
+            raise TypeError(f"a lineage is a Lineage, got {lineage!r}")
+        self._genus = genus
+        self._components = components
+        self._flags = flags
+        self._lineage = lineage
+
+    @property
+    def genus(self) -> int:
+        return self._genus
+
+    @property
+    def components(self) -> int:
+        return self._components
+
+    @property
+    def flags(self) -> Flags:
+        return self._flags
+
+    @property
+    def lineage(self) -> Lineage:
+        return self._lineage
+
+    def _fields(self) -> tuple:
+        return self._genus, self._components, self._flags, self._lineage
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (
+            f"MarkedPair(genus={self._genus!r}, components={self._components!r},"
+            f" flags={self._flags!r}, lineage={self._lineage!r})"
+        )
+
+    def __reduce__(self):
+        return MarkedPair, self._fields()
 
     def trace(self) -> str:
         """Serialize the lineage as a replayable text trace."""
-        return "\n".join(self.lineage._steps()) + "\n"
+        return "\n".join(self._lineage._steps()) + "\n"
 
 
 _ALL_FLAGS = Flags(True, True, True, True)
@@ -232,7 +289,7 @@ def plumb(
     pair's flags, the second pair's flags, the component count.  The step
     is O(1) by the per-step invariant in the module docstring.
     """
-    flags_a, flags_b = a.flags, b.flags
+    flags_a, flags_b = a._flags, b._flags
     if not flags_a.three_disk_busting:
         raise MissingPrecondition("first pair is not certified 3-disk-busting")
     if not flags_a.essential_components:
@@ -249,10 +306,10 @@ def plumb(
         line, merged, plain, busting = _PLUMB_BANDS[
             bool(spans_a), bool(spans_b), bool(nonseparating_witness)
         ]
-    components = a.components + b.components - merged
+    components = a._components + b._components - merged
     if components < 1:
         raise PlumbingError("band data merges more components than exist")
-    lineage_a, lineage_b = a.lineage, b.lineage
+    lineage_a, lineage_b = a._lineage, b._lineage
     # the node of this step, sharing both input trees; built here, not by a
     # Lineage helper, because the call costs 7-9% of lineage throughput
     lineage = _new(Lineage)
@@ -260,11 +317,10 @@ def plumb(
     lineage._len = lineage_a._len + lineage_b._len + 1
     lineage._hash = None
     pair = _new(MarkedPair)
-    fields = pair.__dict__  # in field order, as __init__ fills it
-    fields["genus"] = a.genus + b.genus
-    fields["components"] = components
-    fields["flags"] = busting if flags_a.annulus_busting and flags_b.annulus_busting else plain
-    fields["lineage"] = lineage
+    pair._genus = a._genus + b._genus
+    pair._components = components
+    pair._flags = busting if flags_a.annulus_busting and flags_b.annulus_busting else plain
+    pair._lineage = lineage
     return pair
 
 
@@ -305,20 +361,28 @@ def replay(trace: str) -> MarkedPair:
     unterminated = lines.pop()  # "" when the trace ends with its newline
     if unterminated:
         raise PlumbingError(f"not a trace line: {unterminated!r} has no final newline")
-    stack: list[MarkedPair] = []
+    # the top pair is held in `top`, the pairs under it on `stack`.  The
+    # stack starts as [None] and the first base line pushes the empty top,
+    # so two Nones lie under the pairs: a plumb line that pops None has
+    # fewer than two pairs, and a trace that reduces to one pair leaves the
+    # stack at [None, None].
+    top, stack = None, [None]
     push, pop = stack.append, stack.pop
-    lookup = _TRACE_LINES.get
-    for line in lines:
-        step = lookup(line)
-        if step is None:
-            raise PlumbingError(f"not a trace line: {line!r}")
+    for step in map(_TRACE_LINES.get, lines):
         if type(step) is MarkedPair:
-            push(step)
-            continue
-        if len(stack) < 2:
-            raise PlumbingError("plumb step without two pairs on the stack")
-        b = pop()
-        push(plumb(pop(), b, *step))
-    if len(stack) != 1:
+            push(top)
+            top = step
+        elif step is None:
+            # every earlier line was found, so this is the first that is not
+            line = next(line for line in lines if line not in _TRACE_LINES)
+            raise PlumbingError(f"not a trace line: {line!r}")
+        else:
+            a = pop()
+            if a is None:
+                raise PlumbingError("plumb step without two pairs on the stack")
+            # unpacked: a call with plain positional arguments costs less than *step
+            spans_a, spans_b, nonsep = step
+            top = plumb(a, top, spans_a, spans_b, nonsep)
+    if len(stack) != 2:
         raise PlumbingError("trace did not reduce to a single pair")
-    return stack[0]
+    return top

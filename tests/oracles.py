@@ -38,7 +38,7 @@ from knotforge.maps import (
     trace_faces,
 )
 from knotforge.pants import PantsDecomposition, SeamedCurve
-from knotforge.plumbing import Flags, Lineage, MarkedPair
+from knotforge.plumbing import _TRACE_LINES, Flags, Lineage, MarkedPair, PlumbingError, plumb
 from knotforge.torus import LAMBDA, MU, NU, TorusCurve, dehn_twist, intersection, is_exceptional
 
 
@@ -731,3 +731,29 @@ def reference_plumb(a: MarkedPair, b: MarkedPair, spans_a, spans_b, nonsep) -> M
         flags=Flags(True, annulus, bool(nonsep), True),
         lineage=Lineage(*a.lineage, *b.lineage, reference_step(spans_a, spans_b, nonsep)),
     )
+
+
+def reference_replay(trace: str) -> MarkedPair:
+    """Replay a trace with every pair on one list: a base line pushes its
+    pair, and a plumb line checks that two pairs are there, pops both and
+    pushes what plumb makes of them.  The errors and their order are those
+    of `plumbing.replay`."""
+    lines = trace.split("\n")
+    unterminated = lines.pop()  # "" when the trace ends with its newline
+    if unterminated:
+        raise PlumbingError(f"not a trace line: {unterminated!r} has no final newline")
+    stack: list[MarkedPair] = []
+    for line in lines:
+        step = _TRACE_LINES.get(line)
+        if step is None:
+            raise PlumbingError(f"not a trace line: {line!r}")
+        if type(step) is MarkedPair:
+            stack.append(step)
+            continue
+        if len(stack) < 2:
+            raise PlumbingError("plumb step without two pairs on the stack")
+        b = stack.pop()
+        stack.append(plumb(stack.pop(), b, *step))
+    if len(stack) != 1:
+        raise PlumbingError("trace did not reduce to a single pair")
+    return stack[0]

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import knotforge
 from knotforge.catalog import generate_family, render_csv, render_txt
-from knotforge.cli import ROW_LIMIT, build_parser, load_config, parse_curve, parse_range
+from knotforge.cli import GENUS_LIMIT, ROW_LIMIT, build_parser, load_config, parse_curve, parse_range
 from knotforge.cli import main as cli_main
 from knotforge.torus import normalize
 
@@ -219,7 +219,7 @@ IMPORTS = {
 # the commands whose modules declare no dataclass: after them neither
 # dataclasses nor inspect (which it imports) is loaded
 NO_DATACLASSES = {
-    "", "twist --kappa 2,1 --alpha 1,1", "bounds disk", "family --kappa 2,1 --alpha 1,1"
+    "", "twist --kappa 2,1 --alpha 1,1", "bounds disk", "plumb", "family --kappa 2,1 --alpha 1,1"
 }
 # run in a fresh interpreter: prints to stderr the exit code and the modules
 # imported, then which of dataclasses and inspect are loaded, then what two
@@ -248,6 +248,20 @@ def test_command_imports_only_what_it_reads(args):
         assert dataclass_modules == ""
     # knotforge.maps is imported on first access, and any other name is an error
     assert lookups == "knotforge.maps False"
+
+
+def _run_in_600_mb(argv):
+    """cli.main(argv) in a child that limits its own address space to 600 MB."""
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (600 << 20, 600 << 20))\n"
+        "from knotforge.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(knotforge.__file__).parents[1])}
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env
+    )
 
 
 class TestParsers:
@@ -280,31 +294,26 @@ class TestParsers:
                 parse_range(text)
 
     def test_huge_range_exits_2_before_allocating(self):
-        # the child limits its own address space, so a parse that built the
-        # list would die with MemoryError (exit 1) before it took much memory
-        code = (
-            "import resource, sys\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (600 << 20, 600 << 20))\n"
-            "from knotforge.cli import main\n"
-            "sys.exit(main(sys.argv[1:]))\n"
-        )
+        # a parse that built the list would die with MemoryError (exit 1)
+        # in the child before it took much memory
         argv = ["family", "--kappa", "2,1", "--alpha", "1,1", "--n-range", "0:10000000000"]
-        env = {**os.environ, "PYTHONPATH": str(pathlib.Path(knotforge.__file__).parents[1])}
-        run = subprocess.run(
-            [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env
-        )
+        run = _run_in_600_mb(argv)
         message = f"range '0:10000000000' has more values than the row limit {ROW_LIMIT}"
         assert (run.returncode, run.stdout, run.stderr) == (2, "", f"error: {message}\n")
 
     def test_catalog_above_the_row_limit_exits_2(self, monkeypatch, capsys):
-        # both columns pass, their product does not: no row is built
+        # both columns pass, their product does not: no row is built.
+        # 1,000,001 = 101 * 9,901 rows is the least product above the limit
         import knotforge.catalog
 
         monkeypatch.setattr(knotforge.catalog, "generate_family", None)
-        argv = ["family", "--kappa", "2,1", "--alpha", "1,1", "--n-range", "0:999"]
-        assert cli_main([*argv, "--i-range", "0:1000"]) == 2
-        message = f"the catalog has 1001000 rows, above the row limit {ROW_LIMIT}"
-        assert capsys.readouterr() == ("", f"error: {message}\n")
+        for n_range, i_range, rows in [
+            ("0:999", "0:1000", 1_001_000), ("1:101", "1:9901", ROW_LIMIT + 1)
+        ]:
+            argv = ["family", "--kappa", "2,1", "--alpha", "1,1", "--n-range", n_range]
+            assert cli_main([*argv, "--i-range", i_range]) == 2
+            message = f"the catalog has {rows} rows, above the row limit {ROW_LIMIT}"
+            assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_load_config(self, tmp_path):
         path = tmp_path / "knotforge.conf"
@@ -482,6 +491,30 @@ class TestPlumb:
         assert cli_main(["plumb", "--construction", "eta", "--genus", "3"]) == 0
         out = capsys.readouterr().out
         assert "components=1" in out
+
+    @pytest.mark.parametrize("construction", ["eta", "gamma"])
+    def test_genus_limit(self, construction, monkeypatch, capsys):
+        # the limit is checked before any plumb step: genus = limit builds,
+        # limit + 1 builds nothing
+        import knotforge.cli
+
+        monkeypatch.setattr(knotforge.cli, "GENUS_LIMIT", 5)
+        argv = ["plumb", "--construction", construction, "--genus"]
+        assert cli_main([*argv, "5"]) == 0
+        assert capsys.readouterr().out.startswith(f"{construction}_5: genus=5 components=1\n")
+        import knotforge.plumbing
+
+        monkeypatch.setattr(knotforge.plumbing, "plumb", None)
+        assert cli_main([*argv, "6"]) == 2
+        assert capsys.readouterr() == ("", "error: genus 6 is above the genus limit 5\n")
+
+    def test_huge_genus_exits_2(self):
+        # a build of this genus would die with MemoryError (exit 1) in the
+        # child before it took much memory
+        assert GENUS_LIMIT >= 100_000  # CI pins the genus-100000 eta digest
+        run = _run_in_600_mb(["plumb", "--construction", "eta", "--genus", "100000000"])
+        message = f"genus 100000000 is above the genus limit {GENUS_LIMIT}"
+        assert (run.returncode, run.stdout, run.stderr) == (2, "", f"error: {message}\n")
 
 
 class TestFamily:

@@ -608,8 +608,12 @@ class TestVerifyParallelP:
         assert "counterexamples: 0" in text
 
     def test_limits(self):
-        with pytest.raises(LimitExceeded):
-            verify_parallelP(5, 4)
+        # the requested range is checked before any cell, so (4, 1) fails
+        # there and not in enumerate_maps
+        for V_max, E_budget in [(5, 4), (4, 1), (1, 13)]:
+            with pytest.raises(LimitExceeded) as caught:
+                verify_parallelP(V_max, E_budget)
+            assert str(caught.value) == "requested range exceeds limits 3, 12"
 
     @pytest.mark.parametrize("V_max, E_budget", [(0, 0), (0, 4), (2, 0), (-1, 3)])
     def test_empty_range_rejected(self, V_max, E_budget):
@@ -636,6 +640,12 @@ class TestVerifyParallelP:
     def test_sphere_chi_still_checked(self):
         report = verify_parallelP(2, 2, 2)
         assert sum(cell.maps_checked for cell in report.cells) == 2
+
+    @pytest.mark.parametrize("chi_min, checked", [(-2, 114), (-3, 114), (-4, 196)])
+    def test_odd_chi_min_keeps_the_even_chi_above_it(self, chi_min, checked):
+        # map chi is even, so chi_min = -3 keeps the maps of chi >= -2 only
+        (cell,) = [c for c in verify_parallelP(1, 6, chi_min).cells if (c.V, c.E) == (1, 6)]
+        assert cell.method == "enumerated" and cell.maps_checked == checked
 
 
 class TestVerifyGraphs:

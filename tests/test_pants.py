@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -57,6 +55,15 @@ class TestDecomposition:
         with pytest.raises(PantsError):
             PantsDecomposition(1, (), (), True)
 
+    def test_replace_checks_the_shape(self):
+        # _replace and _make build through the checked constructor
+        pd = genus2_pd()
+        assert pd._replace(compatible=False) == genus2_pd(compatible=False)
+        with pytest.raises(PantsError, match="expected 6 cuffs, got 3"):
+            pd._replace(genus=3)
+        with pytest.raises(PantsError, match="unknown cuff 'c9'"):
+            PantsDecomposition._make((2, pd.cuffs, (("c0", "c1", "c9"), pd.pants[1]), True))
+
     @pytest.mark.parametrize(
         "pants, message",
         [
@@ -93,13 +100,13 @@ class TestValidate:
 
     def test_non_triple_arc_count(self):
         pd = genus2_pd()
-        curve = dataclasses.replace(empty_curve(pd), seams=((1, 1), (0, 0, 0)))
+        curve = empty_curve(pd)._replace(seams=((1, 1), (0, 0, 0)))
         with pytest.raises(ShapeMismatch, match="arc counts must be triples"):
             validate(curve, pd)
 
     def test_negative_closed_count(self):
         pd = genus2_pd()
-        curve = dataclasses.replace(empty_curve(pd), closed=(-1, 0, 0))
+        curve = empty_curve(pd)._replace(closed=(-1, 0, 0))
         with pytest.raises(ShapeMismatch, match="closed-component counts"):
             validate(curve, pd)
 
@@ -123,7 +130,7 @@ class TestSeamedLevel:
 
     def test_failing_cuff_match_rejected(self):
         pd = genus2_pd()
-        curve = dataclasses.replace(empty_curve(pd), seams=((1, 0, 0), (0, 0, 0)))
+        curve = empty_curve(pd)._replace(seams=((1, 0, 0), (0, 0, 0)))
         with pytest.raises(ShapeMismatch, match="curve fails cuff matching"):
             seamed_level(curve, pd)
 
@@ -134,9 +141,7 @@ class TestSeamedLevel:
 
     def test_parallels_spoil_level(self):
         pd = genus2_pd()
-        curve = dataclasses.replace(
-            symmetric_curve(3, 3, 3), parallels=((1, 0, 0), (1, 0, 0))
-        )
+        curve = symmetric_curve(3, 3, 3)._replace(parallels=((1, 0, 0), (1, 0, 0)))
         assert seamed_level(curve, pd) == 0
 
     def test_closed_components_spoil_level(self):

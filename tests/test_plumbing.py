@@ -1,12 +1,12 @@
 import copy
-import dataclasses
 import pickle
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from knotforge.plumbing import (
+    Flags,
     InvalidGenus,
     Lineage,
     MarkedPair,
@@ -21,7 +21,7 @@ from knotforge.plumbing import (
     plumb,
     replay,
 )
-from oracles import reference_plumb, reference_step
+from oracles import reference_plumb, reference_replay, reference_step
 
 
 # two pairs that a well-formed plumb step joins
@@ -35,6 +35,29 @@ TRACES = st.one_of(
     st.text(),
     st.lists(st.lists(TOKENS, max_size=5).map(" ".join), max_size=8).map("\n".join),
 )
+LINES = ["base eta1", "base eta1x2", "base gamma2", *_PLUMB_STEPS.values()]
+
+
+@st.composite
+def line_traces(draw):
+    """A trace of the eleven lines that holds two pairs at each plumb line,
+    so that many replay; then maybe one line replaced by any line or a near
+    miss, and maybe the final newline dropped, so that replays fail at
+    every kind of line."""
+    lines, pairs = [], 0
+    for line in draw(st.lists(st.sampled_from(LINES), max_size=16)):
+        if line.startswith("plumb"):
+            if pairs < 2:
+                continue
+            pairs -= 1
+        else:
+            pairs += 1
+        lines.append(line)
+    if lines and draw(st.booleans()):
+        at = draw(st.integers(0, len(lines) - 1))
+        lines[at] = draw(st.sampled_from([*LINES, "", "base", "base eta1 "]))
+    text = "".join(line + "\n" for line in lines)
+    return text[:-1] if text and draw(st.integers(0, 9)) == 0 else text
 
 
 BASES = {"eta1": eta1, "eta1x2": eta1_doubled, "gamma2": gamma2_pair}
@@ -63,22 +86,12 @@ class TestPlumb:
         assert out.flags.annulus_busting
 
     def test_missing_flag_rejected(self):
-        import dataclasses
-
-        weak = eta1()
-        weak = dataclasses.replace(
-            weak, flags=dataclasses.replace(weak.flags, three_disk_busting=False)
-        )
+        weak = _weaken(eta1(), three_disk_busting=False)
         with pytest.raises(MissingPrecondition):
             plumb(weak, eta1())
 
     def test_annulus_busting_needs_both(self):
-        import dataclasses
-
-        soft = eta1()
-        soft = dataclasses.replace(
-            soft, flags=dataclasses.replace(soft.flags, annulus_busting=False)
-        )
+        soft = _weaken(eta1(), annulus_busting=False)
         out = plumb(soft, eta1())
         assert not out.flags.annulus_busting
 
@@ -122,12 +135,21 @@ class TestPlumb:
             a, b = _weaken(eta1_doubled(), annulus_busting=annulus), eta1_doubled()
             out, ref = plumb(a, b, *bits), reference_plumb(a, b, *key)
             assert out == ref and out.lineage == ref.lineage
-            assert all(type(flag) is bool for flag in vars(out.flags).values())
+            assert all(type(flag) is bool for flag in out.flags)
             assert out.trace() == ref.trace()
 
 
+FIELDS = ("genus", "components", "flags", "lineage")
+
+
+def _rebuilt(pair, **changes):
+    """The pair built again through MarkedPair's public constructor, with
+    the fields in `changes` replaced."""
+    return MarkedPair(**{**{name: getattr(pair, name) for name in FIELDS}, **changes})
+
+
 def _weaken(pair, **flags):
-    return dataclasses.replace(pair, flags=dataclasses.replace(pair.flags, **flags))
+    return _rebuilt(pair, flags=pair.flags._replace(**flags))
 
 
 # the faults plumb detects, in the order it checks them: each takes the
@@ -208,14 +230,20 @@ class TestBuiltPairsMatchPublicConstructor:
         assert type(pair) is MarkedPair and type(pair.lineage) is Lineage
         assert pair == ref and ref == pair and hash(pair) == hash(ref)
         assert repr(pair) == repr(ref)
-        assert list(vars(pair).items()) == list(vars(ref).items())
-        assert dataclasses.replace(pair) == ref
-        assert dataclasses.replace(pair, components=2) == dataclasses.replace(ref, components=2)
+        for name in FIELDS:
+            assert getattr(pair, name) == getattr(ref, name)
+            assert type(getattr(pair, name)) is type(getattr(ref, name))
+        assert _rebuilt(pair) == ref
+        assert _rebuilt(pair, components=2) == _rebuilt(ref, components=2)
         for copied in (pickle.loads(pickle.dumps(pair)), copy.deepcopy(pair), copy.copy(pair)):
             assert copied == ref and hash(copied) == hash(ref) and repr(copied) == repr(ref)
         assert pickle.dumps(pair) == pickle.dumps(ref)
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            pair.genus = 7
+        for name in FIELDS:
+            with pytest.raises(AttributeError):
+                setattr(pair, name, getattr(ref, name))
+            with pytest.raises(AttributeError):
+                delattr(pair, name)
+        assert pair == ref
 
 
 class TestEta:
@@ -314,6 +342,27 @@ class TestReplay:
         with pytest.raises(PlumbingError, match="not a trace line"):
             replay(trace)
 
+    @given(st.one_of(TRACES, line_traces()))
+    # a plumb line with no pair and with one pair, two pairs left over, two
+    # spanning bands on one-component pairs, and a fault after a bad line
+    @example("plumb spans_a=0 spans_b=0 nonsep=0\n")
+    @example("base eta1\nplumb spans_a=0 spans_b=0 nonsep=0\n")
+    @example("base eta1\nbase gamma2\n")
+    @example("base eta1\nbase eta1\nplumb spans_a=1 spans_b=1 nonsep=0\n")
+    @example("base eta1\nbase eta1x2\nbase\nplumb spans_a=0 spans_b=0 nonsep=0\n")
+    def test_matches_reference_replay(self, text):
+        # the same pair with the same trace, or the same error type and
+        # message, hence the same first faulty line
+        try:
+            ref = reference_replay(text)
+        except PlumbingError as exc:
+            with pytest.raises(PlumbingError) as caught:
+                replay(text)
+            assert type(caught.value) is type(exc) and str(caught.value) == str(exc)
+            return
+        pair = replay(text)
+        assert pair == ref and pair.trace() == ref.trace()
+
     @given(TRACES)
     def test_any_text_replays_or_raises_plumbing_error(self, text):
         try:
@@ -325,8 +374,6 @@ class TestReplay:
 
 class TestMarkedPair:
     def test_genus_floor(self):
-        from knotforge.plumbing import Flags
-
         with pytest.raises(InvalidGenus):
             MarkedPair(0, 1, Flags(True, True, True, True), Lineage("base x"))
 
@@ -338,6 +385,25 @@ class TestMarkedPair:
         assert pair == eta1() and hash(pair) == hash(eta1())
         assert tuple(pair.lineage) == ("base eta1",)
         assert replay(pair.trace()) == pair
+
+    def test_record_protocol(self):
+        # equal only to a MarkedPair, hashed as the tuple of its four fields,
+        # and printed as the fields by name
+        pair = eta1()
+        fields = (1, 1, (True, True, True, True), Lineage("base eta1"))
+        assert hash(pair) == hash(fields) and pair != fields and fields != pair
+        assert pair.__eq__(fields) is NotImplemented
+        assert repr(pair) == (
+            "MarkedPair(genus=1, components=1, flags=Flags(three_disk_busting=True,"
+            " annulus_busting=True, nonseparating=True, essential_components=True),"
+            " lineage=Lineage('base eta1',))"
+        )
+
+    def test_flags_are_a_tuple(self):
+        flags = Flags(True, False, True, True)
+        assert flags == (True, False, True, True) and hash(flags) == hash(tuple(flags))
+        assert flags._replace(annulus_busting=True).all_true()
+        assert not flags.all_true()
 
     def test_str_lineage_rejected(self):
         # a str is a sequence of characters, not of steps
