@@ -13,13 +13,14 @@ the rotation) and a fixed-point-free edge involution alpha pairing darts.
 The face permutation is phi(d) = sigma(alpha(d)); chi = V - E + F.  Only
 orientable maps arise from this encoding.  A map is connected exactly
 when its vertices, the cycles of sigma, are joined up by its edges, so
-connectivity is a walk over the vertex partition of sigma, which a map
-computes once and caches; with two vertices the walk is one scan of the
-first vertex's darts.  A monogon is a degree-1 face, that is a fixed
-point of phi.  The involution walk carries each pairing's edge set as an
-int mask, so enumeration rejects monogons with one AND against the edges
-{d, sigma(d)} of the cycle type, and traces faces only on the
-representatives it yields.
+connectivity is a walk over the vertex partition of sigma, which the
+validating constructor computes; with two or three vertices it is at
+most one scan of each vertex's darts.  A monogon is a degree-1 face, that
+is a fixed point of phi.  The involution walk carries each pairing's edge
+set as an int mask, so enumeration rejects monogons with one AND against
+the edges {d, sigma(d)} of the cycle type, and traces faces only on the
+representatives it yields.  Maps are __slots__ records and the reports
+are NamedTuples, so the module declares no dataclass.
 
 Enumeration is orderly: it keeps no set of seen maps and computes no
 canonical form, but yields a candidate only when its pairing is least
@@ -43,12 +44,13 @@ each cell is enumerated and face-traced once per call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from itertools import permutations, product
 from operator import index
+from typing import NamedTuple
 
 from .bounds import parallel_edges_threshold, parallelism_class_bound
+
+_new = tuple.__new__
 
 
 class MapError(ValueError):
@@ -63,7 +65,7 @@ class LimitExceeded(MapError):
     """Requested enumeration exceeds V_MAX vertices or E_MAX edges."""
 
 
-def _cycles(perm: tuple[int, ...]) -> list[tuple[int, ...]]:
+def _cycles(perm) -> list[tuple[int, ...]]:
     seen = [False] * len(perm)
     out = []
     for start in range(len(perm)):
@@ -79,26 +81,26 @@ def _cycles(perm: tuple[int, ...]) -> list[tuple[int, ...]]:
     return out
 
 
-@dataclass(frozen=True)
 class CombinatorialMap:
     """A graph in an orientable surface: rotation system plus edge pairing.
 
     sigma and alpha act on darts 0..2E-1; cycles of sigma are vertices,
     orbits of alpha are edges.  Both are stored as tuples of ints, so maps
-    given as lists and as tuples are equal and hashable alike.
+    given as lists and as tuples are equal and hashable alike.  sigma,
+    alpha and the vertex partition are read-only properties over slots;
+    the constructor validates sigma and alpha and computes the partition.
+    A map equals only another map, and hashes, prints and pickles as its
+    (sigma, alpha) pair.
     """
 
-    sigma: tuple[int, ...]
-    alpha: tuple[int, ...]
+    __slots__ = ("_sigma", "_alpha", "_partition")
 
-    def __post_init__(self):
+    def __init__(self, sigma, alpha):
         try:
-            sigma = tuple(map(index, self.sigma))
-            alpha = tuple(map(index, self.alpha))
+            sigma = tuple(map(index, sigma))
+            alpha = tuple(map(index, alpha))
         except TypeError:
             raise MalformedMap("sigma and alpha must be sequences of integer darts") from None
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "alpha", alpha)
         n = len(sigma)
         if n == 0 or n % 2:
             raise MalformedMap("dart count must be positive and even")
@@ -110,25 +112,50 @@ class CombinatorialMap:
             a = alpha[d]
             if not 0 <= a < n or a == d or alpha[a] != d:
                 raise MalformedMap("alpha is not a fixed-point-free involution")
-
-    @property
-    def num_edges(self) -> int:
-        return len(self.sigma) // 2
-
-    @cached_property
-    def vertex_partition(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-        """The vertices: the cycles of sigma, dart 0's cycle first, and the
-        index of each dart's cycle.  It depends on sigma alone."""
-        cycles = _cycles(self.sigma)
-        vertex_of = [0] * len(self.sigma)
+        self._sigma = sigma
+        self._alpha = alpha
+        cycles = _cycles(sigma)
+        vertex_of = [0] * n
         for v, cycle in enumerate(cycles):
             for d in cycle:
                 vertex_of[d] = v
-        return tuple(cycles), tuple(vertex_of)
+        self._partition = tuple(cycles), tuple(vertex_of)
+
+    @property
+    def sigma(self) -> tuple[int, ...]:
+        return self._sigma
+
+    @property
+    def alpha(self) -> tuple[int, ...]:
+        return self._alpha
+
+    @property
+    def vertex_partition(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+        """The vertices: the cycles of sigma, dart 0's cycle first, and the
+        index of each dart's cycle.  It depends on sigma alone."""
+        return self._partition
+
+    @property
+    def num_edges(self) -> int:
+        return len(self._sigma) // 2
 
     @property
     def num_vertices(self) -> int:
-        return len(self.vertex_partition[0])
+        return len(self._partition[0])
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._sigma == other._sigma and self._alpha == other._alpha
+
+    def __hash__(self) -> int:
+        return hash((self._sigma, self._alpha))
+
+    def __repr__(self) -> str:
+        return f"CombinatorialMap(sigma={self._sigma!r}, alpha={self._alpha!r})"
+
+    def __reduce__(self):
+        return CombinatorialMap, (self._sigma, self._alpha)
 
     def is_connected(self) -> bool:
         """Connectivity of the vertex graph: the sigma-cycles, joined by
@@ -136,23 +163,44 @@ class CombinatorialMap:
         graph (sigma and alpha as edges), so the vertex graph is connected
         exactly when the dart graph is.
 
-        Lemma (two vertices): with vertices 0 and 1 the vertex graph is
-        connected exactly when some edge joins them, that is when alpha
-        pairs some dart of vertex 0 into vertex 1, so one scan of vertex
-        0's darts answers.  With more vertices a breadth-first walk from
-        vertex 0 stops as soon as every vertex is reached.  Both read
-        alpha and the vertex partition at call time (see enumerate_maps).
+        Lemma (odd vertex): a fixed-point-free involution cannot pair an
+        odd set of darts among themselves, so some edge leaves every vertex
+        of odd length.  Lemma (two vertices): with vertices 0 and 1 the
+        vertex graph is connected exactly when some edge joins them, that
+        is when alpha pairs some dart of vertex 0 into vertex 1; so the
+        answer is True at once when vertex 0 has odd length, and otherwise
+        one scan of vertex 0's darts answers.  Lemma (three vertices): a
+        split of three vertices into two or more parts has a one-vertex
+        part, so the vertex graph is connected exactly when no vertex is
+        isolated, that is when every vertex of even length has a dart that
+        alpha pairs into another vertex.  With more vertices a
+        breadth-first walk from vertex 0 stops as soon as every vertex is
+        reached.  Each reads alpha and the vertex partition at call time
+        (see enumerate_maps).
         """
-        cycles, vertex_of = self.vertex_partition
+        cycles, vertex_of = self._partition
         count = len(cycles)
         if count == 1:
             return True
-        alpha = self.alpha
+        alpha = self._alpha
         if count == 2:
-            for d in cycles[0]:
+            first = cycles[0]
+            if len(first) & 1:
+                return True
+            for d in first:
                 if vertex_of[alpha[d]]:
                     return True
             return False
+        if count == 3:
+            for v, cycle in enumerate(cycles):
+                if len(cycle) & 1:
+                    continue
+                for d in cycle:
+                    if vertex_of[alpha[d]] != v:
+                        break
+                else:
+                    return False
+            return True
         reached = [False] * count
         reached[0] = True
         order = [0]
@@ -173,8 +221,7 @@ def standard_involution(num_edges: int) -> tuple[int, ...]:
     return tuple(d ^ 1 for d in range(2 * num_edges))
 
 
-@dataclass(frozen=True)
-class FaceReport:
+class FaceReport(NamedTuple):
     """What the verifiers read from a map: its sorted face degrees, its
     Euler characteristic V - E + F, and its number of parallelism classes
     (edges joined by a chain of bigon faces)."""
@@ -200,18 +247,20 @@ def trace_faces(m: CombinatorialMap) -> FaceReport:
     edges of each bigon when they differ, so there are E classes minus
     one per merge.
     """
-    sigma, alpha = m.sigma, m.alpha
-    faces = _cycles(tuple(sigma[alpha[d]] for d in range(len(sigma))))
+    sigma, alpha = m._sigma, m._alpha
+    faces = _cycles([sigma[a] for a in alpha])
     parent = list(range(len(sigma)))
-    classes = m.num_edges
+    edges = classes = len(sigma) // 2
     for face in faces:
         if len(face) == 2:
-            a, b = (_root(parent, min(d, alpha[d])) for d in face)
+            d, e = face
+            a = _root(parent, min(d, alpha[d]))
+            b = _root(parent, min(e, alpha[e]))
             if a != b:
                 parent[max(a, b)] = min(a, b)
                 classes -= 1
-    chi = m.num_vertices - m.num_edges + len(faces)
-    return FaceReport(tuple(sorted(map(len, faces))), chi, classes)
+    chi = len(m._partition[0]) - edges + len(faces)
+    return _new(FaceReport, (tuple(sorted(map(len, faces))), chi, classes))
 
 
 # ---------------------------------------------------------------------------
@@ -246,27 +295,67 @@ def _standard_sigma(cycle_lengths: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sigma)
 
 
-def _involutions(n: int):
+def _involutions(n: int, masks: bool = True):
     """Every fixed-point-free involution of the darts 0..n-1, as a tuple,
     in lexicographic order, each with its edge mask: the int with bit
-    f * n + p set for each pair f < p.
+    f * n + p set for each pair f < p, or 0 for every pairing when masks
+    is false.
 
     Iterative backtracking: level k pairs the smallest dart still unpaired
     with each unpaired larger dart in increasing order.  The darts before
     it are already fixed, so the tuples come out in increasing order.
     Level k ORs its pair's bit into the mask of the levels before it.
+    The last three levels are unrolled.  When six darts f < r1 < ... < r5
+    remain, f is paired with each r in increasing order, and the four
+    darts a < b < c < d left over have exactly three completions,
+    (a b)(c d), (a c)(b d) and (a d)(b c), in increasing order since
+    alpha(a) = b < c < d; they are yielded without backtracking.
     """
-    if n == 0:
-        yield (), 0
+    bits = [1 << b for b in range(n * n)] if masks else [0] * (n * n)
+    if n < 6:
+        # at most four darts: no level to backtrack over
+        pairings = {0: [()], 2: [(1, 0)], 4: [(1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)]}
+        for alpha in pairings[n]:
+            mask = 0
+            for d, a in enumerate(alpha):
+                if d < a:
+                    mask |= bits[d * n + a]
+            yield alpha, mask
         return
     alpha = [-1] * n
-    last = n // 2 - 1
-    first = [0] * (last + 1)
-    partner = [0] * (last + 1)  # partner[k] == first[k]: none tried yet
-    masks = [0] * (last + 1)  # masks[k]: the pairs of the levels below k
+    last = n // 2 - 4  # the last backtracking level; -1 when n == 6
+    first = [0] * (last + 2)
+    partner = [0] * (last + 2)  # partner[k] == first[k]: none tried yet
+    masks_below = [0] * (last + 2)  # masks_below[k]: the pairs of the levels below k
     k = 0
     while k >= 0:
-        f, p = first[k], partner[k]
+        f = first[k]
+        if k > last:
+            # six darts remain: f, the least, and r1 < ... < r5
+            r1, r2, r3, r4, r5 = [x for x in range(f + 1, n) if alpha[x] < 0]
+            below = masks_below[k]
+            row = f * n
+            for p, a, b, c, d in (
+                (r1, r2, r3, r4, r5),
+                (r2, r1, r3, r4, r5),
+                (r3, r1, r2, r4, r5),
+                (r4, r1, r2, r3, r5),
+                (r5, r1, r2, r3, r4),
+            ):
+                alpha[f] = p
+                alpha[p] = f
+                mask = below | bits[row + p]
+                an, bn = a * n, b * n
+                alpha[a], alpha[b], alpha[c], alpha[d] = b, a, d, c
+                yield tuple(alpha), mask | bits[an + b] | bits[c * n + d]
+                alpha[a], alpha[b], alpha[c], alpha[d] = c, d, a, b
+                yield tuple(alpha), mask | bits[an + c] | bits[bn + d]
+                alpha[a], alpha[b], alpha[c], alpha[d] = d, c, b, a
+                yield tuple(alpha), mask | bits[an + d] | bits[bn + c]
+            alpha[f] = alpha[r1] = alpha[r2] = alpha[r3] = alpha[r4] = alpha[r5] = -1
+            k -= 1
+            continue
+        p = partner[k]
         if p != f:
             alpha[p] = -1
         p += 1
@@ -278,16 +367,13 @@ def _involutions(n: int):
             continue
         alpha[f], alpha[p] = p, f
         partner[k] = p
-        mask = masks[k] | (1 << (f * n + p))
-        if k == last:
-            yield tuple(alpha), mask
-            continue
+        mask = masks_below[k] | bits[f * n + p]
         f += 1
         while alpha[f] >= 0:
             f += 1
         k += 1
         first[k] = partner[k] = f
-        masks[k] = mask
+        masks_below[k] = mask
 
 
 def monogon_edges(sigma: tuple[int, ...]) -> int:
@@ -343,22 +429,34 @@ def _sigma_symmetries(cycle_lengths: tuple[int, ...]) -> list[tuple[int, ...]]:
     return list(out)
 
 
+def _conjugators(group) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
+    """(tau, tau^-1, tau^-1(0)) for each tau in group, in order: the
+    entries _least_in_orbit reads."""
+    out = []
+    for tau in group:
+        tau_inv = tuple(sorted(range(len(tau)), key=tau.__getitem__))
+        out.append((tau, tau_inv, tau_inv[0]))
+    return out
+
+
 def _least_in_orbit(alpha: tuple[int, ...], conjugators) -> bool:
     """Whether alpha is lexicographically at most tau alpha tau^-1 for
-    every (tau, tau^-1) in conjugators.  The conjugate maps tau(d) to
-    tau(alpha(d)), so its value at d is tau(alpha(tau^-1(d))); the first
-    position where it differs from alpha decides."""
-    n = len(alpha)
+    every (tau, tau^-1, tau^-1(0)) in conjugators (see _conjugators).  The
+    conjugate maps tau(d) to tau(alpha(d)), so its value at d is
+    tau(alpha(tau^-1(d))); the first position where it differs from alpha
+    decides."""
     first = alpha[0]
-    for tau, tau_inv in conjugators:
+    for tau, tau_inv, zero in conjugators:
         # position 0 decides for most conjugators; a tie there scans on
-        b, a = tau[alpha[tau_inv[0]]], first
-        if b == a:
-            for d in range(1, n):
+        b = tau[alpha[zero]]
+        if b == first:
+            for d in range(1, len(alpha)):
                 b, a = tau[alpha[tau_inv[d]]], alpha[d]
                 if b != a:
+                    if b < a:
+                        return False
                     break
-        if b < a:
+        elif b < first:
             return False
     return True
 
@@ -403,22 +501,26 @@ def enumerate_maps(V: int, E: int, monogon_free: bool = False):
     some pair {e, sigma(e)} with sigma(e) != e is an edge of alpha, that is
     when the edge mask _involutions yields with alpha meets
     monogon_edges(sigma_lambda).  So with monogon_free a candidate is
-    dropped when the two masks share a bit.  Each candidate is tested for
-    connectivity, then for monogons, and only then for orbit-leastness.
+    dropped when the two masks share a bit.  Without monogon_free the walk
+    builds no masks: every mask, the monogon ones included, is 0.  Each
+    candidate is tested for connectivity, then for monogons, and only then
+    for orbit-leastness.
 
     The vertex partition is computed once per cycle type.  Lemma (shared
     partition): the candidates of one cycle type share the sigma_lambda
     tuple, and the vertex partition depends on sigma alone, so the
-    partition of the validated sigma_lambda map is each candidate's.
+    partition of the validated sigma_lambda map, computed by its
+    constructor, is each candidate's.
 
     Each cycle type tests its candidates on one probe map.  Lemma (probe):
     the candidates of one cycle type differ only in alpha, so setting the
-    alpha field of the validated sigma_lambda map, which caches its vertex
-    partition on first use, makes it each candidate in turn.  Only a
-    candidate that is kept becomes a map of its own, a copy of the probe's
-    fields.  So a wrapper installed on CombinatorialMap.is_connected sees
-    each candidate once, and must read the probe during its call: after
-    the call the probe holds the next alpha.
+    _alpha slot of the validated sigma_lambda map makes it each candidate
+    in turn.  Only a candidate that is kept becomes a map of its own, whose
+    three slots are the probe's sigma, the candidate's alpha and the
+    shared partition.  So a wrapper installed on
+    CombinatorialMap.is_connected sees each candidate once, and must read
+    the probe during its call: after the call the probe holds the next
+    alpha.
 
     The involutions are walked once per cell, and each alpha is tested
     against every cycle type in turn.  Lemma (swap): the candidates are
@@ -432,29 +534,29 @@ def enumerate_maps(V: int, E: int, monogon_free: bool = False):
         raise MapError("V >= 1 and E >= 1 required")
     if V > V_MAX or E > E_MAX:
         raise LimitExceeded(f"cell V={V}, E={E} exceeds limits {V_MAX}, {E_MAX}")
-    # per cycle type: the probe, its fields, the edge mask of its monogons
-    # (empty unless monogon_free), the conjugators and the held survivors
+    # per cycle type: the probe, its sigma and vertex partition, the edge
+    # mask of its monogons (0 unless monogon_free), the conjugators and the
+    # held survivors
     types = []
     for cycle_lengths in _partitions_into(2 * E, V):
         probe = CombinatorialMap(_standard_sigma(cycle_lengths), standard_involution(E))
-        conjugators = [
-            (tau, tuple(sorted(range(2 * E), key=tau.__getitem__)))
-            for tau in _sigma_symmetries(cycle_lengths)[1:]
-        ]
-        monogons = monogon_edges(probe.sigma) if monogon_free else 0
-        types.append((probe, probe.__dict__, monogons, conjugators, []))
+        conjugators = _conjugators(_sigma_symmetries(cycle_lengths)[1:])
+        monogons = monogon_edges(probe._sigma) if monogon_free else 0
+        types.append((probe, probe._sigma, probe._partition, monogons, conjugators, []))
     # read at call time, so that a wrapper installed on the class is called
     new, is_connected = object.__new__, CombinatorialMap.is_connected
-    for alpha, edges in _involutions(2 * E):
-        for probe, fields, monogons, conjugators, held in types:
-            fields["alpha"] = alpha
+    for alpha, edges in _involutions(2 * E, monogon_free):
+        for probe, sigma, partition, monogons, conjugators, held in types:
+            probe._alpha = alpha
             if not is_connected(probe):
                 continue
             if edges & monogons:
                 continue
             if _least_in_orbit(alpha, conjugators):
                 m = new(CombinatorialMap)
-                m.__dict__.update(fields)
+                m._sigma = sigma
+                m._alpha = alpha
+                m._partition = partition
                 held.append(m)
     for *_, held in types:
         yield from held
@@ -477,8 +579,7 @@ def _monogon_free_cell(V: int, E: int, cell_store: dict):
     return cell_store[V, E]
 
 
-@dataclass(frozen=True)
-class CellResult:
+class CellResult(NamedTuple):
     V: int
     E: int
     method: str  # "enumerated" or "degree-count"
@@ -488,8 +589,7 @@ class CellResult:
     tightness_witnesses: int
 
 
-@dataclass(frozen=True)
-class ParallelEdgeReport:
+class ParallelEdgeReport(NamedTuple):
     v_max: int
     e_budget: int
     chi_min: int
@@ -615,8 +715,7 @@ def verify_parallelP(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TriangulationResult:
+class TriangulationResult(NamedTuple):
     V: int
     E: int
     ideal_chi: int
@@ -629,8 +728,7 @@ class TriangulationResult:
         return all(c <= self.bound for c in self.class_counts)
 
 
-@dataclass(frozen=True)
-class TriangulationReport:
+class TriangulationReport(NamedTuple):
     results: tuple[TriangulationResult, ...]
     annulus_bound: int
 

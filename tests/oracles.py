@@ -4,10 +4,11 @@ Everything here recomputes library results by a different method: lattice
 crossing enumeration for intersection numbers, explicit threshold scans
 for the inverted hitting bounds and the strong threshold, the canonical
 map key (pruned and plain exhaustive forms), the monogon test phi(d) = d,
-the map enumerator that drops duplicates by the key, a Burnside count of
-chord diagrams, the parallel-class count of a map by breadth-first search
-over its bigons, the Harer-Zagier recurrence for one-vertex maps, the
-rooted-map census of a (V, E) cell, the closed-form count of the connected
+the map enumerator that drops duplicates by the key, the pairing walk
+backtracked over every level, a Burnside count of chord diagrams, the
+parallel-class count of a map by breadth-first search over its bigons,
+the Harer-Zagier recurrence for one-vertex maps, the rooted-map census of
+a (V, E) cell, the closed-form count of the connected
 pairings of a cycle type, the row-by-row catalog (its own request
 checks, bridge guard and certificate records, then one certificate built
 and rendered per (n, i)), a csv catalog read back by column name, the
@@ -274,6 +275,46 @@ def _cell_candidates(V: int, E: int) -> tuple:
             else:
                 entries.append((m, False, None, None))
     return tuple(entries)
+
+
+def reference_involutions(n: int):
+    """Every fixed-point-free involution of the darts 0..n-1 with its edge
+    mask (bit f * n + p for each pair f < p), in lexicographic order, by
+    backtracking over every level: level k pairs the smallest dart still
+    unpaired with each unpaired larger dart in increasing order, and ORs
+    its pair's bit into the mask of the levels before it."""
+    if n == 0:
+        yield (), 0
+        return
+    alpha = [-1] * n
+    last = n // 2 - 1
+    first = [0] * (last + 1)
+    partner = [0] * (last + 1)  # partner[k] == first[k]: none tried yet
+    masks = [0] * (last + 1)  # masks[k]: the pairs of the levels below k
+    k = 0
+    while k >= 0:
+        f, p = first[k], partner[k]
+        if p != f:
+            alpha[p] = -1
+        p += 1
+        while p < n and alpha[p] >= 0:
+            p += 1
+        if p == n:
+            alpha[f] = -1
+            k -= 1
+            continue
+        alpha[f], alpha[p] = p, f
+        partner[k] = p
+        mask = masks[k] | (1 << (f * n + p))
+        if k == last:
+            yield tuple(alpha), mask
+            continue
+        f += 1
+        while alpha[f] >= 0:
+            f += 1
+        k += 1
+        first[k] = partner[k] = f
+        masks[k] = mask
 
 
 def reference_enumerate_maps(V: int, E: int, monogon_free: bool = False):

@@ -219,7 +219,12 @@ IMPORTS = {
 # the commands whose modules declare no dataclass: after them neither
 # dataclasses nor inspect (which it imports) is loaded
 NO_DATACLASSES = {
-    "", "twist --kappa 2,1 --alpha 1,1", "bounds disk", "plumb", "family --kappa 2,1 --alpha 1,1"
+    "",
+    "twist --kappa 2,1 --alpha 1,1",
+    "bounds disk",
+    "plumb",
+    "family --kappa 2,1 --alpha 1,1",
+    "verify-graphs --v-max 1 --e-budget 1",
 }
 # run in a fresh interpreter: prints to stderr the exit code and the modules
 # imported, then which of dataclasses and inspect are loaded, then what two

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from collections import Counter
 from itertools import islice, permutations
@@ -31,6 +33,7 @@ from oracles import (
     parallel_class_count,
     reference_canonical_key,
     reference_enumerate_maps,
+    reference_involutions,
     rooted_map_census,
 )
 
@@ -154,6 +157,35 @@ class TestValidation:
         with pytest.raises(MalformedMap):
             CombinatorialMap(sigma, alpha)
 
+    def test_record_protocol(self):
+        m = THETA_ON_SPHERE
+        pair = (m.sigma, m.alpha)
+        # a map equals only other maps, and hashes as its (sigma, alpha) pair
+        assert m == CombinatorialMap(*pair) and m != TORUS_MAP
+        assert m != pair and pair != m and m != list(pair)
+        assert hash(m) == hash(pair)
+        assert repr(m) == "CombinatorialMap(sigma=(2, 5, 4, 1, 0, 3), alpha=(1, 0, 3, 2, 5, 4))"
+        for name in ("sigma", "alpha", "vertex_partition"):
+            with pytest.raises(AttributeError):
+                setattr(m, name, ())
+            with pytest.raises(AttributeError):
+                delattr(m, name)
+        with pytest.raises(TypeError):
+            vars(m)
+        # pickle and copy rebuild through the validating constructor
+        for clone in (pickle.loads(pickle.dumps(m)), copy.copy(m), copy.deepcopy(m)):
+            assert clone == m and clone is not m
+            assert clone.vertex_partition == m.vertex_partition
+        bad = object.__new__(CombinatorialMap)
+        bad._sigma, bad._alpha, bad._partition = (0, 1), (0, 1), LOOP_ON_SPHERE.vertex_partition
+        for rebuild in (lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy):
+            with pytest.raises(MalformedMap, match="fixed-point-free"):
+                rebuild(bad)
+        # list inputs give the map of the tuple inputs, partition included
+        from_lists = CombinatorialMap(list(m.sigma), list(m.alpha))
+        assert from_lists == m and hash(from_lists) == hash(m)
+        assert from_lists.vertex_partition == m.vertex_partition
+
 
 class TestTraceFaces:
     def test_loop_on_sphere(self):
@@ -172,6 +204,12 @@ class TestTraceFaces:
         report = trace_faces(TORUS_MAP)
         assert report.degrees == (4,)
         assert report.euler_characteristic == 0
+
+    def test_reports_are_named_tuples(self):
+        report = trace_faces(THETA_ON_SPHERE)
+        assert type(report) is maps.FaceReport
+        assert report == ((2, 2, 2), 2, 1)
+        assert report._fields == ("degrees", "euler_characteristic", "num_parallel_classes")
 
     @settings(max_examples=100)
     @given(st.integers(0, 10**6), st.integers(1, 6))
@@ -414,6 +452,29 @@ class TestOrderlyGeneration:
         for alpha in out:
             assert all(alpha[d] != d and alpha[alpha[d]] == d for d in range(n))
 
+    @pytest.mark.parametrize("n, pairings", [(n, None) for n in range(0, 13, 2)] + [(24, 1000)])
+    def test_unrolled_walk_matches_the_reference_walk(self, n, pairings):
+        # the walk unrolls its last levels: the same (alpha, mask) sequence
+        # as backtracking over every level, and without masks the same
+        # pairings, each with mask 0
+        expected = list(islice(reference_involutions(n), pairings))
+        assert list(islice(maps._involutions(n), pairings)) == expected
+        bare = list(islice(maps._involutions(n, masks=False), pairings))
+        assert bare == [(alpha, 0) for alpha, _ in expected]
+
+    @pytest.mark.parametrize("monogon_free", [False, True])
+    def test_masks_built_only_for_monogon_free(self, monkeypatch, monogon_free):
+        walks = []
+        original = maps._involutions
+
+        def recording(n, masks=True):
+            walks.append((n, masks))
+            return original(n, masks)
+
+        monkeypatch.setattr(maps, "_involutions", recording)
+        list(enumerate_maps(2, 4, monogon_free))
+        assert walks == [(8, monogon_free)]
+
     @pytest.mark.parametrize("E, pairings", [(E, None) for E in range(1, 6)] + [(maps.E_MAX, 1000)])
     def test_edge_masks_and_the_monogon_lemma(self, E, pairings):
         # the mask the walk yields is alpha's edge set, and it meets the
@@ -441,9 +502,10 @@ class TestOrderlyGeneration:
         late_ties = 0
         for cycle_lengths in maps._partitions_into(2 * E, V):
             group = maps._sigma_symmetries(cycle_lengths)
-            conjugators = [
-                (tau, tuple(sorted(range(2 * E), key=tau.__getitem__))) for tau in group
-            ]
+            conjugators = maps._conjugators(group)
+            for tau, (same, tau_inv, zero) in zip(group, conjugators):
+                assert same == tau and zero == tau_inv[0]
+                assert all(tau[tau_inv[d]] == d for d in range(2 * E))
             for alpha, _ in maps._involutions(2 * E):
                 conjugates = [conjugate(alpha, tau) for tau in group]
                 assert maps._least_in_orbit(alpha, conjugators) == (alpha <= min(conjugates))
