@@ -14,8 +14,8 @@ The face permutation is phi(d) = sigma(alpha(d)); chi = V - E + F.  Only
 orientable maps arise from this encoding.  A map is connected exactly
 when its vertices, the cycles of sigma, are joined up by its edges, so
 connectivity is a walk over the vertex partition of sigma, which the
-validating constructor computes; with two or three vertices it is at
-most one scan of each vertex's darts.  A monogon is a degree-1 face, that
+validating constructor computes; with two vertices it is at most one
+scan of the first vertex's darts.  A monogon is a degree-1 face, that
 is a fixed point of phi.  The involution walk carries each pairing's edge
 set as an int mask, so enumeration rejects monogons with one AND against
 the edges {d, sigma(d)} of the cycle type, and traces faces only on the
@@ -169,13 +169,9 @@ class CombinatorialMap:
         vertex graph is connected exactly when some edge joins them, that
         is when alpha pairs some dart of vertex 0 into vertex 1; so the
         answer is True at once when vertex 0 has odd length, and otherwise
-        one scan of vertex 0's darts answers.  Lemma (three vertices): a
-        split of three vertices into two or more parts has a one-vertex
-        part, so the vertex graph is connected exactly when no vertex is
-        isolated, that is when every vertex of even length has a dart that
-        alpha pairs into another vertex.  With more vertices a
+        one scan of vertex 0's darts answers.  With more vertices a
         breadth-first walk from vertex 0 stops as soon as every vertex is
-        reached.  Each reads alpha and the vertex partition at call time
+        reached.  Both read alpha and the vertex partition at call time
         (see enumerate_maps).
         """
         cycles, vertex_of = self._partition
@@ -191,16 +187,6 @@ class CombinatorialMap:
                 if vertex_of[alpha[d]]:
                     return True
             return False
-        if count == 3:
-            for v, cycle in enumerate(cycles):
-                if len(cycle) & 1:
-                    continue
-                for d in cycle:
-                    if vertex_of[alpha[d]] != v:
-                        break
-                else:
-                    return False
-            return True
         reached = [False] * count
         reached[0] = True
         order = [0]
@@ -313,14 +299,10 @@ def _involutions(n: int, masks: bool = True):
     """
     bits = [1 << b for b in range(n * n)] if masks else [0] * (n * n)
     if n < 6:
-        # at most four darts: no level to backtrack over
-        pairings = {0: [()], 2: [(1, 0)], 4: [(1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)]}
-        for alpha in pairings[n]:
-            mask = 0
-            for d, a in enumerate(alpha):
-                if d < a:
-                    mask |= bits[d * n + a]
-            yield alpha, mask
+        # at most four darts: their pairings, listed
+        for alpha in ((), (1, 0), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)):
+            if len(alpha) == n:
+                yield alpha, sum(bits[d * n + a] for d, a in enumerate(alpha) if d < a)
         return
     alpha = [-1] * n
     last = n // 2 - 4  # the last backtracking level; -1 when n == 6
