@@ -250,6 +250,15 @@ def _n_entry(
     return _NEntry(n, fields, tuple(cells))
 
 
+def _sorted_values(values):
+    """The distinct values in increasing order.  A range with a positive
+    step (what cli.parse_range returns for 'a:b[:step]') already is that,
+    so it is kept as given and never turned into a set or a list."""
+    if type(values) is range and values.step > 0:
+        return values
+    return sorted(set(values))
+
+
 def generate_family(
     g: int,
     family: str,
@@ -278,8 +287,8 @@ def generate_family(
     and runs the bridge bound and guard once per (n, strong) pair that has
     rows.
     """
-    n_values = sorted(set(n_range))
-    i_values = sorted(set(i_range))
+    n_values = _sorted_values(n_range)
+    i_values = _sorted_values(i_range)
     if not i_values:  # no rows, so nothing to twist
         n_values = []
     statements = ()

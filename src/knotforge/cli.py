@@ -43,13 +43,20 @@ def parse_curve(text: str):
 # their product before any row is built; one row costs a few hundred bytes
 ROW_LIMIT = 1_000_000
 # the largest genus plumb builds, checked before any step; the eta build at
-# this genus peaks at about 165 MB, most of it the lineage tree and the trace
+# this genus peaks at about 166 MB and takes about 2 s (Python 3.11.7, 2
+# vCPUs), most of it the lineage tree and the trace
 GENUS_LIMIT = 1_000_000
+# the most decimal digits a number read or printed may have: Python's
+# int-string conversion limit, 4300 unless PYTHONINTMAXSTRDIGITS or
+# -X int_max_str_digits sets another (0, no limit, before Python 3.10.7);
+# main names it when a number exceeds it
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
-def parse_range(text: str) -> list[int]:
-    """Parse 'a:b' (inclusive), 'a:b:step', or a comma list of integers;
-    a range with no values, or with more than ROW_LIMIT, is an error."""
+def parse_range(text: str) -> range | list[int]:
+    """Parse 'a:b' (inclusive) or 'a:b:step' into a range, or a comma list
+    of integers into a list; a range with no values, or with more than
+    ROW_LIMIT, is an error."""
     if ":" in text:
         parts = [int(x) for x in text.split(":")]
         if len(parts) == 2:
@@ -69,7 +76,7 @@ def parse_range(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(
             f"range {text!r} has more values than the row limit {ROW_LIMIT}"
         )
-    return list(values)
+    return values
 
 
 def load_config(path: str) -> dict[str, str]:
@@ -147,10 +154,15 @@ def _parse_options(args, config: dict[str, str]) -> None:
 
 def _cmd_twist(args) -> int:
     tau = dehn_twist(args.kappa, args.alpha, args.n)
-    print(f"tau = {tau}")
-    print(f"distance(kappa, alpha) = {intersection(args.kappa, args.alpha)}")
-    print(f"distance(tau, kappa) = {intersection(tau, args.kappa)}")
-    print(f"exceptional = {str(is_exceptional(tau)).lower()}")
+    # every line is formatted before any is printed, so a number above the
+    # digit limit prints nothing
+    lines = (
+        f"tau = {tau}",
+        f"distance(kappa, alpha) = {intersection(args.kappa, args.alpha)}",
+        f"distance(tau, kappa) = {intersection(tau, args.kappa)}",
+        f"exceptional = {str(is_exceptional(tau)).lower()}",
+    )
+    print("\n".join(lines))
     return 0
 
 
@@ -301,7 +313,12 @@ def main(argv=None) -> int:
         _parse_options(args, load_config(path) if path is not None else {})
         return args.func(args)
     except (OSError, ValueError, argparse.ArgumentTypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        message = str(exc)
+        # Python raises a plain ValueError, told apart only by its text,
+        # when int() reads or str() writes a number above the digit limit
+        if isinstance(exc, ValueError) and "for integer string conversion" in message:
+            message = f"a number read or printed has more digits than the digit limit {DIGIT_LIMIT}"
+        print(f"error: {message}", file=sys.stderr)
         return 2
 
 

@@ -25,17 +25,18 @@ break or by none) is not a trace line and raises PlumbingError.  The
 three base pairs are frozen values built once, at import, after gamma2()
 has checked the shipped seam data.
 
-Per-step invariant: every MarkedPair has genus >= 1 and holds a Lineage
-(its constructor accepts nothing else, and its public fields are read-only
-properties over private slots).  So a plumb step checks no genus, since
-its genus is the sum of two genera >= 1, converts nothing and scans no
-parts.  It looks its three bits up once in _PLUMB_BANDS, which gives its
-trace line, the components it merges and its flags.  Its lineage wraps
-one new tuple (a, b, step) of the two input trees, shared, and has length
-len(a) + len(b) + 1; plumb reads its inputs' slots and fills its result's
-slots directly.  Each step is O(1).  Of what a step allocates, only that
-tuple lives as long as the tree: the Lineage wrapper dies with its pair,
-and a tuple of plain tuples and strs is one the collector untracks.
+Per-step invariant: every MarkedPair has genus >= 1 and holds the tree
+and length of a Lineage (its constructor accepts nothing else, and its
+public fields are read-only properties over private slots).  So a plumb
+step checks no genus, since its genus is the sum of two genera >= 1,
+converts nothing and scans no parts.  It looks its three bits up once in
+_PLUMB_BANDS, which gives its trace line, the components it merges and its
+flags.  Its tree is one new tuple (a, b, step) of the two input trees,
+shared, and its length is len(a) + len(b) + 1; plumb reads its inputs'
+slots and fills its result's slots directly.  Each step is O(1) and
+allocates two objects: the pair and its tree tuple, a tuple of plain tuples
+and strs, which the collector untracks.  A pair's `lineage` is a Lineage
+over its tree, built when the property is read.
 
 replay keeps the top pair of its stack in a local and only the pairs
 under it on the stack, so a base line is one push and a plumb line one
@@ -66,7 +67,12 @@ class InvalidGenus(PlumbingError):
 class Flags(NamedTuple):
     """The certified flags of a marked pair, equal to the plain 4-tuple of
     its bools.  The benchmark's lineage check (perfbench/checks.py) reads
-    all_true."""
+    all_true.
+
+    plumb reads the flags by position, so the fields keep this order:
+    three_disk_busting [0], annulus_busting [1], nonseparating [2],
+    essential_components [3].
+    """
 
     three_disk_busting: bool
     annulus_busting: bool
@@ -82,18 +88,42 @@ class Flags(NamedTuple):
         )
 
 
+def _steps(tree) -> list[str]:
+    """The steps of a lineage tree in order.  It walks the tree last step
+    first, then puts the steps in order.  A 3-tuple whose middle entry is a
+    step is a plumb node whose right input is one step (each node of eta and
+    gamma), or a flat leaf of three steps: its last two entries are steps, so
+    both go straight to `steps` and the walk descends into its first entry."""
+    steps: list[str] = []
+    stack: list[str | tuple] = [tree]
+    pop, extend, append = stack.pop, stack.extend, steps.append
+    while stack:
+        node = pop()
+        while type(node) is tuple and len(node) == 3 and type(node[1]) is str:
+            append(node[2])
+            append(node[1])
+            node = node[0]
+        if type(node) is str:
+            append(node)
+        else:
+            extend(node)
+    steps.reverse()
+    return steps
+
+
 class Lineage:
     """The steps of a construction in postfix order, as an immutable tree.
 
     The tree `_tree` is built of plain values only: a str for a one-step
     leaf, a tuple of step strings for any other leaf `Lineage(*steps)`, and
-    the 3-tuple (a._tree, b._tree, step) for the node of a plumb step,
-    which `plumb` makes by sharing both input trees rather than copying
-    them.  A tuple's entries are walked alike whether it is a leaf or a
-    node.  No Lineage sits inside a tree, so a Lineage dies with its pair.
-    A Lineage acts as the flat sequence of its steps: len() is O(1),
-    iteration yields the steps in order without recursion, and equality
-    and hashing go by content.
+    the 3-tuple (a_tree, b_tree, step) for the node of a plumb step, which
+    `plumb` makes by sharing both input trees rather than copying them.  A
+    tuple's entries are walked alike whether it is a leaf or a node.  A
+    MarkedPair holds the tree and its length, not a Lineage, and builds a
+    Lineage over them each time its `lineage` is read.  A Lineage acts as
+    the flat sequence of its steps: len() is O(1), iteration yields the
+    steps in order without recursion, and equality and hashing go by
+    content.
     """
 
     __slots__ = ("_tree", "_len", "_hash")
@@ -107,61 +137,43 @@ class Lineage:
         self._len = len(steps)
         self._hash = None
 
-    def _steps(self) -> list[str]:
-        # walks the tree last step first, then puts the steps in order.  A
-        # 3-tuple whose middle entry is a step is a plumb node whose right
-        # input is one step (each node of eta and gamma), or a flat leaf of
-        # three steps: its last two entries are steps, so both go straight
-        # to `steps` and the walk descends into its first entry.
-        steps: list[str] = []
-        stack: list[str | tuple] = [self._tree]
-        pop, extend, append = stack.pop, stack.extend, steps.append
-        while stack:
-            node = pop()
-            while type(node) is tuple and len(node) == 3 and type(node[1]) is str:
-                append(node[2])
-                append(node[1])
-                node = node[0]
-            if type(node) is str:
-                append(node)
-            else:
-                extend(node)
-        steps.reverse()
-        return steps
-
     def __len__(self) -> int:
         return self._len
 
     def __iter__(self):
-        return iter(self._steps())
+        return iter(_steps(self._tree))
 
     def __eq__(self, other) -> bool:
-        if self is other:
-            return True
         if isinstance(other, Lineage):
-            return self._len == other._len and self._steps() == other._steps()
+            if self._tree is other._tree:
+                return True
+            return self._len == other._len and _steps(self._tree) == _steps(other._tree)
         return NotImplemented
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(tuple(self._steps()))
+            self._hash = hash(tuple(_steps(self._tree)))
         return self._hash
 
     def __repr__(self) -> str:
-        return f"Lineage{tuple(self._steps())!r}"
+        return f"Lineage{tuple(_steps(self._tree))!r}"
 
     def __reduce__(self):
         # pickle and copy the flat steps: the tree is as deep as the genus
-        return Lineage, tuple(self._steps())
+        return Lineage, tuple(_steps(self._tree))
 
 
 class MarkedPair:
     """A (handlebody, curve system) pair: genus, curve components, certified
     flags and lineage, each a read-only property.  The constructor checks
-    genus >= 1 and that the lineage is a Lineage; pairs equal, hash, print
-    and pickle as the tuple of their four fields."""
+    genus >= 1 and that the lineage is a Lineage, and keeps its tree and
+    length; `lineage` builds a Lineage over them on each read.  Pairs equal,
+    hash, print and pickle as the tuple of their four fields.  The hash
+    walks the whole tree, so it is computed on the first hash() and kept in
+    the `_hash` slot, which plumb leaves empty.
+    """
 
-    __slots__ = ("_genus", "_components", "_flags", "_lineage")
+    __slots__ = ("_genus", "_components", "_flags", "_tree", "_len", "_hash")
 
     def __init__(self, genus: int, components: int, flags: Flags, lineage: Lineage):
         if genus < 1:
@@ -171,7 +183,8 @@ class MarkedPair:
         self._genus = genus
         self._components = components
         self._flags = flags
-        self._lineage = lineage
+        self._tree = lineage._tree
+        self._len = lineage._len
 
     @property
     def genus(self) -> int:
@@ -187,10 +200,12 @@ class MarkedPair:
 
     @property
     def lineage(self) -> Lineage:
-        return self._lineage
+        lineage = _new(Lineage)
+        lineage._tree, lineage._len, lineage._hash = self._tree, self._len, None
+        return lineage
 
     def _fields(self) -> tuple:
-        return self._genus, self._components, self._flags, self._lineage
+        return self._genus, self._components, self._flags, self.lineage
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
@@ -198,12 +213,16 @@ class MarkedPair:
         return self._fields() == other._fields()
 
     def __hash__(self) -> int:
-        return hash(self._fields())
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash(self._fields())
+            return self._hash
 
     def __repr__(self) -> str:
         return (
             f"MarkedPair(genus={self._genus!r}, components={self._components!r},"
-            f" flags={self._flags!r}, lineage={self._lineage!r})"
+            f" flags={self._flags!r}, lineage={self.lineage!r})"
         )
 
     def __reduce__(self):
@@ -211,7 +230,7 @@ class MarkedPair:
 
     def trace(self) -> str:
         """Serialize the lineage as a replayable text trace."""
-        return "\n".join(self._lineage._steps()) + "\n"
+        return "\n".join(_steps(self._tree)) + "\n"
 
 
 _ALL_FLAGS = Flags(True, True, True, True)
@@ -290,13 +309,14 @@ def plumb(
     is O(1) by the per-step invariant in the module docstring.
     """
     flags_a, flags_b = a._flags, b._flags
-    if not flags_a.three_disk_busting:
+    # the flags by position, in the field order stated on Flags
+    if not flags_a[0]:
         raise MissingPrecondition("first pair is not certified 3-disk-busting")
-    if not flags_a.essential_components:
+    if not flags_a[3]:
         raise MissingPrecondition("first pair lacks essential components")
-    if not flags_b.three_disk_busting:
+    if not flags_b[0]:
         raise MissingPrecondition("second pair is not certified 3-disk-busting")
-    if not flags_b.essential_components:
+    if not flags_b[3]:
         raise MissingPrecondition("second pair lacks essential components")
     try:
         line, merged, plain, busting = _PLUMB_BANDS[spans_a, spans_b, nonseparating_witness]
@@ -309,18 +329,13 @@ def plumb(
     components = a._components + b._components - merged
     if components < 1:
         raise PlumbingError("band data merges more components than exist")
-    lineage_a, lineage_b = a._lineage, b._lineage
-    # the node of this step, sharing both input trees; built here, not by a
-    # Lineage helper, because the call costs 7-9% of lineage throughput
-    lineage = _new(Lineage)
-    lineage._tree = (lineage_a._tree, lineage_b._tree, line)
-    lineage._len = lineage_a._len + lineage_b._len + 1
-    lineage._hash = None
     pair = _new(MarkedPair)
     pair._genus = a._genus + b._genus
     pair._components = components
-    pair._flags = busting if flags_a.annulus_busting and flags_b.annulus_busting else plain
-    pair._lineage = lineage
+    pair._flags = busting if flags_a[1] and flags_b[1] else plain
+    # the node of this step, sharing both input trees
+    pair._tree = (a._tree, b._tree, line)
+    pair._len = a._len + b._len + 1
     return pair
 
 

@@ -183,6 +183,16 @@ class TestGenerateFamily:
         ]
         assert not cat.errored
 
+    @pytest.mark.parametrize(
+        "values", [range(1, 6, 2), range(5, 0, -2), [5, 3, 1, 3], (1, 3, 5)], ids=repr
+    )
+    def test_ranges_and_lists_give_the_same_catalog(self, values):
+        # a positive-step range is kept as given; anything else is sorted
+        # and deduplicated first
+        cat = generate_family(2, "H", normalize(2, 1), NU, values, values)
+        ref = generate_family(2, "H", normalize(2, 1), NU, [1, 3, 5], [1, 3, 5])
+        assert cat == ref and render_csv(cat) == render_csv(ref)
+
     def test_empty_range(self):
         cat = generate_family(2, "H", normalize(2, 1), NU, [], [])
         assert cat.n_column == cat.i_column == ()

@@ -16,7 +16,15 @@ from hypothesis import strategies as st
 
 import knotforge
 from knotforge.catalog import generate_family, render_csv, render_txt
-from knotforge.cli import GENUS_LIMIT, ROW_LIMIT, build_parser, load_config, parse_curve, parse_range
+from knotforge.cli import (
+    DIGIT_LIMIT,
+    GENUS_LIMIT,
+    ROW_LIMIT,
+    build_parser,
+    load_config,
+    parse_curve,
+    parse_range,
+)
 from knotforge.cli import main as cli_main
 from knotforge.torus import normalize
 
@@ -274,10 +282,12 @@ class TestParsers:
         assert parse_curve("-3,2").p == 3
 
     def test_parse_range(self):
-        assert parse_range("1:4") == [1, 2, 3, 4]
-        assert parse_range("0:10:5") == [0, 5, 10]
+        # 'a:b[:step]' gives the range itself, a comma list a list
+        assert parse_range("1:4") == range(1, 5)
+        assert parse_range("0:10:5") == range(0, 11, 5)
         assert parse_range("7,3,5") == [7, 3, 5]
-        assert parse_range("5:5") == [5]
+        assert parse_range("5:5") == range(5, 6)
+        assert type(parse_range("5:5")) is range and type(parse_range("5")) is list
 
     @pytest.mark.parametrize("text", ["5:1", "0:-1", "3:2:4"])
     def test_empty_range_rejected(self, text):
@@ -356,6 +366,24 @@ class TestTwist:
         assert "Traceback" not in err
         if text in self.REPEATED:
             assert f"config key {self.REPEATED[text]!r} is given twice" in err
+
+    @pytest.mark.parametrize(
+        "n",
+        [
+            # tau = (3n + 2, 6n + 1) has 4,301 digits
+            "9" * 4300,
+            # tau has 4,300 digits, distance(tau, kappa) = 9n has 4,301
+            "12" + "0" * 4298,
+            # the input itself has 4,301 digits
+            "9" * 4301,
+        ],
+        ids=["tau", "distance", "input"],
+    )
+    def test_number_above_the_digit_limit_exits_2(self, n, capsys):
+        assert DIGIT_LIMIT == 4300 == sys.get_int_max_str_digits()
+        assert cli_main(["twist", "--kappa", "2,1", "--alpha", "1,2", "--n", n]) == 2
+        message = f"a number read or printed has more digits than the digit limit {DIGIT_LIMIT}"
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     @pytest.mark.parametrize(
         "argv",
@@ -608,6 +636,13 @@ class TestFamily:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: empty range")
         assert captured.out == ""
+
+    def test_number_above_the_digit_limit_exits_2(self, capsys):
+        # the 4,300-digit n parses; its tau has 4,301 digits
+        argv = ["family", "--kappa", "2,1", "--alpha", "1,2", "--chi-bridge", "-6"]
+        assert cli_main([*argv, "--n-range", "9" * 4300]) == 2
+        message = f"a number read or printed has more digits than the digit limit {DIGIT_LIMIT}"
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_desk_demo_catalog(self, capsys):
         # the hitting chi is bounds.GAMMA_DISK = -6, as in the demo

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import pickle
 
 import pytest
@@ -199,6 +200,35 @@ class TestPlumbErrors:
 
     def test_fault_free_arguments_plumb(self):
         assert plumb(eta1(), eta1(), False, False).components == 1
+
+    @pytest.mark.parametrize("bits_a", itertools.product((False, True), repeat=4))
+    def test_every_pair_of_flags(self, bits_a):
+        # plumb reads the flags by position: it raises exactly when a named
+        # precondition is false, with that precondition's message, and the
+        # result is annulus-busting exactly when both inputs are
+        a = _rebuilt(eta1(), flags=Flags(*bits_a))
+        for bits_b in itertools.product((False, True), repeat=4):
+            b = _rebuilt(eta1(), flags=Flags(*bits_b))
+            fa, fb = a.flags, b.flags
+            failed = [
+                message
+                for holds, message in [
+                    (fa.three_disk_busting, "first pair is not certified 3-disk-busting"),
+                    (fa.essential_components, "first pair lacks essential components"),
+                    (fb.three_disk_busting, "second pair is not certified 3-disk-busting"),
+                    (fb.essential_components, "second pair lacks essential components"),
+                ]
+                if not holds
+            ]
+            if failed:
+                with pytest.raises(MissingPrecondition) as caught:
+                    plumb(a, b)
+                assert str(caught.value) == failed[0]
+                continue
+            for nonsep in (False, True):
+                out = plumb(a, b, nonseparating_witness=nonsep)
+                both = fa.annulus_busting and fb.annulus_busting
+                assert out.flags == Flags(True, both, nonsep, True)
 
 
 def _public(pair):
@@ -421,8 +451,8 @@ class TestLineage:
 
     @pytest.mark.parametrize("build", [eta, gamma])
     def test_tree_holds_only_plain_tuples_and_strs(self, build):
-        # no Lineage or MarkedPair sits inside a tree, so a Lineage dies
-        # with its pair
+        # no Lineage or MarkedPair sits inside a tree, so a tree keeps no
+        # pair alive
         stack = [build(64).lineage._tree]
         while stack:
             node = stack.pop()
@@ -494,6 +524,46 @@ class TestLineage:
             assert pair == flat and hash(pair) == hash(flat)
             again = replay(pair.trace())
             assert again == pair and hash(again) == hash(pair)
+
+    @given(TREE_OPS)
+    def test_pair_holds_its_lineage_tree(self, ops):
+        # each stack entry pairs a built pair with its count of base pairs;
+        # a tree of k base pairs has k - 1 plumb steps, so 2k - 1 steps
+        stack = [(BASES[name](), 1) for name in sorted(BASES)]
+        for op in ops:
+            if op[0] == "base":
+                stack.append((BASES[op[1]](), 1))
+            elif op[0] == "dup":
+                stack.append(stack[-1])
+            elif len(stack) >= 2:
+                (b, leaves_b), (a, leaves_a) = stack.pop(), stack.pop()
+                try:
+                    stack.append((plumb(a, b, *op[1:]), leaves_a + leaves_b))
+                except PlumbingError:
+                    stack.append((a, leaves_a))
+        for pair, leaves in stack:
+            lineage = pair.lineage
+            assert type(lineage) is Lineage and lineage == Lineage(*lineage)
+            assert len(lineage) == 2 * leaves - 1
+            again = replay(pair.trace())
+            assert again == pair and hash(again) == hash(pair)
+            for copied in (pickle.loads(pickle.dumps(pair)), copy.copy(pair), copy.deepcopy(pair)):
+                assert copied == pair and hash(copied) == hash(pair)
+
+    def test_hash_walks_the_tree_once(self, monkeypatch):
+        # the hash of a pair is kept after its first hash(); plumb and the
+        # constructor leave it unset
+        import knotforge.plumbing
+
+        walks = []
+        steps = knotforge.plumbing._steps
+        monkeypatch.setattr(knotforge.plumbing, "_steps", lambda tree: walks.append(1) or steps(tree))
+        pair = plumb(eta(3), gamma2_pair(), nonseparating_witness=True)
+        assert walks == []
+        public = _public(pair)  # lists the steps of pair's tree
+        walks.clear()
+        assert hash(pair) == hash(public) == hash(pair) == hash(public)
+        assert len(walks) == 2  # one walk per pair
 
     @pytest.mark.parametrize("build, steps", [(eta, 2 * 20_000 - 1), (gamma, 2 * 20_000 - 3)])
     def test_large_genus_round_trip(self, build, steps):
