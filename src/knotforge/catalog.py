@@ -340,7 +340,7 @@ _COLUMNS = (
 # A certified row reads _COLUMNS[_HBAR:_TAIL] from its i entry, the columns
 # before from its n entry and cell, and those from _TAIL on from its strong
 # flag and exterior flags.
-_HBAR, _TAIL = 8, 10
+_HBAR, _TAIL = _COLUMNS.index("hbar_D_lower"), _COLUMNS.index("strong")
 
 
 def _na(reason: str) -> str:

@@ -42,9 +42,10 @@ def parse_curve(text: str):
 # the most rows a family catalog may have, checked on each column and on
 # their product before any row is built; one row costs a few hundred bytes
 ROW_LIMIT = 1_000_000
-# the largest genus plumb builds, checked before any step; the eta build at
-# this genus peaks at about 166 MB and takes about 2 s (Python 3.11.7, 2
-# vCPUs), most of it the lineage tree and the trace
+# the largest genus plumb builds, checked before any step; the eta run at
+# this genus takes about 2 s and peaks at about 165 MB (Python 3.11.7, 2
+# vCPUs), a peak set by print, which encodes the whole 47 MB trace text
+# while the text and the lineage tree are still held
 GENUS_LIMIT = 1_000_000
 # the most decimal digits a number read or printed may have: Python's
 # int-string conversion limit, 4300 unless PYTHONINTMAXSTRDIGITS or
@@ -194,13 +195,8 @@ def _cmd_plumb(args) -> int:
 
     pair = plumbing.eta(g) if construction == "eta" else plumbing.gamma(g)
     print(f"{construction}_{g}: genus={pair.genus} components={pair.components}")
-    print(
-        "flags:"
-        f" three_disk_busting={str(pair.flags.three_disk_busting).lower()}"
-        f" annulus_busting={str(pair.flags.annulus_busting).lower()}"
-        f" nonseparating={str(pair.flags.nonseparating).lower()}"
-        f" essential_components={str(pair.flags.essential_components).lower()}"
-    )
+    flags = zip(plumbing.Flags._fields, pair.flags)
+    print("flags: " + " ".join([f"{name}={str(flag).lower()}" for name, flag in flags]))
     print("trace:")
     print(pair.trace(), end="")
     return 0

@@ -136,10 +136,6 @@ class CombinatorialMap:
         return self._partition
 
     @property
-    def num_edges(self) -> int:
-        return len(self._sigma) // 2
-
-    @property
     def num_vertices(self) -> int:
         return len(self._partition[0])
 

@@ -18,12 +18,12 @@ are immutable shared postfix trees of plain tuples, and `trace` and
 The trace language has exactly eleven lines: `base eta1`, `base eta1x2`,
 `base gamma2`, and the eight `plumb spans_a=A spans_b=B nonsep=N` with A,
 B and N each 0 or 1, fields in that order and one space apart, each line
-ended by "\\n".  `plumb` writes its line from the table _PLUMB_STEPS, and
-replay reads every line from _TRACE_LINES, which is built from that same
-table; any other line (blank, respaced, reordered, ended by another line
-break or by none) is not a trace line and raises PlumbingError.  The
-three base pairs are frozen values built once, at import, after gamma2()
-has checked the shipped seam data.
+ended by "\\n".  `plumb` writes its line from the table _PLUMB_BANDS, and
+replay reads every line from _TRACE_LINES, which takes its plumb lines
+from that same table; any other line (blank, respaced, reordered, ended by
+another line break or by none) is not a trace line and raises
+PlumbingError.  The three base pairs are frozen values built once, at
+import, after gamma2() has checked the shipped seam data.
 
 Per-step invariant: every MarkedPair has genus >= 1 and holds the tree
 and length of a Lineage (its constructor accepts nothing else, and its
@@ -229,23 +229,24 @@ class MarkedPair:
         return MarkedPair, self._fields()
 
     def trace(self) -> str:
-        """Serialize the lineage as a replayable text trace."""
-        return "\n".join(_steps(self._tree)) + "\n"
+        """Serialize the lineage as a replayable text trace; a pair with no
+        steps has the trace "\\n"."""
+        steps = _steps(self._tree)
+        steps.append("")  # the join ends the text, so it is built once
+        return "\n".join(steps) or "\n"
 
 
 _ALL_FLAGS = Flags(True, True, True, True)
 
-# the flags of a plumbed pair, by (annulus_busting, nonseparating)
-_PLUMBED_FLAGS = {
-    (annulus, nonsep): Flags(True, annulus, nonsep, True)
-    for annulus in (False, True)
-    for nonsep in (False, True)
-}
-
-# the trace line of every plumb step, shared by the lineages that record it
-_PLUMB_STEPS = {
+# What plumb reads from its three bits: the trace line, shared by the
+# lineages that record it, the components the bands merge, and the plumbed
+# flags without and with annulus-busting
+_PLUMB_BANDS = {
     (spans_a, spans_b, nonsep): (
-        f"plumb spans_a={int(spans_a)} spans_b={int(spans_b)} nonsep={int(nonsep)}"
+        f"plumb spans_a={int(spans_a)} spans_b={int(spans_b)} nonsep={int(nonsep)}",
+        1 + spans_a + spans_b,
+        Flags(True, False, nonsep, True),
+        Flags(True, True, nonsep, True),
     )
     for spans_a in (False, True)
     for spans_b in (False, True)
@@ -257,19 +258,12 @@ gamma2()
 
 # What replay does with each of the eleven trace lines: a base line pushes
 # its pair, a frozen value built once here; a plumb line plumbs the top two
-# pairs with the three bits of its _PLUMB_STEPS key.
+# pairs with the three bits of its _PLUMB_BANDS key.
 _TRACE_LINES = {
     f"base {name}": MarkedPair(genus, components, _ALL_FLAGS, Lineage(f"base {name}"))
     for name, genus, components in (("eta1", 1, 1), ("eta1x2", 1, 2), ("gamma2", 2, 1))
 }
-_TRACE_LINES.update((line, key) for key, line in _PLUMB_STEPS.items())
-
-# What plumb reads from its three bits: the trace line, the components the
-# bands merge, and the plumbed flags without and with annulus-busting
-_PLUMB_BANDS = {
-    key: (line, 1 + key[0] + key[1], _PLUMBED_FLAGS[False, key[2]], _PLUMBED_FLAGS[True, key[2]])
-    for key, line in _PLUMB_STEPS.items()
-}
+_TRACE_LINES.update((line, key) for key, (line, *_) in _PLUMB_BANDS.items())
 
 
 def eta1() -> MarkedPair:

@@ -206,12 +206,43 @@ def test_contract(row, tmp_path, capsys):
     assert captured.err == ""
 
 
+def readme_commands() -> list[str]:
+    """The arguments of each `knotforge …` line in README's sh blocks, with
+    backslash continuations joined."""
+    text = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = re.sub(r"\s*\\\n\s*", " ", "".join(re.findall(r"^```sh\n(.*?)^```", text, re.M | re.S)))
+    prefix = "knotforge "
+    return [line[len(prefix) :] for line in lines.splitlines() if line.startswith(prefix)]
+
+
+def test_readme_shows_every_subcommand():
+    commands = {args.split()[0] for args in readme_commands()}
+    assert commands == {command for command, _ in _options()}
+
+
+@pytest.mark.parametrize("args", readme_commands())
+def test_readme_command_runs(args, tmp_path, monkeypatch, capsys):
+    # in a temporary directory, where `--out fam.csv` writes its catalog
+    monkeypatch.chdir(tmp_path)
+    argv = args.split()
+    assert cli_main(argv) == 0
+    assert capsys.readouterr().err == ""
+    if "--out" in argv:
+        assert (tmp_path / argv[argv.index("--out") + 1]).read_text(encoding="utf-8")
+
+
 def test_version_matches_pyproject():
-    # read with a regex: Python 3.10 has no tomllib
+    # the package declares its version once, as knotforge.__version__, which
+    # pyproject.toml reads; read with a regex: Python 3.10 has no tomllib
     text = (pathlib.Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
     project = re.search(r"^\[project\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S).group(1)
-    version = re.search(r'^version\s*=\s*"([^"]+)"', project, re.M).group(1)
-    assert knotforge.__version__ == version
+    assert re.search(r'^dynamic\s*=\s*\[\s*"version"\s*\]$', project, re.M)
+    dynamic = re.search(r"^\[tool\.setuptools\.dynamic\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S)
+    assert re.search(
+        r'^version\s*=\s*\{\s*attr\s*=\s*"knotforge\.__version__"\s*\}$', dynamic.group(1), re.M
+    )
+    assert not re.search(r'^version\s*=\s*"', text, re.M)
+    assert re.fullmatch(r"\d+\.\d+\.\d+", knotforge.__version__)
 
 
 # the knotforge modules that `import knotforge.cli` and then main(args)

@@ -13,7 +13,7 @@ from knotforge.plumbing import (
     MarkedPair,
     MissingPrecondition,
     PlumbingError,
-    _PLUMB_STEPS,
+    _PLUMB_BANDS,
     eta,
     eta1,
     eta1_doubled,
@@ -36,7 +36,9 @@ TRACES = st.one_of(
     st.text(),
     st.lists(st.lists(TOKENS, max_size=5).map(" ".join), max_size=8).map("\n".join),
 )
-LINES = ["base eta1", "base eta1x2", "base gamma2", *_PLUMB_STEPS.values()]
+LINES = [
+    "base eta1", "base eta1x2", "base gamma2", *(line for line, *_ in _PLUMB_BANDS.values())
+]
 
 
 @st.composite
@@ -106,7 +108,7 @@ class TestPlumb:
         with pytest.raises(PlumbingError):
             plumb(eta1(), eta1(), spans_a=True, spans_b=True)
 
-    @pytest.mark.parametrize("key", sorted(_PLUMB_STEPS), ids="%d%d%d".__mod__)
+    @pytest.mark.parametrize("key", sorted(_PLUMB_BANDS), ids="%d%d%d".__mod__)
     def test_every_step_traces_and_replays(self, key):
         # each band that spans two components is plumbed onto the doubled
         # pair, which has two
@@ -127,8 +129,8 @@ class TestPlumb:
             ((2, "", [1]), (True, False, True)),
             ((None, "x", 0.0), (False, True, False)),
             # every step's three bools, then their 0/1 int spellings
-            *((key, key) for key in sorted(_PLUMB_STEPS)),
-            *((tuple(map(int, key)), key) for key in sorted(_PLUMB_STEPS)),
+            *((key, key) for key in sorted(_PLUMB_BANDS)),
+            *((tuple(map(int, key)), key) for key in sorted(_PLUMB_BANDS)),
         ],
     )
     def test_bits_read_by_truth_value(self, bits, key):
@@ -467,6 +469,19 @@ class TestLineage:
             steps = tuple(lineage)
             assert lineage == Lineage(*steps) and hash(lineage) == hash(Lineage(*steps))
         assert type(Lineage()._tree) is tuple and type(Lineage("a", "b")._tree) is tuple
+
+    @pytest.mark.parametrize(
+        "steps, text",
+        [
+            ((), "\n"),
+            (("",), "\n"),
+            (("", ""), "\n\n"),
+            (("base eta1", "base eta1x2"), "base eta1\nbase eta1x2\n"),
+        ],
+    )
+    def test_trace_ends_each_step_with_a_newline(self, steps, text):
+        # a pair with no steps keeps the trace "\n", as one empty step has
+        assert MarkedPair(1, 1, eta1().flags, Lineage(*steps)).trace() == text
 
     def test_str_subclass_steps_are_plain_steps(self):
         class Step(str):
