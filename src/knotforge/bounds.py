@@ -70,9 +70,8 @@ def catching_chi(base_chi: int, tube_pairs: int, punctures: int) -> int:
     return base_chi - 2 * tube_pairs - punctures
 
 
-# The tubed meridian disk caught by the gamma_g curve: the curve meets the
-# disk 7 times but algebraically once (an axiom of pants.gamma2), so 3 tube
-# pairs and one remaining puncture.
+# The tubed meridian disk caught by the gamma_g curve; its tube pairs and
+# its puncture are counted in pants.gamma2.
 GAMMA_DISK = catching_chi(1, 3, 1)  # -6
 
 
@@ -90,29 +89,28 @@ def _check_chi(chi_Q: int) -> int:
     return abs(chi_Q)
 
 
-def disk_hitting_lower_bound(i: int, chi_Q: int) -> int:
-    """Certified lower bound on the disk hitting number after |i| twists.
-
-    From max(h, 1) >= |i| / (36 |chi|) - 1; informative only when the
-    right side exceeds 1, i.e. |i| > 72 |chi|.
-    """
-    c = _check_chi(chi_Q)
-    d = 36 * c
-    if abs(i) <= 2 * d:
+def _hitting(i: int, chi_Q: int, width: int, k: int) -> int:
+    """ceil(|i| / d - k) for d = width |chi|, the inversion of
+    max(h, 1) >= |i| / d - k; informative only when the right side exceeds
+    1, i.e. |i| > (k + 1) d, and 0 otherwise."""
+    d = width * _check_chi(chi_Q)
+    if abs(i) <= (k + 1) * d:
         return 0
-    return -((d - abs(i)) // d)  # ceil(|i|/d - 1)
+    return -((k * d - abs(i)) // d)
+
+
+def disk_hitting_lower_bound(i: int, chi_Q: int) -> int:
+    """Certified lower bound on the disk hitting number after |i| twists:
+    from max(h, 1) >= |i| / (36 |chi|) - 1, informative when |i| > 72 |chi|.
+    """
+    return _hitting(i, chi_Q, 36, 1)
 
 
 def annulus_hitting_lower_bound(i: int, chi_Q: int) -> int:
-    """Certified lower bound on the annulus hitting number after |i| twists.
-
-    From max(h, 1) >= |i| / (72 |chi|) - 2; informative when |i| > 216 |chi|.
+    """Certified lower bound on the annulus hitting number after |i| twists:
+    from max(h, 1) >= |i| / (72 |chi|) - 2, informative when |i| > 216 |chi|.
     """
-    c = _check_chi(chi_Q)
-    d = 72 * c
-    if abs(i) <= 3 * d:
-        return 0
-    return -((2 * d - abs(i)) // d)  # ceil(|i|/d - 2)
+    return _hitting(i, chi_Q, 72, 2)
 
 
 _ZERO = Fraction(0)

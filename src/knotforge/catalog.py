@@ -54,12 +54,12 @@ either fails on every row with one error or fails on no row.  The request
 check (_check_request) reads g, family, kappa and alpha, and n_strong fails
 only on chi_Q_nu.  The hitting bounds read the constant GAMMA_DISK < 0, so
 their _check_chi cannot fail.  Once the request passes, no twist raises
-(the lemma in `torus.twist`), the chi defaults are negative, and a weak row
-cannot fail: it has no bridge bound, so no bridge guard runs.  A strong
-row fails only through its n's strong cell: the bridge bound's chi check
-(its genus check is the request check's g >= 2) or the bridge guard.  All
-of this arithmetic is on exact integers, and every divisor is 36|chi| or
-72|chi|, nonzero after _check_chi, so every error is a ValueError.
+(the lemma in `torus.dehn_twist`), the chi defaults are negative, and a
+weak row cannot fail: it has no bridge bound, so no bridge guard runs.  A
+strong row fails only through its n's strong cell: the bridge bound's chi
+check (its genus check is the request check's g >= 2) or the bridge guard.
+All of this arithmetic is on exact integers, and every divisor is 36|chi|
+or 72|chi|, nonzero after _check_chi, so every error is a ValueError.
 """
 
 from __future__ import annotations
@@ -83,8 +83,8 @@ class CertificateError(ValueError):
 
 def _check_request(g: int, family: str, kappa: TorusCurve, alpha: TorusCurve) -> None:
     """The checks of a request, none of which reads n or i.  After them no
-    twist of kappa along alpha raises (the lemma in `torus.twist`).  Their
-    messages are catalog bytes, so each keeps its wording."""
+    twist of kappa along alpha raises (the lemma in `torus.dehn_twist`).
+    Their messages are catalog bytes, so each keeps its wording."""
     if g < 2:
         raise CertificateError("knot specs need g >= 2")
     if family not in ("H", "S"):

@@ -43,9 +43,9 @@ def parse_curve(text: str):
 # their product before any row is built; one row costs a few hundred bytes
 ROW_LIMIT = 1_000_000
 # the largest genus plumb builds, checked before any step; the eta run at
-# this genus takes about 2 s and peaks at about 165 MB (Python 3.11.7, 2
-# vCPUs), a peak set by print, which encodes the whole 47 MB trace text
-# while the text and the lineage tree are still held
+# this genus takes about 1.4 s and peaks at about 136 MB (Python 3.11.7, 2
+# vCPUs), a peak set by building the 47 MB trace text while the lineage
+# tree is still held; _cmd_plumb releases the tree before writing the text
 GENUS_LIMIT = 1_000_000
 # the most decimal digits a number read or printed may have: Python's
 # int-string conversion limit, 4300 unless PYTHONINTMAXSTRDIGITS or
@@ -198,7 +198,9 @@ def _cmd_plumb(args) -> int:
     flags = zip(plumbing.Flags._fields, pair.flags)
     print("flags: " + " ".join([f"{name}={str(flag).lower()}" for name, flag in flags]))
     print("trace:")
-    print(pair.trace(), end="")
+    text = pair.trace()
+    del pair
+    sys.stdout.write(text)
     return 0
 
 

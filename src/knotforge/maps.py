@@ -11,25 +11,16 @@ parallel-edge claims:
 Maps are encoded by a vertex permutation sigma (cycles = vertices, giving
 the rotation) and a fixed-point-free edge involution alpha pairing darts.
 The face permutation is phi(d) = sigma(alpha(d)); chi = V - E + F.  Only
-orientable maps arise from this encoding.  A map is connected exactly
-when its vertices, the cycles of sigma, are joined up by its edges, so
-connectivity is a walk over the vertex partition of sigma, which the
-validating constructor computes; with two vertices it is at most one
-scan of the first vertex's darts.  A monogon is a degree-1 face, that
-is a fixed point of phi.  The involution walk carries each pairing's edge
-set as an int mask, so enumeration rejects monogons with one AND against
-the edges {d, sigma(d)} of the cycle type, and traces faces only on the
-representatives it yields.  Maps are __slots__ records and the reports
-are NamedTuples, so the module declares no dataclass.
+orientable maps arise from this encoding.  A monogon is a degree-1 face,
+that is a fixed point of phi.  Connectivity is a walk over the vertex
+partition of sigma (is_connected).  Maps are __slots__ records and the
+reports are NamedTuples, so the module declares no dataclass.
 
 Enumeration is orderly: it keeps no set of seen maps and computes no
 canonical form, but yields a candidate only when its pairing is least
-among its conjugates under the symmetries of sigma.  It validates sigma
-once per cycle type and tests every candidate of that type on one probe
-map, whose edge pairing it swaps; only a kept candidate becomes a map of
-its own.  It walks the edge pairings once per cell and tests each against
-every cycle type, holding the classes of every type until the walk
-ends.  Its lemmas are stated once, in enumerate_maps.
+among its conjugates under the symmetries of sigma.  Its lemmas (the
+monogon mask, the probe map and the one walk per cell) are stated once,
+in enumerate_maps.
 
 The parallel-edge claim holds in every cell by a degree-count lemma,
 stated once in verify_parallelP.  Exhaustive enumeration is feasible for
@@ -37,14 +28,14 @@ small cells only (at most V_MAX vertices and E_MAX edges), so it serves as
 an independent check of the cells whose raw candidate count fits a work
 budget.
 
-Both claims read the same monogon-free cells.  verify_graphs runs the two
-verifiers over one cell store, a dict that lives for that call only, so
-each cell is enumerated and face-traced once per call.
+Both claims read the same monogon-free cells, enumerated once per call of
+verify_graphs.
 """
 
 from __future__ import annotations
 
 from itertools import permutations, product
+from math import prod
 from operator import index
 from typing import NamedTuple
 
@@ -439,18 +430,11 @@ def _least_in_orbit(alpha: tuple[int, ...], conjugators) -> bool:
     return True
 
 
-def _double_factorial_odd(k: int) -> int:
-    """(2k - 1)!! = number of perfect matchings on 2k points."""
-    out = 1
-    for j in range(1, 2 * k, 2):
-        out *= j
-    return out
-
-
 def candidate_count(V: int, E: int) -> int:
-    """Raw candidates examined when enumerating the (V, E) cell."""
+    """Raw candidates examined when enumerating the (V, E) cell: the cycle
+    types times the (2E - 1)!! perfect matchings on 2E darts."""
     types = sum(1 for _ in _partitions_into(2 * E, V)) if V <= 2 * E else 0
-    return types * _double_factorial_odd(E)
+    return types * prod(range(1, 2 * E, 2))
 
 
 def enumerate_maps(V: int, E: int, monogon_free: bool = False):
@@ -736,14 +720,20 @@ def verify_parallel_class_bound(*, cell_store: dict | None = None) -> Triangulat
     chi = -E/3 identically, and no bigons, so every edge is its own
     parallelism class and the bound holds with equality.  Cell lemma: chi
     in {-1, -2} means E in {3, 6}, and the map Euler characteristic V - E/3
-    is even only in the cells (1, 3), (3, 3) and (2, 6) of V <= V_MAX.
-    `cell_store` shares enumerated cells with the other verifier of the
-    same run (see verify_graphs).
+    of a closed orientable surface is even and at most 2; the cells are
+    read from this lemma for every V <= V_MAX, E first.  `cell_store` is
+    as in verify_parallelP.
     """
     if cell_store is None:
         cell_store = {}
     results = []
-    for V, E in ((1, 3), (3, 3), (2, 6)):
+    cells = [
+        (V, E)
+        for E in (3, 6)
+        for V in range(1, V_MAX + 1)
+        if (V - E // 3) % 2 == 0 and V - E // 3 <= 2
+    ]
+    for V, E in cells:
         counts = tuple(
             report.num_parallel_classes
             for _, report in _monogon_free_cell(V, E, cell_store)
@@ -767,8 +757,8 @@ def verify_graphs(
     The two verifiers share one cell store that lives for this call only,
     so a cell both of them read is enumerated and face-traced once.  The
     arc-class report does not depend on V_max, E_budget, chi_min or
-    work_budget: it always enumerates the cells (1, 3), (3, 3) and (2, 6),
-    even for verify_graphs(1, 1).
+    work_budget: it always enumerates the cells of its cell lemma, even for
+    verify_graphs(1, 1).
     """
     store: dict = {}
     report = verify_parallelP(V_max, E_budget, chi_min, work_budget, cell_store=store)

@@ -154,10 +154,9 @@ def seamed_level(curve: SeamedCurve, pd: PantsDecomposition) -> int:
 # The built-in gamma_2 curve on the genus-2 handlebody.
 #
 # Transcribed from the defining picture: both pants see seam classes
-# (4, 4, 3); the curve meets the leftmost cuff disk 7 times (algebraically
-# once), the middle cuff 8 times (four bands from one side), and is
-# 3-seamed with minimum exactly 3.  gamma2() states annulus-busting as an
-# axiom.
+# (4, 4, 3); the curve meets the middle cuff 8 times (four bands from one
+# side), and is 3-seamed with minimum exactly 3.  gamma2() states its two
+# axioms.
 # ---------------------------------------------------------------------------
 
 GAMMA2_DATA = """\
@@ -278,8 +277,9 @@ def gamma2() -> tuple[SeamedCurve, PantsDecomposition]:
     * annulus-busting: the attached 2-handle gives a hyperbolic knot
       exterior;
     * algebraic count 1: the curve meets the disk that cuff c0 bounds
-      7 times (side_endpoints(0, 0)) but algebraically once, so all but
-      one meet pair off into 3 tubes.  bounds.GAMMA_DISK reads this, and
+      7 times (side_endpoints(0, 0)) but algebraically once, so 6 of the
+      meets pair off into 3 tube pairs and one remains a puncture.
+      bounds.GAMMA_DISK = catching_chi(1, 3, 1) reads this, and
       tests/test_bounds.py::TestRecipes::test_gamma_disk_from_shipped_gamma2_data
       derives GAMMA_DISK from the 7 meets.
     Each call parses and checks the shipped data; the plumbing module calls

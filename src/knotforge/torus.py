@@ -94,21 +94,21 @@ def twist(kappa: TorusCurve, alpha: TorusCurve, m: int) -> TorusCurve:
     Class Groups, Prop. 6.3).  Negating the lift of kappa negates the sum and
     negating that of alpha keeps it, so the class is well defined; twisting
     fixes w, so T^m(T^n(kappa)) = T^(m+n)(kappa) and T^0 is the identity.
-
-    Lemma: v -> v + m*w(v, alpha)*alpha has determinant 1, so a primitive
-    kappa gives a primitive, nonzero result: a twist of normal-form inputs
-    never raises.
     """
     w = kappa.p * alpha.q - kappa.q * alpha.p
-    return normalize(kappa.p + m * w * alpha.p, kappa.q + m * w * alpha.q)
+    return dehn_twist(kappa, alpha, m if w >= 0 else -m)
 
 
 def dehn_twist(kappa: TorusCurve, alpha: TorusCurve, n: int) -> TorusCurve:
     """n Dehn twists along alpha, each moving kappa by d = |w| copies of alpha:
-    normalize(kappa + n*|w|*alpha), which is twist(kappa, alpha, s*n) with s
-    the sign of w for the normal-form lifts.  A negative count can flip the
-    normal form of kappa and so s, hence counts compose only when both are
-    >= 0; `twist` is the group action.
+    normalize(kappa + n*|w|*alpha).  A negative count can flip the normal
+    form of kappa and so the sign of w, hence counts compose only when both
+    are >= 0; `twist` is the group action.
+
+    Lemma: for each integer c, v -> v + c*w(v, alpha)*alpha has
+    determinant 1, and n*|w| = c*w for c = n or c = -n; so a primitive kappa
+    gives a primitive, nonzero result, and a twist of normal-form inputs,
+    by this function or by `twist`, never raises.
     """
     w = kappa.p * alpha.q - kappa.q * alpha.p
     m = n * abs(w)

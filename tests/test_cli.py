@@ -361,6 +361,19 @@ class TestParsers:
             message = f"the catalog has {rows} rows, above the row limit {ROW_LIMIT}"
             assert capsys.readouterr() == ("", f"error: {message}\n")
 
+    def test_catalog_at_the_row_limit_runs(self, monkeypatch, capsys):
+        # a catalog of exactly ROW_LIMIT rows runs; one row more does not
+        import knotforge.cli
+
+        monkeypatch.setattr(knotforge.cli, "ROW_LIMIT", 6)
+        argv = ["family", "--kappa", "2,1", "--alpha", "1,1", "--n-range", "1:2"]
+        assert cli_main([*argv, "--i-range", "1:3"]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and sum(line.startswith("n=") for line in out.splitlines()) == 6
+        assert cli_main([*argv, "--i-range", "1:4"]) == 2
+        message = "the catalog has 8 rows, above the row limit 6"
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_load_config(self, tmp_path):
         path = tmp_path / "knotforge.conf"
         path.write_text("# defaults\nkappa = 2,1\nn-range = 1:3\n")

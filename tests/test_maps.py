@@ -765,6 +765,20 @@ class TestVerifyClassBound:
         assert [(r.V, r.E) for r in report.results] == [(1, 3), (3, 3), (2, 6)]
         assert all(r.triangulations > 0 for r in report.results)
 
+    def test_cells_follow_V_MAX(self, monkeypatch):
+        # the cells are read from the cell lemma, not written out, so
+        # V_MAX = 4 adds (4, 6): V - E/3 = 2, the sphere
+        asked = []
+
+        def recording(V, E, cell_store):
+            asked.append((V, E))
+            return ()
+
+        monkeypatch.setattr(maps, "V_MAX", 4)
+        monkeypatch.setattr(maps, "_monogon_free_cell", recording)
+        verify_parallel_class_bound()
+        assert asked == [(1, 3), (3, 3), (2, 6), (4, 6)]
+
     @pytest.mark.parametrize("V, E, representatives", [(2, 3, 4), (1, 6, 196), (3, 6, 762)])
     def test_odd_cells_hold_no_triangulation(self, V, E, representatives):
         reports = [trace_faces(m) for m in enumerate_maps(V, E, monogon_free=True)]
