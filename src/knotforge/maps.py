@@ -268,11 +268,10 @@ def _standard_sigma(cycle_lengths: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sigma)
 
 
-def _involutions(n: int, masks: bool = True):
+def _involutions(n: int):
     """Every fixed-point-free involution of the darts 0..n-1, as a tuple,
     in lexicographic order, each with its edge mask: the int with bit
-    f * n + p set for each pair f < p, or 0 for every pairing when masks
-    is false.
+    f * n + p set for each pair f < p.
 
     Iterative backtracking: level k pairs the smallest dart still unpaired
     with each unpaired larger dart in increasing order.  The darts before
@@ -284,7 +283,7 @@ def _involutions(n: int, masks: bool = True):
     (a b)(c d), (a c)(b d) and (a d)(b c), in increasing order since
     alpha(a) = b < c < d; they are yielded without backtracking.
     """
-    bits = [1 << b for b in range(n * n)] if masks else [0] * (n * n)
+    bits = [1 << b for b in range(n * n)]
     if n < 6:
         # at most four darts: their pairings, listed
         for alpha in ((), (1, 0), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)):
@@ -295,14 +294,14 @@ def _involutions(n: int, masks: bool = True):
     last = n // 2 - 4  # the last backtracking level; -1 when n == 6
     first = [0] * (last + 2)
     partner = [0] * (last + 2)  # partner[k] == first[k]: none tried yet
-    masks_below = [0] * (last + 2)  # masks_below[k]: the pairs of the levels below k
+    below_mask = [0] * (last + 2)  # below_mask[k]: the pairs of the levels below k
     k = 0
     while k >= 0:
         f = first[k]
         if k > last:
             # six darts remain: f, the least, and r1 < ... < r5
             r1, r2, r3, r4, r5 = [x for x in range(f + 1, n) if alpha[x] < 0]
-            below = masks_below[k]
+            below = below_mask[k]
             row = f * n
             for p, a, b, c, d in (
                 (r1, r2, r3, r4, r5),
@@ -336,13 +335,13 @@ def _involutions(n: int, masks: bool = True):
             continue
         alpha[f], alpha[p] = p, f
         partner[k] = p
-        mask = masks_below[k] | bits[f * n + p]
+        mask = below_mask[k] | bits[f * n + p]
         f += 1
         while alpha[f] >= 0:
             f += 1
         k += 1
         first[k] = partner[k] = f
-        masks_below[k] = mask
+        below_mask[k] = mask
 
 
 def monogon_edges(sigma: tuple[int, ...]) -> int:
@@ -463,10 +462,9 @@ def enumerate_maps(V: int, E: int, monogon_free: bool = False):
     some pair {e, sigma(e)} with sigma(e) != e is an edge of alpha, that is
     when the edge mask _involutions yields with alpha meets
     monogon_edges(sigma_lambda).  So with monogon_free a candidate is
-    dropped when the two masks share a bit.  Without monogon_free the walk
-    builds no masks: every mask, the monogon ones included, is 0.  Each
-    candidate is tested for connectivity, then for monogons, and only then
-    for orbit-leastness.
+    dropped when its edge mask meets that one; without it the monogon mask
+    is 0, which meets none.  Each candidate is tested for connectivity,
+    then for monogons, and only then for orbit-leastness.
 
     The vertex partition is computed once per cycle type.  Lemma (shared
     partition): the candidates of one cycle type share the sigma_lambda
@@ -507,7 +505,7 @@ def enumerate_maps(V: int, E: int, monogon_free: bool = False):
         types.append((probe, probe._sigma, probe._partition, monogons, conjugators, []))
     # read at call time, so that a wrapper installed on the class is called
     new, is_connected = object.__new__, CombinatorialMap.is_connected
-    for alpha, edges in _involutions(2 * E, monogon_free):
+    for alpha, edges in _involutions(2 * E):
         for probe, sigma, partition, monogons, conjugators, held in types:
             probe._alpha = alpha
             if not is_connected(probe):

@@ -126,7 +126,7 @@ class Lineage:
     content.
     """
 
-    __slots__ = ("_tree", "_len", "_hash")
+    __slots__ = ("_tree", "_len")
 
     def __init__(self, *steps: str):
         for step in steps:
@@ -135,7 +135,6 @@ class Lineage:
         # a step is kept as a plain str, which is what _steps tests for
         self._tree = str(steps[0]) if len(steps) == 1 else tuple(map(str, steps))
         self._len = len(steps)
-        self._hash = None
 
     def __len__(self) -> int:
         return self._len
@@ -145,15 +144,11 @@ class Lineage:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Lineage):
-            if self._tree is other._tree:
-                return True
             return self._len == other._len and _steps(self._tree) == _steps(other._tree)
         return NotImplemented
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(tuple(_steps(self._tree)))
-        return self._hash
+        return hash(tuple(_steps(self._tree)))
 
     def __repr__(self) -> str:
         return f"Lineage{tuple(_steps(self._tree))!r}"
@@ -168,12 +163,10 @@ class MarkedPair:
     flags and lineage, each a read-only property.  The constructor checks
     genus >= 1 and that the lineage is a Lineage, and keeps its tree and
     length; `lineage` builds a Lineage over them on each read.  Pairs equal,
-    hash, print and pickle as the tuple of their four fields.  The hash
-    walks the whole tree, so it is computed on the first hash() and kept in
-    the `_hash` slot, which plumb leaves empty.
+    hash, print and pickle as the tuple of their four fields.
     """
 
-    __slots__ = ("_genus", "_components", "_flags", "_tree", "_len", "_hash")
+    __slots__ = ("_genus", "_components", "_flags", "_tree", "_len")
 
     def __init__(self, genus: int, components: int, flags: Flags, lineage: Lineage):
         if genus < 1:
@@ -201,7 +194,7 @@ class MarkedPair:
     @property
     def lineage(self) -> Lineage:
         lineage = _new(Lineage)
-        lineage._tree, lineage._len, lineage._hash = self._tree, self._len, None
+        lineage._tree, lineage._len = self._tree, self._len
         return lineage
 
     def _fields(self) -> tuple:
@@ -213,11 +206,7 @@ class MarkedPair:
         return self._fields() == other._fields()
 
     def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            self._hash = hash(self._fields())
-            return self._hash
+        return hash(self._fields())
 
     def __repr__(self) -> str:
         return (

@@ -313,10 +313,12 @@ class TestParsers:
         assert parse_curve("-3,2").p == 3
 
     def test_parse_range(self):
-        # 'a:b[:step]' gives the range itself, a comma list a list
+        # 'a:b[:step]' gives the range itself, a comma list the sorted list
+        # of its distinct values
         assert parse_range("1:4") == range(1, 5)
         assert parse_range("0:10:5") == range(0, 11, 5)
-        assert parse_range("7,3,5") == [7, 3, 5]
+        assert parse_range("7,3,5") == [3, 5, 7]
+        assert parse_range("1,1") == [1]
         assert parse_range("5:5") == range(5, 6)
         assert type(parse_range("5:5")) is range and type(parse_range("5")) is list
 
@@ -373,6 +375,17 @@ class TestParsers:
         assert cli_main([*argv, "--i-range", "1:4"]) == 2
         message = "the catalog has 8 rows, above the row limit 6"
         assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_repeated_list_values_are_one_row(self, monkeypatch, capsys):
+        # a catalog holds one row per distinct (n, i), so a repeated comma
+        # list value adds no row to the count checked against ROW_LIMIT
+        import knotforge.cli
+
+        monkeypatch.setattr(knotforge.cli, "ROW_LIMIT", 6)
+        argv = ["family", "--kappa", "2,1", "--alpha", "1,1", "--n-range", "1,1"]
+        assert cli_main([*argv, "--i-range", "0:5"]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and sum(line.startswith("n=") for line in out.splitlines()) == 6
 
     def test_load_config(self, tmp_path):
         path = tmp_path / "knotforge.conf"

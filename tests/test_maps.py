@@ -455,25 +455,9 @@ class TestOrderlyGeneration:
     @pytest.mark.parametrize("n, pairings", [(n, None) for n in range(0, 13, 2)] + [(24, 1000)])
     def test_unrolled_walk_matches_the_reference_walk(self, n, pairings):
         # the walk unrolls its last levels: the same (alpha, mask) sequence
-        # as backtracking over every level, and without masks the same
-        # pairings, each with mask 0
+        # as backtracking over every level
         expected = list(islice(reference_involutions(n), pairings))
         assert list(islice(maps._involutions(n), pairings)) == expected
-        bare = list(islice(maps._involutions(n, masks=False), pairings))
-        assert bare == [(alpha, 0) for alpha, _ in expected]
-
-    @pytest.mark.parametrize("monogon_free", [False, True])
-    def test_masks_built_only_for_monogon_free(self, monkeypatch, monogon_free):
-        walks = []
-        original = maps._involutions
-
-        def recording(n, masks=True):
-            walks.append((n, masks))
-            return original(n, masks)
-
-        monkeypatch.setattr(maps, "_involutions", recording)
-        list(enumerate_maps(2, 4, monogon_free))
-        assert walks == [(8, monogon_free)]
 
     @pytest.mark.parametrize("E, pairings", [(E, None) for E in range(1, 6)] + [(maps.E_MAX, 1000)])
     def test_edge_masks_and_the_monogon_lemma(self, E, pairings):

@@ -498,7 +498,8 @@ class TestLineage:
         nested = pair.lineage
         assert len(flat) == 3 and list(flat) == ["base eta1", "base eta1x2", step]
         assert len(nested) == 3 and list(nested) == list(flat)
-        assert nested == flat and hash(nested) == hash(flat)
+        # both hash as the tuple of their steps
+        assert nested == flat and hash(nested) == hash(flat) == hash(tuple(flat))
         # plumb the result again, onto a pair whose lineage is the flat leaf
         flat_pair = MarkedPair(1, 2, eta1_doubled().flags, flat)
         doubled = plumb(pair, flat_pair, False, True, True).lineage
@@ -534,7 +535,7 @@ class TestLineage:
             assert list(lineage) == list(ref)
             assert pair.trace() == "\n".join(ref) + "\n"
             assert tuple(lineage) == ref and lineage == Lineage(*ref)
-            assert hash(lineage) == hash(Lineage(*ref))
+            assert hash(lineage) == hash(Lineage(*ref)) == hash(ref)
             flat = MarkedPair(pair.genus, pair.components, pair.flags, Lineage(*ref))
             assert pair == flat and hash(pair) == hash(flat)
             again = replay(pair.trace())
@@ -565,9 +566,8 @@ class TestLineage:
             for copied in (pickle.loads(pickle.dumps(pair)), copy.copy(pair), copy.deepcopy(pair)):
                 assert copied == pair and hash(copied) == hash(pair)
 
-    def test_hash_walks_the_tree_once(self, monkeypatch):
-        # the hash of a pair is kept after its first hash(); plumb and the
-        # constructor leave it unset
+    def test_plumb_walks_no_tree(self, monkeypatch):
+        # plumb and the constructor share their input trees without walking them
         import knotforge.plumbing
 
         walks = []
@@ -575,10 +575,10 @@ class TestLineage:
         monkeypatch.setattr(knotforge.plumbing, "_steps", lambda tree: walks.append(1) or steps(tree))
         pair = plumb(eta(3), gamma2_pair(), nonseparating_witness=True)
         assert walks == []
-        public = _public(pair)  # lists the steps of pair's tree
+        lineage = Lineage(*pair.lineage)  # one walk, of pair's tree
         walks.clear()
-        assert hash(pair) == hash(public) == hash(pair) == hash(public)
-        assert len(walks) == 2  # one walk per pair
+        MarkedPair(pair.genus, pair.components, pair.flags, lineage)
+        assert walks == []
 
     @pytest.mark.parametrize("build, steps", [(eta, 2 * 20_000 - 1), (gamma, 2 * 20_000 - 3)])
     def test_large_genus_round_trip(self, build, steps):
