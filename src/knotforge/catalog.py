@@ -108,51 +108,8 @@ def bridge_upper_heuristic(tau: TorusCurve) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _default_chis(
-    kappa: TorusCurve,
-    alpha: TorusCurve,
-    chi_Q_bridge: int | None,
-    chi_Q_nu: int | None,
-) -> tuple[int | None, int]:
-    """(chi_Q_bridge, chi_Q_nu) with the request's defaults filled in (see
-    generate_family); chi_Q_bridge stays None when alpha is not the (1,1)
-    class."""
-    nu_chi = bounds.nu_chi(kappa)
-    if chi_Q_bridge is None and alpha == NU:
-        chi_Q_bridge = nu_chi
-    if chi_Q_nu is None:
-        chi_Q_nu = nu_chi
-    return chi_Q_bridge, chi_Q_nu
-
-
-class _Twisted(NamedTuple):
-    """The certificate fields fixed by n."""
-
-    tau: TorusCurve
-    exceptional: bool
-    seifert: tuple[int, int] | None
-    surgery: str
-    bridge_upper_heuristic: int
-
-    def flags_all(self, strong: bool) -> bool:
-        """Each exterior flag, and unique_surgery, of a row with this strong
-        flag (see the row lemma)."""
-        return strong and not self.exceptional
-
-
-def _twisted(g: int, family: str, kappa: TorusCurve, alpha: TorusCurve, n: int) -> _Twisted:
-    tau = dehn_twist(kappa, alpha, n)
-    if family == "S":
-        seifert = (tau.p, tau.q)
-        surgery = f"D({tau.p},{tau.q})-Seifert + {g - 1} 1-handles"
-    else:
-        seifert = None
-        surgery = "handlebody"
-    return _Twisted(tau, is_exceptional(tau), seifert, surgery, bridge_upper_heuristic(tau))
-
-
 def _cell(
-    fields: _Twisted, g: int, alpha: TorusCurve, n: int, strong: bool, chi_Q_bridge: int | None
+    heuristic: int, g: int, alpha: TorusCurve, n: int, strong: bool, chi_Q_bridge: int | None
 ) -> tuple[Fraction | None, str]:
     """(bridge_lower, bridge_lower_reason) of n's rows whose i has this
     strong flag, after the bridge guard (the row lemma in the module
@@ -167,7 +124,6 @@ def _cell(
         reason = "not i-uniform; supply a catching chi"
     else:
         bridge_lower = bounds.bridge_lower_bound(n, chi_Q_bridge, g)
-        heuristic = fields.bridge_upper_heuristic
         if bridge_lower.numerator > heuristic * bridge_lower.denominator:
             raise CertificateError(
                 f"bridge lower bound {bridge_lower} exceeds the"
@@ -177,12 +133,14 @@ def _cell(
 
 
 class _NEntry(NamedTuple):
-    """What the rows of one n share: the fields fixed by n (None when the
-    request is rejected) and `cells[strong]` (from _cell, or an error
-    message) for each strong flag of the i column."""
+    """What the rows of one n share: the certificate fields fixed by n
+    (None when the request is rejected) and `cells[strong]` (from _cell, or
+    an error message) for each strong flag of the i column."""
 
     n: int
-    fields: _Twisted | None
+    tau: TorusCurve | None
+    exceptional: bool | None
+    heuristic: int | None
     cells: tuple
 
 
@@ -229,7 +187,6 @@ class Catalog(NamedTuple):
 
 def _n_entry(
     g: int,
-    family: str,
     kappa: TorusCurve,
     alpha: TorusCurve,
     n: int,
@@ -237,17 +194,18 @@ def _n_entry(
     strongs: set[bool],
     chi_Q_bridge: int | None,
 ) -> _NEntry:
-    fields = _twisted(g, family, kappa, alpha, n)
+    tau = dehn_twist(kappa, alpha, n)
+    heuristic = bridge_upper_heuristic(tau)
     # One twist per row: perfbench/test_perfbench.py::test_smoke_traced_run pins it.
     for _ in range(rows - 1):
         dehn_twist(kappa, alpha, n)
     cells: list = [None, None]
     for strong in strongs:
         try:
-            cells[strong] = _cell(fields, g, alpha, n, strong, chi_Q_bridge)
+            cells[strong] = _cell(heuristic, g, alpha, n, strong, chi_Q_bridge)
         except ValueError as exc:
             cells[strong] = str(exc)
-    return _NEntry(n, fields, tuple(cells))
+    return _NEntry(n, tau, is_exceptional(tau), heuristic, tuple(cells))
 
 
 def _sorted_values(values):
@@ -296,16 +254,20 @@ def generate_family(
         _check_request(g, family, kappa, alpha)
         if alpha not in (MU, LAMBDA):
             statements = ("distinctness: hbar_D lower bound unbounded in |i|",)
-        chi_Q_bridge, chi_Q_nu = _default_chis(kappa, alpha, chi_Q_bridge, chi_Q_nu)
+        nu_chi = bounds.nu_chi(kappa)
+        if chi_Q_bridge is None and alpha == NU:
+            chi_Q_bridge = nu_chi
+        if chi_Q_nu is None:
+            chi_Q_nu = nu_chi
         threshold = bounds.n_strong(chi_Q_nu)
     except ValueError as exc:
         # every i is weak, so every row reads its n's weak cell: the error
         threshold = math.inf
-        n_column = tuple(_NEntry(n, None, (str(exc), None)) for n in n_values)
+        n_column = tuple(_NEntry(n, None, None, None, (str(exc), None)) for n in n_values)
     else:
         strongs = {abs(i) > threshold for i in i_values}
         n_column = tuple(
-            _n_entry(g, family, kappa, alpha, n, len(i_values), strongs, chi_Q_bridge)
+            _n_entry(g, kappa, alpha, n, len(i_values), strongs, chi_Q_bridge)
             for n in n_values
         )
     i_column = tuple(_i_entry(i, threshold) for i in i_values)
@@ -365,7 +327,8 @@ def _row_texts(catalog: Catalog, format_values, sep: str, field: str, quoted: st
     n_format, i_format, hbar_format = fragment(0, 1), sep + fragment(1, 2), fragment(_HBAR, _TAIL)
     mid_format = f"{sep}{fragment(2, _HBAR)} (heuristic){sep}"
     na = [_na("row error")] * (len(_COLUMNS) - 3)
-    # flags_all implies strong, so no tail has strong false and flags true
+    # the flags read strong and not exceptional (the row lemma), so no tail
+    # has strong false and flags true
     tails = {}
     for strong, flags in ((False, False), (True, False), (True, True)):
         values = (str(strong).lower(), *[str(flags).lower()] * 5, "")
@@ -381,7 +344,6 @@ def _row_texts(catalog: Catalog, format_values, sep: str, field: str, quoted: st
         head = n_format % n_entry.n
         # per strong flag: the line after i, or the parts around the hbar fragment
         rests: list = [None, None]
-        f = n_entry.fields
         fixed = None  # the texts of the fields fixed by n, made once
         for strong, cell in zip((False, True), n_entry.cells):
             if isinstance(cell, str):
@@ -390,12 +352,16 @@ def _row_texts(catalog: Catalog, format_values, sep: str, field: str, quoted: st
                 rests[strong] = errors[cell]
             elif cell is not None:
                 if fixed is None:
-                    seifert = "(%d,%d)" % f.seifert if f.seifert else _na("handlebody family")
-                    fixed = (str(f.tau), str(f.exceptional).lower(), seifert, f.surgery)
+                    tau = str(n_entry.tau)
+                    if catalog.family == "S":
+                        seifert, surgery = tau, f"D{tau}-Seifert + {catalog.g - 1} 1-handles"
+                    else:
+                        seifert, surgery = _na("handlebody family"), "handlebody"
+                    fixed = (tau, str(n_entry.exceptional).lower(), seifert, surgery)
                 bridge_lower, reason = cell
                 bridge = _na(reason) if bridge_lower is None else bridge_lower
-                mid = mid_format % (*fixed, bridge, f.bridge_upper_heuristic)
-                rests[strong] = (mid, tails[strong, f.flags_all(strong)])
+                mid = mid_format % (*fixed, bridge, n_entry.heuristic)
+                rests[strong] = (mid, tails[strong, strong and not n_entry.exceptional])
         for strong, i_text, hbar in i_parts:
             rest = rests[strong]
             if isinstance(rest, str):

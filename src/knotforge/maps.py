@@ -432,7 +432,7 @@ def _least_in_orbit(alpha: tuple[int, ...], conjugators) -> bool:
 def candidate_count(V: int, E: int) -> int:
     """Raw candidates examined when enumerating the (V, E) cell: the cycle
     types times the (2E - 1)!! perfect matchings on 2E darts."""
-    types = sum(1 for _ in _partitions_into(2 * E, V)) if V <= 2 * E else 0
+    types = sum(1 for _ in _partitions_into(2 * E, V))
     return types * prod(range(1, 2 * E, 2))
 
 

@@ -279,42 +279,12 @@ def _cell_candidates(V: int, E: int) -> tuple:
 
 def reference_involutions(n: int):
     """Every fixed-point-free involution of the darts 0..n-1 with its edge
-    mask (bit f * n + p for each pair f < p), in lexicographic order, by
-    backtracking over every level: level k pairs the smallest dart still
-    unpaired with each unpaired larger dart in increasing order, and ORs
-    its pair's bit into the mask of the levels before it."""
-    if n == 0:
-        yield (), 0
-        return
-    alpha = [-1] * n
-    last = n // 2 - 1
-    first = [0] * (last + 1)
-    partner = [0] * (last + 1)  # partner[k] == first[k]: none tried yet
-    masks = [0] * (last + 1)  # masks[k]: the pairs of the levels below k
-    k = 0
-    while k >= 0:
-        f, p = first[k], partner[k]
-        if p != f:
-            alpha[p] = -1
-        p += 1
-        while p < n and alpha[p] >= 0:
-            p += 1
-        if p == n:
-            alpha[f] = -1
-            k -= 1
-            continue
-        alpha[f], alpha[p] = p, f
-        partner[k] = p
-        mask = masks[k] | (1 << (f * n + p))
-        if k == last:
-            yield tuple(alpha), mask
-            continue
-        f += 1
-        while alpha[f] >= 0:
-            f += 1
-        k += 1
-        first[k] = partner[k] = f
-        masks[k] = mask
+    mask (bit d * n + a for each pair d < a), in lexicographic order: the
+    _matchings walk, which pairs the smallest dart still unpaired with each
+    unpaired larger dart in increasing order."""
+    for partner in _matchings(list(range(n)), [0] * n):
+        alpha = tuple(partner)
+        yield alpha, sum(1 << (d * n + a) for d, a in enumerate(alpha) if d < a)
 
 
 def reference_enumerate_maps(V: int, E: int, monogon_free: bool = False):

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 from typing import NamedTuple
 
 import pytest
@@ -60,7 +61,8 @@ CLAMP = "family --genus 3 --type S --kappa 2,1 --alpha 1,1 --i-range 646,648,649
 REJECTED = "family --kappa 2,1 --alpha 1,1 --chi-nu 0 --n-range 1:3 --i-range 1:2"
 MIXED = "family --kappa 2,1 --alpha 1,1 --chi-bridge 0 --n-range 0:1 --i-range 0,5000"
 # The only pins of CLI output outside the benchmark: test_contract runs each
-# row in process, and CI runs each through the installed console script.
+# row of CONTRACTS in process, and main() runs each row of CONTRACTS and
+# SLOW_CONTRACTS through the installed console script.
 CONTRACTS = (
     Contract(
         "verify-graphs-v2-e6", "verify-graphs --v-max 2 --e-budget 6", 0,
@@ -196,6 +198,27 @@ CONTRACTS = (
         "the distance threshold with every count set: 6*2*36*(5*3 + 2 - 0 + 2) = 8208",
     ),
 )
+# Pinned runs too slow for tier-1; only main() runs them.
+SLOW_CONTRACTS = (
+    Contract(
+        "verify-graphs-e7", "verify-graphs --e-budget 7 --work-budget 3000000", 0,
+        "7168de6067c7de7c8428535b0f7f0ff8628d2d34af035fd508afa9b04b714fe8",
+        "the E <= 7 report enumerates (2,7) and (3,7), with 945,945 and 2,162,160 raw"
+        " candidates, in about 4 s on 2 vCPUs",
+    ),
+    Contract(
+        "plumb-eta-100000", "plumb --construction eta --genus 100000", 0,
+        "5869817f9385aec87946e6b29390bc5fdf92e7c0db6d0f09f9775c04eb23ba33",
+        "the genus-100000 eta build prints 4,700,105 bytes in under a second on 2 vCPUs",
+    ),
+    Contract(
+        "plumb-gamma-100000", "plumb --construction gamma --genus 100000", 0,
+        "d78aa683c44a711d5c48bea86f8cc8d759a6899cde9a13f1ff470453025c702d",
+        "the genus-100000 gamma build also runs what eta never does: the gamma2 base"
+        " pair, and the step that plumbs eta_99998 onto it"
+        ' ("plumb spans_a=0 spans_b=0 nonsep=1")',
+    ),
+)
 
 
 @pytest.mark.parametrize("row", CONTRACTS, ids=lambda row: row.name)
@@ -255,16 +278,6 @@ IMPORTS = {
     "family --kappa 2,1 --alpha 1,1": {"bounds", "catalog", "cli", "torus"},
     "verify-graphs --v-max 1 --e-budget 1": {"bounds", "cli", "maps", "torus"},
 }
-# the commands whose modules declare no dataclass: after them neither
-# dataclasses nor inspect (which it imports) is loaded
-NO_DATACLASSES = {
-    "",
-    "twist --kappa 2,1 --alpha 1,1",
-    "bounds disk",
-    "plumb",
-    "family --kappa 2,1 --alpha 1,1",
-    "verify-graphs --v-max 1 --e-budget 1",
-}
 # run in a fresh interpreter: prints to stderr the exit code and the modules
 # imported, then which of dataclasses and inspect are loaded, then what two
 # attribute lookups on the package give
@@ -288,8 +301,9 @@ def test_command_imports_only_what_it_reads(args):
     )
     imported, dataclass_modules, lookups = run.stderr.splitlines()
     assert imported.split() == ["0", *sorted(IMPORTS[args])]
-    if args in NO_DATACLASSES:
-        assert dataclass_modules == ""
+    # no knotforge module declares a dataclass, so neither dataclasses nor
+    # inspect (which it imports) is loaded
+    assert dataclass_modules == ""
     # knotforge.maps is imported on first access, and any other name is an error
     assert lookups == "knotforge.maps False"
 
@@ -1023,20 +1037,24 @@ class TestEveryGivenOptionIsParsed:
 
 
 def main() -> None:
-    """Run every CONTRACTS row through the installed knotforge console
-    script, with warnings turned into errors, as test_contract runs it in
-    process: each must exit with its code, print its pinned bytes and
-    print nothing to stderr.  Exit 1 if any row differs.  Run it with
+    """Run every CONTRACTS and SLOW_CONTRACTS row through the installed
+    knotforge console script, with warnings turned into errors, as
+    test_contract runs a row in process: each must exit with its code,
+    print its pinned bytes and print nothing to stderr.  Each row's line
+    ends with its wall time to the hundredth of a second.  Exit 1 if any
+    row differs.  Run it with
 
         PYTHONPATH=tests python -c "import test_cli as t; t.main()"
     """
     failed = 0
     env = {**os.environ, "PYTHONWARNINGS": "error"}
     with tempfile.TemporaryDirectory() as tmp:
-        for row in CONTRACTS:
+        for row in CONTRACTS + SLOW_CONTRACTS:
+            start = time.perf_counter()
             run = subprocess.run(["knotforge", *row.argv(tmp)], capture_output=True, env=env)
+            seconds = time.perf_counter() - start
             digest = hashlib.sha256(run.stdout).hexdigest()
             ok = (run.returncode, digest, run.stderr) == (row.code, row.digest, b"")
-            print("ok  " if ok else "FAIL", run.returncode, digest, row.name)
+            print("ok  " if ok else "FAIL", run.returncode, digest, row.name, f"({seconds:.2f} s)")
             failed += not ok
     sys.exit(1 if failed else 0)
