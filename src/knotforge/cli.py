@@ -46,7 +46,8 @@ ROW_LIMIT = 1_000_000
 # the largest genus plumb builds, checked before any step; the eta run at
 # this genus takes about 1.4 s and peaks at about 136 MB (Python 3.11.7, 2
 # vCPUs), a peak set by building the 47 MB trace text while the lineage
-# tree is still held; _cmd_plumb releases the tree before writing the text
+# tree is still held; _cmd_plumb releases the tree before writing the text.
+# tests/test_cli.py's main() re-measures both on every CI run
 GENUS_LIMIT = 1_000_000
 # the most decimal digits a number read or printed may have: Python's
 # int-string conversion limit, 4300 unless PYTHONINTMAXSTRDIGITS or

@@ -80,12 +80,7 @@ class Flags(NamedTuple):
     essential_components: bool
 
     def all_true(self) -> bool:
-        return (
-            self.three_disk_busting
-            and self.annulus_busting
-            and self.nonseparating
-            and self.essential_components
-        )
+        return all(self)
 
 
 def _steps(tree) -> list[str]:

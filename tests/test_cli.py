@@ -5,6 +5,7 @@ import io
 import os
 import pathlib
 import re
+import resource
 import subprocess
 import sys
 import tempfile
@@ -218,6 +219,12 @@ SLOW_CONTRACTS = (
         " pair, and the step that plumbs eta_99998 onto it"
         ' ("plumb spans_a=0 spans_b=0 nonsep=1")',
     ),
+    Contract(
+        "plumb-eta-genus-limit", f"plumb --construction eta --genus {GENUS_LIMIT}", 0,
+        "3ef344cf21c906e7728d022d236ee93534fcf494e487ef6f33ec899036aea177",
+        "the largest certificate plumb builds: 47,000,107 bytes in 2,000,002 lines, in"
+        " about 1.4 s at about 136 MB peak RSS (the comment on cli.GENUS_LIMIT)",
+    ),
 )
 
 
@@ -320,6 +327,21 @@ def _run_in_600_mb(argv):
     return subprocess.run(
         [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env
     )
+
+
+def _run_captured(argv, out_path=None):
+    """(exit code, stdout, stderr, text written to out_path) of one CLI run;
+    an argparse usage error or -h counts as its exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli_main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    written = out_path.read_text() if out_path is not None and out_path.exists() else None
+    if written is not None:
+        out_path.unlink()
+    return code, out.getvalue(), err.getvalue(), written
 
 
 class TestParsers:
@@ -879,16 +901,10 @@ def _run_exits_0_1_or_2(config_path, argv, config):
     if config is not None:
         config_path.write_text(config, encoding="utf-8")
         argv = ["--config", str(config_path)] + argv
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        try:
-            code = cli_main(argv)
-        except SystemExit as exc:  # argparse: usage errors and -h
-            code = exc.code
-    assert code in (0, 1, 2), (argv, config, err.getvalue())
+    code, _, err, _ = _run_captured(argv)
+    assert code in (0, 1, 2), (argv, config, err)
     if code == 2:
-        first = err.getvalue().splitlines()[0]
-        assert first.startswith(("error: ", "usage: ")), (argv, config, err.getvalue())
+        assert err.splitlines()[0].startswith(("error: ", "usage: ")), (argv, config, err)
 
 
 class TestFuzz:
@@ -969,21 +985,6 @@ SAMPLES = {
 }
 
 
-def _run_captured(argv, out_path):
-    """(exit code, stdout, stderr, text written to out_path) of one CLI run;
-    an argparse usage error counts as its exit code."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli_main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    written = out_path.read_text() if out_path.exists() else None
-    if written is not None:
-        out_path.unlink()
-    return code, out.getvalue(), err.getvalue(), written
-
-
 class TestFlagConfigEquivalence:
     # driven by the parser, so that an option added later is checked too
     @pytest.mark.parametrize("command, flag", _options())
@@ -1041,8 +1042,11 @@ def main() -> None:
     knotforge console script, with warnings turned into errors, as
     test_contract runs a row in process: each must exit with its code,
     print its pinned bytes and print nothing to stderr.  Each row's line
-    ends with its wall time to the hundredth of a second.  Exit 1 if any
-    row differs.  Run it with
+    ends with its wall time and peak RSS, and a FAIL line is followed by
+    the row's stderr.  On Linux a child's peak includes the runner's peak
+    at spawn, so the runner's own peak is printed last: a row at or below
+    it says nothing about its command.  Exit 1 if any row differs.  Run it
+    with
 
         PYTHONPATH=tests python -c "import test_cli as t; t.main()"
     """
@@ -1050,11 +1054,25 @@ def main() -> None:
     env = {**os.environ, "PYTHONWARNINGS": "error"}
     with tempfile.TemporaryDirectory() as tmp:
         for row in CONTRACTS + SLOW_CONTRACTS:
-            start = time.perf_counter()
-            run = subprocess.run(["knotforge", *row.argv(tmp)], capture_output=True, env=env)
-            seconds = time.perf_counter() - start
-            digest = hashlib.sha256(run.stdout).hexdigest()
-            ok = (run.returncode, digest, run.stderr) == (row.code, row.digest, b"")
-            print("ok  " if ok else "FAIL", run.returncode, digest, row.name, f"({seconds:.2f} s)")
+            # stdout goes to a file hashed in blocks, so that the runner never
+            # holds a large output; wait4 reads this child's resource usage
+            with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+                dup2 = [(os.POSIX_SPAWN_DUP2, f.fileno(), fd) for fd, f in ((1, out), (2, err))]
+                argv = ["knotforge", *row.argv(tmp)]
+                start = time.perf_counter()
+                _, status, usage = os.wait4(os.posix_spawnp(argv[0], argv, env, file_actions=dup2), 0)
+                seconds = time.perf_counter() - start
+                sha256 = hashlib.sha256()
+                out.seek(0)
+                while block := out.read(1 << 20):
+                    sha256.update(block)
+                err.seek(0)
+                stderr = err.read().decode(errors="replace")
+            code, digest = os.waitstatus_to_exitcode(status), sha256.hexdigest()
+            ok = (code, digest, stderr) == (row.code, row.digest, "")
+            peak = f"{usage.ru_maxrss / 1024:.1f} MB"
+            print("ok  " if ok else "FAIL", code, digest, row.name, f"({seconds:.2f} s, {peak})")
+            print(stderr, end="")  # empty on an ok row
             failed += not ok
+    print(f"runner peak RSS: {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.1f} MB")
     sys.exit(1 if failed else 0)
