@@ -5,20 +5,19 @@ import io
 import os
 import pathlib
 import re
-import resource
 import subprocess
 import sys
-import tempfile
-import time
-from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import knotforge
-from knotforge.catalog import generate_family, render_csv, render_txt
+from contracts import CONTRACTS
+from knotforge import maps
+from knotforge.catalog import generate_family, render_txt
 from knotforge.cli import (
+    _BOUNDS,
     DIGIT_LIMIT,
     GENUS_LIMIT,
     ROW_LIMIT,
@@ -31,209 +30,24 @@ from knotforge.cli import main as cli_main
 from knotforge.torus import normalize
 
 
-class Contract(NamedTuple):
-    """One pinned CLI run: its arguments, exit code and the sha256 of its
-    stdout, why those bytes are pinned, and the text of a --config file
-    that the run reads, if any."""
-
-    name: str
-    args: str
-    code: int
-    digest: str
-    why: str
-    config: str | None = None
-
-    def argv(self, directory) -> list[str]:
-        """The command line; a row with a config text first writes it to a
-        file in `directory`, which the command line names."""
-        if self.config is None:
-            return self.args.split()
-        path = pathlib.Path(directory, "knotforge.conf")
-        path.write_text(self.config, encoding="utf-8")
-        return ["--config", str(path), *self.args.split()]
-
-
-DESK_DEMO = (
-    "family --genus 2 --type H --kappa 2,1 --alpha 1,1 --i-range 2592,5184,10368"
-    " --chi-bridge -6 --chi-nu -6 --format csv"
-)
-DESK_DEMO_DIGEST = "23b78c6453961b4a01c87e9b081010648598ec1d1618d906622f6a13013ca686"
-CLAMP = "family --genus 3 --type S --kappa 2,1 --alpha 1,1 --i-range 646,648,649,650"
-REJECTED = "family --kappa 2,1 --alpha 1,1 --chi-nu 0 --n-range 1:3 --i-range 1:2"
-MIXED = "family --kappa 2,1 --alpha 1,1 --chi-bridge 0 --n-range 0:1 --i-range 0,5000"
-# The only pins of CLI output outside the benchmark: test_contract runs each
-# row of CONTRACTS in process, and main() runs each row of CONTRACTS and
-# SLOW_CONTRACTS through the installed console script.
-CONTRACTS = (
-    Contract(
-        "verify-graphs-v2-e6", "verify-graphs --v-max 2 --e-budget 6", 0,
-        "1e8084d5e9a135de48dc56db7cb0825e246fe1015d33d18110611dcb65e5dfb6",
-        "the benchmark's verify request: both claims, every cell enumerated",
-    ),
-    Contract(
-        "verify-graphs", "verify-graphs", 0,
-        "c69ebaee0a43f76c846cb088aa62f2ba06fa0368d58ab811e1dbb962a730f53d",
-        "the defaults reach (1,7), (3,5) and (3,6), where the vertex walk of"
-        " is_connected takes more than one step",
-    ),
-    Contract(
-        "desk-demo", f"{DESK_DEMO} --n-range 4752,5000,10000", 0,
-        DESK_DEMO_DIGEST,
-        "the README's desk-demo catalog",
-    ),
-    Contract(
-        "desk-demo-config", DESK_DEMO, 0,
-        DESK_DEMO_DIGEST,
-        "the desk-demo catalog, with its n range read from a config file",
-        config="# the desk-demo n range\nn-range = 4752,5000,10000\n",
-    ),
-    Contract(
-        "clamp-txt", f"{CLAMP} --n-range=-652:-644 --format txt", 0,
-        "12b9d65fe635ca087cb4d3f1137992096cb49f653a87163f482c6d1a89e09c57",
-        "the bridge bound's clamp at |n| = 72|chi|g = 648, with n < 0: bridge_lower"
-        " is 0 at 648, 1/216 at 649 and 1/54 at 652",
-    ),
-    Contract(
-        "clamp-csv", f"{CLAMP} --n-range 644:652 --format csv", 0,
-        "4f4c8ddd39928ae31026a971d0a220829731af29699f78dbcdbe75a83bf394e6",
-        "the bridge bound's clamp at |n| = 648, with n > 0",
-    ),
-    Contract(
-        "plumb-gamma", "plumb --construction gamma --genus 5", 0,
-        "1d897049d5d97d37dc8b9144e9c342bb5439fa97ff41b2be4b2e7517d2b204c3",
-        "a gamma trace, which plumb writes from the table that replay reads it with",
-    ),
-    Contract(
-        "plumb-eta", "plumb --construction eta --genus 4", 0,
-        "54f9c55ddf158e0fd17b195b013dd27bc8d30a473c90a198d7ff2b719dffa826",
-        "an eta trace, written from the same table",
-    ),
-    Contract(
-        "rejected-txt", REJECTED, 1,
-        "5510a24f874323a100bfdf5a19921759a9bd3e733e389d45f07828f8f2c61c82",
-        "a request rejected at chi(Q) >= 0 carries its error on each of its six rows",
-    ),
-    Contract(
-        "rejected-csv", f"{REJECTED} --format csv", 1,
-        "56b6de1e287379377897c5697abba35aa0afcfc4dd16db826d1a82ce3af40233",
-        "the rejected request in csv",
-    ),
-    Contract(
-        "mixed-txt", MIXED, 1,
-        "6b9c18c384d37e5d6c9967e2f4145a54a917c6decd1db9b8db33b31dc737aceb",
-        "an accepted request with chi_Q_bridge >= 0 errs only on its strong rows:"
-        " two of its four",
-    ),
-    Contract(
-        "mixed-csv", f"{MIXED} --format csv", 1,
-        "040a7d977c444629c38e68cbaae2bfaeecbe5598d02591124b6fc150cab92620",
-        "the mixed-verdict request in csv",
-    ),
-    Contract(
-        "s-exceptional-csv",
-        "family --genus 2 --type S --kappa 2,1 --alpha 1,1 --n-range=-2:1 --i-range 0,700"
-        " --format csv", 0,
-        "52c34761663f6d6a429ad443f0e656a1bd67fc7aa4fa0b5a35d03877bb624c3a",
-        "the S family's quoted seifert and surgery, and exceptional=true on strong rows"
-        " at n = -2, -1, 0",
-    ),
-    Contract(
-        "not-i-uniform-txt",
-        "family --genus 3 --type H --kappa 3,1 --alpha 1,2 --n-range 0:2 --i-range 0,5000"
-        " --format txt", 0,
-        "2706bbb6ccfff4f6e7cacfee25ff044e37081d582c373ad4012efa498b6578e5",
-        "an alpha other than (1,1) with no --chi-bridge: the not i-uniform reason",
-    ),
-    Contract(
-        "product-disk-csv",
-        "family --genus 2 --type S --kappa 2,1 --alpha 1,0 --n-range 1:2 --i-range 5000"
-        " --format csv", 0,
-        "0d01bb22f024bf29e5b447bb6ff54bdf2f7fd81e4e1e97b49eb837e8a0cd4a53",
-        "a product-disk alpha: its reason, and no statement line",
-    ),
-    Contract(
-        "twist", "twist --kappa -3,2 --alpha 1,1", 0,
-        "58e5f32a625b2c76df6a9b72cd25027de9948ff191d74f2a025d30ed5716ff69",
-        "a negative first coordinate, given as its own argument, is a value",
-    ),
-    Contract(
-        "twist-n-negative", "twist --kappa -3,2 --alpha 1,1 --n -2", 0,
-        "518f6064124d250d734ae6700d2fe1d99ae81d36f640d39bc5e8919f631c6076",
-        "w(kappa, alpha) < 0 and n < 0: dehn_twist is twist(kappa, alpha, s*n)"
-        " with s the sign of w",
-    ),
-    Contract(
-        "bounds-disk", "bounds disk --i 1000", 0,
-        "7de1555df0c2700329e815b93b32c571c3ea54dc967b89e81ab73b9972b72d1d",
-        "the disk bound at the default chi, GAMMA_DISK = -6: 4",
-    ),
-    Contract(
-        "bounds-annulus", "bounds annulus --i 5000 --chi -2", 0,
-        "19b8d5c59e421f037fe563007c7254eb8d98bc221b278c3db3e5fdbbfd52e273",
-        "the annulus bound past its threshold 216|chi| = 432: 33",
-    ),
-    Contract(
-        "bounds-bridge", "bounds bridge --n 2161 --chi -3 --genus 2", 0,
-        "aa99db4c051fc557659ea5f31b8f8ead16d62cbf0041222cf46e489b655daa1e",
-        "a bridge bound that is not an integer prints as a Fraction: 1729/216",
-    ),
-    Contract(
-        "bounds-n-strong", "bounds n-strong --chi -6", 0,
-        "a04b8779fae076e2078abac87ed405080395dc27b5bf3bd4693ebfb6ecf215eb",
-        "the strong threshold 216|chi|: 1296",
-    ),
-    Contract(
-        "bounds-parallel-classes", "bounds parallel-classes --chi -6", 0,
-        "7ee29791fc17e986b97128845622b077fb45e349fdb80523fac9dba879b4ad60",
-        "the parallelism class bound -3 chi: 18",
-    ),
-    Contract(
-        "bounds-edges-threshold", "bounds edges-threshold --vertices 2 --chi 0", 0,
-        "06e9d52c1720fca412803e3b07c4b228ff113e303f4c7ab94665319d832bbfb7",
-        "the parallel-edges threshold 3V max(1 - chi, 1): 6",
-    ),
-    Contract(
-        "bounds-threshold",
-        "bounds threshold --chi -6 --f-k 5 --f-l 2 --f-m 2 --chi-f-hat 0 --delta-k 3", 0,
-        "e4fa6ce80a34303b9dda7a6e66c7017b5b0bb55314df23f5e8f33378c419ec70",
-        "the distance threshold with every count set: 6*2*36*(5*3 + 2 - 0 + 2) = 8208",
-    ),
-)
-# Pinned runs too slow for tier-1; only main() runs them.
-SLOW_CONTRACTS = (
-    Contract(
-        "verify-graphs-e7", "verify-graphs --e-budget 7 --work-budget 3000000", 0,
-        "7168de6067c7de7c8428535b0f7f0ff8628d2d34af035fd508afa9b04b714fe8",
-        "the E <= 7 report enumerates (2,7) and (3,7), with 945,945 and 2,162,160 raw"
-        " candidates, in about 4 s on 2 vCPUs",
-    ),
-    Contract(
-        "plumb-eta-100000", "plumb --construction eta --genus 100000", 0,
-        "5869817f9385aec87946e6b29390bc5fdf92e7c0db6d0f09f9775c04eb23ba33",
-        "the genus-100000 eta build prints 4,700,105 bytes in under a second on 2 vCPUs",
-    ),
-    Contract(
-        "plumb-gamma-100000", "plumb --construction gamma --genus 100000", 0,
-        "d78aa683c44a711d5c48bea86f8cc8d759a6899cde9a13f1ff470453025c702d",
-        "the genus-100000 gamma build also runs what eta never does: the gamma2 base"
-        " pair, and the step that plumbs eta_99998 onto it"
-        ' ("plumb spans_a=0 spans_b=0 nonsep=1")',
-    ),
-    Contract(
-        "plumb-eta-genus-limit", f"plumb --construction eta --genus {GENUS_LIMIT}", 0,
-        "3ef344cf21c906e7728d022d236ee93534fcf494e487ef6f33ec899036aea177",
-        "the largest certificate plumb builds: 47,000,107 bytes in 2,000,002 lines, in"
-        " about 1.4 s at about 136 MB peak RSS (the comment on cli.GENUS_LIMIT)",
-    ),
-)
-
-
 @pytest.mark.parametrize("row", CONTRACTS, ids=lambda row: row.name)
 def test_contract(row, tmp_path, capsys):
     code = cli_main(row.argv(tmp_path))
     captured = capsys.readouterr()
     assert (code, hashlib.sha256(captured.out.encode()).hexdigest()) == (row.code, row.digest)
     assert captured.err == ""
+
+
+def test_contracts_runner_imports_no_test_framework():
+    # a spawned row's peak RSS starts from the runner's, so the runner
+    # leaves pytest and hypothesis unloaded
+    paths = (pathlib.Path(knotforge.__file__).parents[1], pathlib.Path(__file__).parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(map(str, paths))}
+    probe = "import sys, contracts; print(*sorted({'pytest', 'hypothesis'} & set(sys.modules)))"
+    run = subprocess.run(
+        [sys.executable, "-W", "error", "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    assert run.stdout == "\n"
 
 
 def readme_commands() -> list[str]:
@@ -430,12 +244,6 @@ class TestParsers:
 
 
 class TestTwist:
-    def test_output(self, capsys):
-        code = cli_main(["twist", "--kappa", "0,1", "--alpha", "1,1", "--n", "4"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "tau = (4,5)" in out
-
     def test_config_preload_and_override(self, tmp_path, capsys):
         conf = tmp_path / "c"
         conf.write_text("kappa = 0,1\nalpha = 1,1\nn = 4\n")
@@ -572,22 +380,6 @@ class TestConfigValidation:
 
 
 class TestBounds:
-    def test_disk(self, capsys):
-        assert cli_main(["bounds", "disk", "--i", "1000", "--chi", "-6"]) == 0
-        assert capsys.readouterr().out.strip() == "4"
-
-    def test_n_strong(self, capsys):
-        assert cli_main(["bounds", "n-strong", "--chi", "-6"]) == 0
-        assert capsys.readouterr().out.strip() == "1296"
-
-    def test_bridge(self, capsys):
-        assert cli_main(["bounds", "bridge", "--n", "4320", "--chi", "-6", "--genus", "2"]) == 0
-        assert capsys.readouterr().out.strip() == "8"
-
-    def test_threshold(self, capsys):
-        assert cli_main(["bounds", "threshold", "--chi", "-6"]) == 0
-        assert capsys.readouterr().out.strip() == "432"
-
     def test_bad_chi_exit_code(self, capsys):
         assert cli_main(["bounds", "disk", "--i", "10", "--chi", "0"]) == 2
         assert "error:" in capsys.readouterr().err
@@ -607,17 +399,6 @@ class TestBounds:
 
 
 class TestPlumb:
-    def test_gamma_trace(self, capsys):
-        assert cli_main(["plumb", "--construction", "gamma", "--genus", "4"]) == 0
-        out = capsys.readouterr().out
-        assert "genus=4" in out
-        assert "base gamma2" in out
-
-    def test_eta(self, capsys):
-        assert cli_main(["plumb", "--construction", "eta", "--genus", "3"]) == 0
-        out = capsys.readouterr().out
-        assert "components=1" in out
-
     @pytest.mark.parametrize("construction", ["eta", "gamma"])
     def test_genus_limit(self, construction, monkeypatch, capsys):
         # the limit is checked before any plumb step: genus = limit builds,
@@ -644,24 +425,6 @@ class TestPlumb:
 
 
 class TestFamily:
-    def test_stdout_txt(self, capsys):
-        code = cli_main(
-            [
-                "family",
-                "--genus", "2",
-                "--type", "S",
-                "--kappa", "2,1",
-                "--alpha", "1,1",
-                "--n-range", "1:2",
-                "--i-range", "2000,10",
-                "--chi-nu", "-6",
-            ]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "knotforge-catalog v1" in out
-        assert "seifert=(3,2)" in out
-
     def test_csv_to_file(self, tmp_path, capsys):
         out_path = tmp_path / "fam.csv"
         code = cli_main(
@@ -680,21 +443,6 @@ class TestFamily:
         assert code == 0
         assert out_path.read_text().startswith("knotforge-catalog v1")
 
-    def test_errored_rows_set_exit_code(self, capsys):
-        code = cli_main(
-            [
-                "family",
-                "--genus", "2",
-                "--type", "H",
-                "--kappa", "1,1",
-                "--alpha", "1,1",
-                "--n-range", "0:0",
-                "--i-range", "0:0",
-            ]
-        )
-        capsys.readouterr()
-        assert code == 1
-
     @pytest.mark.parametrize(
         "request_args",
         [
@@ -703,23 +451,13 @@ class TestFamily:
         ],
     )
     def test_rejected_request_prints_no_statement(self, capsys, request_args):
+        # kappa = alpha and genus 1 are rejected: every row is an error, so
+        # the catalog exits 1
         code = cli_main(["family", *request_args, "--n-range", "1", "--i-range", "1"])
         out = capsys.readouterr().out
         assert code == 1
         assert "error=" in out
         assert "statement" not in out
-
-    @pytest.mark.parametrize("fmt", ["txt", "csv"])
-    def test_mixed_verdict_rows(self, capsys, fmt):
-        # an accepted request whose bridge chi is >= 0: only the strong rows
-        # (i = 5000 > 216 * 3) err, the weak ones are certified; its bytes
-        # are pinned in CONTRACTS
-        assert cli_main([*MIXED.split(), "--format", fmt]) == 1
-        rows = capsys.readouterr().out.splitlines()[-4:]
-        erred = [row for row in rows if "a catching surface with chi(Q) < 0 is required" in row]
-        assert len(erred) == 2
-        assert all("5000" in row for row in erred)
-        assert all("5000" not in row for row in rows if row not in erred)
 
     @pytest.mark.parametrize("flag, text", [("--n-range", "5:1"), ("--i-range", "3:0:2")])
     def test_empty_grid_exit_code(self, capsys, flag, text):
@@ -737,46 +475,8 @@ class TestFamily:
         message = f"a number read or printed has more digits than the digit limit {DIGIT_LIMIT}"
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
-    def test_desk_demo_catalog(self, capsys):
-        # the hitting chi is bounds.GAMMA_DISK = -6, as in the demo
-        code = cli_main(
-            [
-                "family",
-                "--genus", "2",
-                "--type", "H",
-                "--kappa", "2,1",
-                "--alpha", "1,1",
-                "--n-range", "4752,5000,10000",
-                "--i-range", "2592,5184,10368",
-                "--chi-bridge", "-6",
-                "--chi-nu", "-6",
-                "--format", "csv",
-            ]
-        )
-        demo = generate_family(
-            g=2,
-            family="H",
-            kappa=normalize(2, 1),
-            alpha=normalize(1, 1),
-            n_range=[4752, 5000, 10000],
-            i_range=[2592, 5184, 10368],
-            chi_Q_bridge=-6,
-            chi_Q_nu=-6,
-        )
-        assert code == 0
-        assert capsys.readouterr().out == render_csv(demo)
-
 
 class TestVerifyGraphs:
-    def test_small_run(self, capsys):
-        code = cli_main(
-            ["verify-graphs", "--v-max", "1", "--e-budget", "4", "--chi-min", "-2"]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "counterexamples: 0" in out
-        assert "arc-class bound" in out
-
     def test_empty_range_exit_code(self, capsys):
         assert cli_main(["verify-graphs", "--v-max", "0", "--e-budget", "0"]) == 2
         captured = capsys.readouterr()
@@ -803,6 +503,20 @@ class TestVerifyGraphs:
         out = capsys.readouterr().out
         assert "[degree-count]" in out and "[enumerated]" not in out
 
+    def test_counterexample_exits_1(self, monkeypatch, capsys):
+        # with a threshold of 0 every map is above it, and the two maps of
+        # (1,2) and (1,3) without parallel edges are counterexamples
+        monkeypatch.setattr(maps, "parallel_edges_threshold", lambda V, chi: 0)
+        assert cli_main(["verify-graphs", "--v-max", "1", "--e-budget", "3"]) == 1
+        out, err = capsys.readouterr()
+        assert "\ncounterexamples: 2\n" in out and err == ""
+
+    def test_class_bound_failure_exits_1(self, monkeypatch, capsys):
+        monkeypatch.setattr(maps, "parallelism_class_bound", lambda chi: 0)
+        assert cli_main(["verify-graphs", "--v-max", "1", "--e-budget", "3"]) == 1
+        out, err = capsys.readouterr()
+        assert out.endswith("\nok: False\n") and err == ""
+
 
 # --- fuzzing: random argv and --config files ---------------------------------
 
@@ -817,42 +531,50 @@ RANGES = (
     | st.tuples(SMALL, SMALL, st.integers(-2, 4)).map("{0[0]}:{0[1]}:{0[2]}".format)
     | st.lists(SMALL, min_size=1, max_size=4).map(lambda xs: ",".join(map(str, xs)))
 )
-BOUNDS_OPS = ["disk", "annulus", "bridge", "n-strong", "parallel-classes", "edges-threshold",
-              "threshold", "mystery"]
-BOUNDS_KEYS = ("i", "chi", "n", "genus", "vertices", "f-k", "f-l", "f-m", "chi-f-hat", "delta-k")
-# subcommand -> (positional strategies, {option: value strategy}, options set
-# in seven runs of eight, options set in every run); verify-graphs always
-# sets --v-max 1 and --e-budget <= 3, so that no run is long
+BOUNDS_OPS = [*_BOUNDS, "mystery"]
+# (subcommand, flag) -> (a valid value other than the default, a malformed
+# value, the fuzz's value strategy); the fuzz sets every option that has a
+# strategy, which --out, since it writes files, has not
+OPTIONS = {
+    ("twist", "--kappa"): ("-3,2", "abc", CURVES),
+    ("twist", "--alpha"): ("1,2", "1", CURVES),
+    ("twist", "--n"): ("-2", "two", st.integers(-10**6, 10**6).map(str)),
+    ("bounds", "--i"): ("5000", "1.5", INTS),
+    ("bounds", "--chi"): ("-3", "x", INTS),
+    ("bounds", "--n"): ("700", "x", INTS),
+    ("bounds", "--genus"): ("3", "x", INTS),
+    ("bounds", "--vertices"): ("2", "x", INTS),
+    ("bounds", "--f-k"): ("1", "x", INTS),
+    ("bounds", "--f-l"): ("2", "x", INTS),
+    ("bounds", "--f-m"): ("3", "x", INTS),
+    ("bounds", "--chi-f-hat"): ("1", "x", INTS),
+    ("bounds", "--delta-k"): ("2", "x", INTS),
+    ("plumb", "--construction"): ("eta", "zeta", st.sampled_from(["eta", "gamma", "delta"])),
+    ("plumb", "--genus"): ("4", "four", st.integers(-2, 64).map(str)),
+    ("family", "--genus"): ("3", "x", st.integers(-1, 5).map(str)),
+    ("family", "--type"): ("S", "Q", st.sampled_from(["H", "S", "Q"])),
+    ("family", "--kappa"): ("3,1", "3;1", CURVES),
+    ("family", "--alpha"): ("1,2", "", CURVES),
+    ("family", "--n-range"): ("-1:1", "5:1", RANGES),
+    ("family", "--i-range"): ("1000:3000:1000", "x", RANGES),
+    ("family", "--chi-bridge"): ("-3", "x", INTS),
+    ("family", "--chi-nu"): ("-3", "x", INTS),
+    ("family", "--format"): ("csv", "json", st.sampled_from(["csv", "txt", "pdf"])),
+    ("family", "--out"): ("@OUT", "@MISSING/catalog.txt", None),
+    ("verify-graphs", "--v-max"): ("2", "x", st.just("1")),
+    ("verify-graphs", "--e-budget"): ("2", "x", st.integers(1, 3).map(str)),
+    ("verify-graphs", "--chi-min"): ("0", "x", INTS),
+    ("verify-graphs", "--work-budget"): ("0", "x", st.integers(-5, 10**5).map(str)),
+}
+# subcommand -> (positional strategies, options set in seven runs of eight,
+# options set in every run); the fuzz's verify-graphs runs always set
+# --v-max 1 and --e-budget <= 3, so that no run is long
 COMMANDS = {
-    "twist": (
-        [],
-        {"kappa": CURVES, "alpha": CURVES, "n": st.integers(-10**6, 10**6).map(str)},
-        ("kappa", "alpha"),
-        (),
-    ),
-    "bounds": ([st.sampled_from(BOUNDS_OPS)], {key: INTS for key in BOUNDS_KEYS}, (), ()),
-    "plumb": (
-        [],
-        {"construction": st.sampled_from(["eta", "gamma", "delta"]),
-         "genus": st.integers(-2, 64).map(str)},
-        ("genus",),
-        (),
-    ),
-    "family": (
-        [],
-        {"genus": st.integers(-1, 5).map(str), "type": st.sampled_from(["H", "S", "Q"]),
-         "kappa": CURVES, "alpha": CURVES, "n-range": RANGES, "i-range": RANGES,
-         "chi-bridge": INTS, "chi-nu": INTS, "format": st.sampled_from(["csv", "txt", "pdf"])},
-        ("kappa", "alpha"),
-        (),
-    ),
-    "verify-graphs": (
-        [],
-        {"v-max": st.just("1"), "e-budget": st.integers(1, 3).map(str),
-         "chi-min": INTS, "work-budget": st.integers(-5, 10**5).map(str)},
-        (),
-        ("v-max", "e-budget"),
-    ),
+    "twist": ([], ("kappa", "alpha"), ()),
+    "bounds": ([st.sampled_from(BOUNDS_OPS)], (), ()),
+    "plumb": ([], ("genus",), ()),
+    "family": ([], ("kappa", "alpha"), ()),
+    "verify-graphs": ([], (), ("v-max", "e-budget")),
 }
 BAD_LINES = st.sampled_from(["no equals sign", "mystery = 1", "= 3", "type = Q"]) | st.text(max_size=12)
 
@@ -867,7 +589,12 @@ def invocations(draw, commands):
     goes to argv as a flag, to the config file as a key, or to both, and one
     file in eight carries a line that is malformed or names no option."""
     command = draw(st.sampled_from(commands))
-    positionals, options, usual, always = COMMANDS[command]
+    positionals, usual, always = COMMANDS[command]
+    options = {
+        flag[2:]: strategy
+        for (name, flag), (_, _, strategy) in OPTIONS.items()
+        if name == command and strategy is not None
+    }
     keys = list(always) + [key for key in usual if not _one_in_eight(draw)]
     keys += [k for k in draw(st.lists(st.sampled_from(sorted(options)), unique=True)) if k not in keys]
     flags, lines = [], []
@@ -942,61 +669,29 @@ def _options():
     ]
 
 
-VALID_BOUNDS_OPS = [op for op in BOUNDS_OPS if op != "mystery"]
 # the positional arguments and required or cheap options of each subcommand
 BASES = {
     "twist": ([[]], {"--kappa": "2,1", "--alpha": "1,1"}),
-    "bounds": ([[op] for op in VALID_BOUNDS_OPS], {}),
+    "bounds": ([[op] for op in _BOUNDS], {}),
     "plumb": ([[]], {}),
     "family": ([[]], {"--kappa": "2,1", "--alpha": "1,1", "--i-range": "0,3000"}),
     "verify-graphs": ([[]], {"--v-max": "1", "--e-budget": "1"}),
 }
-# (subcommand, flag) -> (a valid value other than the default, a malformed value)
-SAMPLES = {
-    ("twist", "--kappa"): ("-3,2", "abc"),
-    ("twist", "--alpha"): ("1,2", "1"),
-    ("twist", "--n"): ("-2", "two"),
-    ("bounds", "--i"): ("5000", "1.5"),
-    ("bounds", "--chi"): ("-3", "x"),
-    ("bounds", "--n"): ("700", "x"),
-    ("bounds", "--genus"): ("3", "x"),
-    ("bounds", "--vertices"): ("2", "x"),
-    ("bounds", "--f-k"): ("1", "x"),
-    ("bounds", "--f-l"): ("2", "x"),
-    ("bounds", "--f-m"): ("3", "x"),
-    ("bounds", "--chi-f-hat"): ("1", "x"),
-    ("bounds", "--delta-k"): ("2", "x"),
-    ("plumb", "--construction"): ("eta", "zeta"),
-    ("plumb", "--genus"): ("4", "four"),
-    ("family", "--genus"): ("3", "x"),
-    ("family", "--type"): ("S", "Q"),
-    ("family", "--kappa"): ("3,1", "3;1"),
-    ("family", "--alpha"): ("1,2", ""),
-    ("family", "--n-range"): ("-1:1", "5:1"),
-    ("family", "--i-range"): ("1000:3000:1000", "x"),
-    ("family", "--chi-bridge"): ("-3", "x"),
-    ("family", "--chi-nu"): ("-3", "x"),
-    ("family", "--format"): ("csv", "json"),
-    ("family", "--out"): ("@OUT", "@MISSING/catalog.txt"),
-    ("verify-graphs", "--v-max"): ("2", "x"),
-    ("verify-graphs", "--e-budget"): ("2", "x"),
-    ("verify-graphs", "--chi-min"): ("0", "x"),
-    ("verify-graphs", "--work-budget"): ("0", "x"),
-}
 
 
 class TestFlagConfigEquivalence:
-    # driven by the parser, so that an option added later is checked too
+    # driven by the parser, so that an option added later needs an OPTIONS
+    # entry, and so is checked here and fuzzed too
     @pytest.mark.parametrize("command, flag", _options())
     def test_flag_and_config_key_agree(self, command, flag, tmp_path):
-        assert (command, flag) in SAMPLES, f"no sample value for {command} {flag}"
+        assert (command, flag) in OPTIONS, f"no OPTIONS entry for {command} {flag}"
         out_path = tmp_path / "catalog.txt"
         conf = tmp_path / "knotforge.conf"
         positionals, base = BASES[command]
         rest = [token for key, value in base.items() if key != flag for token in (key, value)]
         valid, malformed = (
             value.replace("@OUT", str(out_path)).replace("@MISSING", str(tmp_path / "missing"))
-            for value in SAMPLES[command, flag]
+            for value in OPTIONS[command, flag][:2]
         )
         for pos in positionals:
             for value in (valid, malformed):
@@ -1012,7 +707,7 @@ class TestFlagConfigEquivalence:
 
 
 class TestEveryGivenOptionIsParsed:
-    @pytest.mark.parametrize("op", VALID_BOUNDS_OPS)
+    @pytest.mark.parametrize("op", _BOUNDS)
     def test_malformed_unread_option_exit_code(self, op, tmp_path, capsys):
         # the op reads only some options; a malformed value of any other one
         # is still an error, as a flag and as a config key

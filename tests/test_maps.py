@@ -1,9 +1,11 @@
 import copy
+import functools
 import math
 import pickle
 import random
 from collections import Counter
-from itertools import islice, permutations
+from itertools import islice, permutations, product
+from typing import NamedTuple
 
 import pytest
 from hypothesis import assume, given, settings
@@ -257,6 +259,45 @@ class TestConnectivity:
                 assert m.sigma[d] == cycle[(j + 1) % len(cycle)]
 
 
+class ConnectivityCall(NamedTuple):
+    """One is_connected call of the enumerator: the map's sigma and alpha,
+    read during the call, since the probe map's alpha then changes, and
+    the answer."""
+
+    sigma: tuple[int, ...]
+    alpha: tuple[int, ...]
+    connected: bool
+
+
+@functools.cache
+def recorded_cell(V, E, monogon_free):
+    """(each is_connected call in order, each yielded map with the (sigma,
+    alpha) it was yielded with) of one enumerate_maps(V, E, monogon_free),
+    made once with a recorder installed on the class, which enumerate_maps
+    reads is_connected from."""
+    tested = []
+    original = CombinatorialMap.is_connected
+
+    def recording(m):
+        answer = original(m)
+        tested.append(ConnectivityCall(m.sigma, m.alpha, answer))
+        return answer
+
+    CombinatorialMap.is_connected = recording
+    try:
+        yielded = [(m, (m.sigma, m.alpha)) for m in enumerate_maps(V, E, monogon_free)]
+    finally:
+        CombinatorialMap.is_connected = original
+    return tested, yielded
+
+
+# the cells that the four tests of one recording read, in both monogon modes
+RECORDED_CELLS = pytest.mark.parametrize(
+    "V, E, monogon_free",
+    [(V, E, m) for m in (False, True) for V, E in [*product((1, 2, 3), range(1, 6)), (2, 6)]],
+)
+
+
 class TestEnumeration:
     def test_single_loop(self):
         out = list(enumerate_maps(1, 1))
@@ -290,92 +331,45 @@ class TestEnumeration:
     def test_all_connected(self):
         assert all(m.is_connected() for m in enumerate_maps(2, 3))
 
-    @pytest.mark.parametrize("monogon_free", [False, True])
-    @pytest.mark.parametrize(
-        "V, E", [(V, E) for V in (1, 2, 3) for E in range(1, 6)] + [(2, 6)]
-    )
+    @RECORDED_CELLS
     def test_yielded_maps_pass_the_validating_constructor(self, V, E, monogon_free):
         # candidates are built unchecked; rebuilding one through the public
-        # constructor validates it and must give an equal map
-        for m in enumerate_maps(V, E, monogon_free):
-            assert m == CombinatorialMap(m.sigma, m.alpha)
+        # constructor validates it and must give an equal map.  Each yielded
+        # map is its own object and keeps the pairing it was yielded with
+        # after the generator is exhausted
+        _, yielded = recorded_cell(V, E, monogon_free)
+        assert len({id(m) for m, _ in yielded}) == len(yielded)
+        for m, pair in yielded:
+            assert (m.sigma, m.alpha) == pair
+            rebuilt = CombinatorialMap(*pair)
+            assert m == rebuilt
+            assert m.vertex_partition == rebuilt.vertex_partition
 
-    @pytest.mark.parametrize("monogon_free", [False, True])
-    @pytest.mark.parametrize(
-        "V, E", [(V, E) for V in (1, 2, 3) for E in range(1, 6)] + [(2, 6)]
-    )
-    def test_one_connectivity_test_per_raw_candidate(self, monkeypatch, V, E, monogon_free):
+    @RECORDED_CELLS
+    def test_one_connectivity_test_per_raw_candidate(self, V, E, monogon_free):
         # perfbench's traced run counts the candidates built as is_connected
         # calls on the class and checks them against candidate_count
-        calls = 0
-        original = CombinatorialMap.is_connected
+        tested, _ = recorded_cell(V, E, monogon_free)
+        assert len(tested) == maps.candidate_count(V, E)
 
-        def counting(m):
-            nonlocal calls
-            calls += 1
-            return original(m)
-
-        monkeypatch.setattr(CombinatorialMap, "is_connected", counting)
-        list(enumerate_maps(V, E, monogon_free))
-        assert calls == maps.candidate_count(V, E)
-
-    @pytest.mark.parametrize("monogon_free", [False, True])
-    @pytest.mark.parametrize(
-        "V, E", [(V, E) for V in (1, 2, 3) for E in range(1, 6)] + [(2, 6)]
-    )
-    def test_every_connectivity_answer_matches_the_dart_graph(
-        self, monkeypatch, V, E, monogon_free
-    ):
+    @RECORDED_CELLS
+    def test_every_connectivity_answer_matches_the_dart_graph(self, V, E, monogon_free):
         # candidates carry their cycle type's shared vertex partition; each
         # answer is checked against a search that reads sigma and alpha only
-        calls = 0
-        wrong = []
-        original = CombinatorialMap.is_connected
+        tested, _ = recorded_cell(V, E, monogon_free)
+        assert [t for t in tested if t.connected != dart_graph_connected(t)] == []
 
-        def checked(m):
-            nonlocal calls
-            calls += 1
-            answer = original(m)
-            if answer != dart_graph_connected(m):
-                wrong.append((m.sigma, m.alpha))
-            return answer
-
-        monkeypatch.setattr(CombinatorialMap, "is_connected", checked)
-        list(enumerate_maps(V, E, monogon_free))
-        assert calls == maps.candidate_count(V, E)
-        assert wrong == []
-
-    @pytest.mark.parametrize("monogon_free", [False, True])
-    @pytest.mark.parametrize(
-        "V, E", [(V, E) for V in (1, 2, 3) for E in range(1, 6)] + [(2, 6)]
-    )
-    def test_each_raw_candidate_tested_exactly_once(self, monkeypatch, V, E, monogon_free):
-        # the set behind the count: every (sigma_lambda, alpha) pair is tested
-        # once, read during the call, since the probe map's alpha then changes
-        tested = []
-        original = CombinatorialMap.is_connected
-
-        def recording(m):
-            tested.append((m.sigma, m.alpha))
-            return original(m)
-
-        monkeypatch.setattr(CombinatorialMap, "is_connected", recording)
-        yielded = [(m, (m.sigma, m.alpha)) for m in enumerate_maps(V, E, monogon_free)]
+    @RECORDED_CELLS
+    def test_each_raw_candidate_tested_exactly_once(self, V, E, monogon_free):
+        # the set behind the count: every (sigma_lambda, alpha) pair is tested once
+        tested, _ = recorded_cell(V, E, monogon_free)
         raw = [
             (maps._standard_sigma(cycle_lengths), alpha)
             for cycle_lengths in maps._partitions_into(2 * E, V)
             for alpha, _ in maps._involutions(2 * E)
         ]
-        assert sorted(tested) == sorted(raw)
+        assert sorted((t.sigma, t.alpha) for t in tested) == sorted(raw)
         assert len(set(raw)) == len(raw)
-        # each yielded map is its own object and keeps the pairing it was
-        # yielded with after the generator is exhausted
-        assert len({id(m) for m, _ in yielded}) == len(yielded)
-        for m, pair in yielded:
-            assert (m.sigma, m.alpha) == pair
-            rebuilt = CombinatorialMap(m.sigma, m.alpha)
-            assert m == rebuilt
-            assert m.vertex_partition == rebuilt.vertex_partition
 
     def test_limits_enforced(self):
         with pytest.raises(LimitExceeded):
@@ -651,6 +645,24 @@ class TestVerifyParallelP:
     def test_render_mentions_counts(self):
         text = verify_parallelP(1, 4).render()
         assert "counterexamples: 0" in text
+
+    def test_counterexamples_are_the_maps_without_parallel_edges(self, monkeypatch):
+        # with a threshold of 0 every map is above it, so the counterexamples
+        # are exactly the enumerated maps whose E edges are E classes
+        monkeypatch.setattr(maps, "parallel_edges_threshold", lambda V, chi: 0)
+        report = verify_parallelP(1, 3)
+        expected = [
+            f"V=1 E={E} chi={trace_faces(m).euler_characteristic} sigma={m.sigma} alpha={m.alpha}"
+            for E in (1, 2, 3)
+            for m in enumerate_maps(1, E, monogon_free=True)
+            if parallel_class_count(m) == E
+        ]
+        assert list(report.counterexamples) == expected
+        assert [(c.E, len(c.counterexamples)) for c in report.cells] == [(1, 0), (2, 1), (3, 1)]
+        lines = report.render().splitlines()
+        at = lines.index("counterexamples: 2")
+        assert lines[at + 1 : at + 3] == [f"  !! {c}" for c in expected]
+        assert not lines[at + 3].startswith("  !! ")
 
     def test_limits(self):
         # the requested range is checked before any cell, so (4, 1) fails
